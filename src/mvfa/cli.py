@@ -13,6 +13,7 @@ canonical operator notation that `format`/solve output, e.g. "A4_{1,2}(add)".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -321,6 +322,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of `main`, built once per process: building it costs
+    milliseconds, a large share of a short command run in-process."""
+    return build_parser()
+
+
 _ERROR_KINDS = (
     (UsageError, "usage"),
     (ParseError, "parse"),
@@ -337,10 +345,11 @@ _ERROR_KINDS = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    pretty = bool(argv and "--pretty" in argv) or "--pretty" in sys.argv[1:]
+    if argv is None:
+        argv = sys.argv[1:]
+    pretty = "--pretty" in argv
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except UsageError as exc:
         _emit(_error_obj("usage", str(exc)), pretty)
         return 2

@@ -91,6 +91,12 @@ class Expr:
     def __call__(self, *point: float) -> float:
         return evaluate(self, point)
 
+    def __getstate__(self):
+        # the lowered function is a per-process cache, rebuilt on first use
+        state = dict(self.__dict__)
+        state.pop("_lowered", None)
+        return state
+
     def _derive(self, arity: int, used) -> None:
         object.__setattr__(self, "_arity", arity)
         object.__setattr__(self, "_used", frozenset(used))
@@ -303,37 +309,92 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     pt = tuple(float(v) for v in point)
     if len(pt) != e.arity:
         raise StructureError(f"point has {len(pt)} coordinates, expression expects {e.arity}")
-    return _eval(e, pt)
+    return lowered(e)(*pt)
 
 
-def _eval(e: Expr, pt: tuple[float, ...]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Prim):
-        return _apply_primitive(e.op, pt, e, pt)
-    if isinstance(e, Lift):
-        return _eval(e.inner, tuple(pt[p - 1] for p in e.positions))
-    if isinstance(e, Compose):
-        if e.slot not in e.f.used_slots:
-            # no replacement: behaves as f, g never evaluated
-            return _eval(e.f, pt[: e.f.arity])
-        v = _eval(e.g, pt if e.g.arity else ())
-        inner_pt = list(pt)
-        inner_pt[e.slot - 1] = v
-        return _eval(e.f, tuple(inner_pt))
-    if isinstance(e, Diagonal):
-        i, j = e.i, e.j
-        jj = j - 1 if j > i else j  # index of coordinate j after deleting slot i
-        inner_pt = tuple(
-            pt[jj - 1] if k == i else pt[(k - 1 if k > i else k) - 1]
-            for k in range(1, e.inner.arity + 1)
-        )
-        return _eval(e.inner, inner_pt)
-    if isinstance(e, Var):
-        return pt[e.slot - 1]
-    if isinstance(e, Inverse):
-        return _eval_inverse(e, pt)
-    raise StructureError(f"unknown node type: {type(e).__name__}")
+def lowered(e: Expr):
+    """The straight-line function that evaluates `e`, built on first use and
+    cached on the node.
+
+    It takes the arity's worth of coordinates as positional floats and does
+    no conversion or arity check of its own; `evaluate` is the checked entry.
+    """
+    try:
+        return e.__dict__["_lowered"]
+    except KeyError:
+        fn = _lower(e)
+        object.__setattr__(e, "_lowered", fn)
+        return fn
+
+
+def _lower(e: Expr):
+    """Compile `e` once into a flat Python function of its coordinates.
+
+    Slot routing (Var, Lift, Diagonal, and a Compose whose slot f ignores)
+    only renames arguments and emits no code.  Each arithmetic primitive
+    emits one line, a Compose computes g before f, and an Inverse calls
+    `_eval_inverse`: the same float operations in the same order as a walk
+    of the tree, so results and errors (node and local point) are unchanged.
+    Constants and nodes reach the code through its namespace, never through
+    its text.
+    """
+    namespace = {"_apply_primitive": _apply_primitive, "_checked_pow": _checked_pow,
+                 "_eval_inverse": _eval_inverse}
+    lines: list[str] = []
+
+    def bind(obj) -> str:
+        name = f"o{len(namespace)}"
+        namespace[name] = obj
+        return name
+
+    def emit(node: Expr, args: list[str]) -> str:
+        """Emit the code for `node` over argument names; return its value's name."""
+        if isinstance(node, Const):
+            return bind(node.value)
+        if isinstance(node, Var):
+            return args[node.slot - 1]
+        if isinstance(node, Lift):
+            return emit(node.inner, [args[p - 1] for p in node.positions])
+        if isinstance(node, Diagonal):
+            # coordinate j, found at index jj once slot i is deleted, fills slot i
+            jj = node.j - 1 if node.j > node.i else node.j
+            routed = list(args)
+            routed.insert(node.i - 1, args[jj - 1])
+            return emit(node.inner, routed)
+        if isinstance(node, Compose):
+            if node.slot not in node.f.used_slots:
+                # no replacement: behaves as f, g never evaluated
+                return emit(node.f, args[: node.f.arity])
+            routed = list(args)
+            routed[node.slot - 1] = emit(node.g, args if node.g.arity else [])
+            return emit(node.f, routed)
+        out = f"t{len(lines)}"
+        if isinstance(node, Prim):
+            if node.op is Primitive.IDENTITY:
+                return args[0]
+            a, b = args
+            if node.op is Primitive.ADD:
+                lines.append(f"{out} = {a} + {b}")
+            elif node.op is Primitive.MUL:
+                lines.append(f"{out} = {a} * {b}")
+            elif node.op is Primitive.POW:
+                lines.append(f"{out} = _checked_pow({a}, {b}, {bind(node)}, ({a}, {b}))")
+            else:
+                lines.append(f"{out} = _apply_primitive({bind(node.op)}, ({a}, {b}), "
+                             f"{bind(node)}, ({a}, {b}))")
+            return out
+        if isinstance(node, Inverse):
+            point = "".join(f"{a}, " for a in args)
+            lines.append(f"{out} = _eval_inverse({bind(node)}, ({point}))")
+            return out
+        raise StructureError(f"unknown node type: {type(node).__name__}")
+
+    params = [f"x{k}" for k in range(e.arity)]
+    result = emit(e, params)
+    body = "".join(f"    {line}\n" for line in lines)
+    source = f"def lowered({', '.join(params)}):\n{body}    return {result}\n"
+    exec(compile(source, "<lowered expression>", "exec"), namespace)
+    return namespace["lowered"]
 
 
 def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
@@ -357,20 +418,13 @@ def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
 
 
 def _apply_primitive(op: Primitive, args, node, point) -> float:
-    a = args[0]
-    if op is Primitive.IDENTITY:
-        return a
-    b = args[1]
-    if op is Primitive.ADD:
-        return a + b
-    if op is Primitive.MUL:
-        return a * b
+    """DIV, ROOT and LOG with their domain checks; `_lower` emits the other
+    primitives inline or through `_checked_pow`."""
+    a, b = args
     if op is Primitive.DIV:
         if b == 0:
             raise EvalDomainError("division by zero", node, point)
         return a / b
-    if op is Primitive.POW:
-        return _checked_pow(a, b, node, point)
     if op is Primitive.ROOT:
         if b == 0:
             raise EvalDomainError("zeroth root", node, point)

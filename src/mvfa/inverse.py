@@ -28,8 +28,8 @@ from .expr_core import (
     Prim,
     Primitive,
     StructureError,
+    lowered,
 )
-from .expr_core import evaluate as _evaluate
 
 DEFAULT_GRID = 1024        # scan points along the inverted axis
 DEFAULT_SPLIT_GRID = 65    # probe points per axis when isolating branches
@@ -104,10 +104,15 @@ def _fibers(d: BoxDomain, i: int, grid: int):
     yield from product(*(_axis_points(lo, hi, grid) for lo, hi in other_axes))
 
 
-def _section(f: Expr, i: int, fixed, t: float) -> float:
-    pt = list(fixed)
-    pt.insert(i - 1, t)
-    return _evaluate(f, pt)
+def _section(f: Expr, i: int, fixed):
+    """The one-variable section t -> f(fixed, with t at slot i).
+
+    It calls f's lowered function directly: the callers validate their
+    inputs once, not at every point of a scan.
+    """
+    fn = lowered(f)
+    before, after = tuple(fixed[: i - 1]), tuple(fixed[i - 1:])
+    return lambda t: fn(*before, t, *after)
 
 
 def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
@@ -127,44 +132,44 @@ def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
         raise StructureError(f"grid must be at least 3 points per axis, got {grid}")
     ts = _axis_points(*d.axis(i), grid)
     for fixed in _fibers(d, i, grid):
-        vals = [_section(f, i, fixed, t) for t in ts]
-        witness = _monotone_violation(f, i, fixed, ts, vals, tol)
+        section = _section(f, i, fixed)
+        vals = [section(t) for t in ts]
+        witness = _monotone_violation(section, fixed, ts, vals, tol)
         if witness is not None:
             return InvertVerdict(False, witness)
     return InvertVerdict(True, None)
 
 
-def _monotone_violation(f, i, fixed, ts, vals, tol) -> Witness | None:
+def _monotone_violation(section, fixed, ts, vals, tol) -> Witness | None:
     for k in range(len(ts) - 1):
         if vals[k + 1] == vals[k]:
             return Witness(tuple(fixed), ts[k], ts[k + 1], vals[k], vals[k + 1])
     for k in range(1, len(ts) - 1):
         if (vals[k + 1] > vals[k]) != (vals[k] > vals[k - 1]):
             return _equal_value_witness(
-                f, i, fixed, ts[k - 1], ts[k], ts[k + 1],
+                section, fixed, ts[k - 1], ts[k], ts[k + 1],
                 vals[k - 1], vals[k], vals[k + 1], tol)
     return None
 
 
-def _equal_value_witness(f, i, fixed, ta, tb, tc, va, vb, vc, tol) -> Witness:
+def _equal_value_witness(section, fixed, ta, tb, tc, va, vb, vc, tol) -> Witness:
     # vb is a local extremum between its neighbours; any level strictly
     # between vb and the nearer neighbour value is crossed on both sides.
     peak = vb > va
     level = (vb + (max(va, vc) if peak else min(va, vc))) / 2.0
-    t1 = _bisect_to_level(f, i, fixed, ta, tb, va, vb, level, tol / 2.0)
-    t2 = _bisect_to_level(f, i, fixed, tb, tc, vb, vc, level, tol / 2.0)
-    return Witness(tuple(fixed), t1, t2,
-                   _section(f, i, fixed, t1), _section(f, i, fixed, t2))
+    t1 = _bisect_to_level(section, ta, tb, va, vb, level, tol / 2.0)
+    t2 = _bisect_to_level(section, tb, tc, vb, vc, level, tol / 2.0)
+    return Witness(tuple(fixed), t1, t2, section(t1), section(t2))
 
 
-def _bisect_to_level(f, i, fixed, a, b, va, vb, level, tol) -> float:
+def _bisect_to_level(section, a, b, va, vb, level, tol) -> float:
     best_t, best_err = a, abs(va - level)
     if abs(vb - level) < best_err:
         best_t, best_err = b, abs(vb - level)
     lo_below = va < level
     for _ in range(MAX_BISECT_STEPS):
         m = 0.5 * (a + b)
-        vm = _section(f, i, fixed, m)
+        vm = section(m)
         err = abs(vm - level)
         if err < best_err:
             best_t, best_err = m, err
@@ -246,9 +251,10 @@ def invert_at(f: Expr, i: int, target: float, fixed, d: BoxDomain,
         if not lo <= v <= hi:
             raise StructureError(f"fixed value {v} for slot {k} outside [{lo}, {hi}]")
     target = float(target)
+    section = _section(f, i, fixed)
 
     def g(t: float) -> float:
-        return _section(f, i, fixed, t) - target
+        return section(t) - target
 
     lo, hi = d.axis(i)
     ts = _axis_points(lo, hi, grid)
@@ -346,7 +352,8 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
     for fixed in _fibers(d, i, grid):
         if first_fiber is None:
             first_fiber = tuple(fixed)
-        vals = [_section(f, i, fixed, t) for t in ts]
+        section = _section(f, i, fixed)
+        vals = [section(t) for t in ts]
         for k in range(len(ts) - 1):
             if vals[k + 1] == vals[k]:
                 raise DegenerateInputError(
@@ -355,7 +362,7 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
         for k in range(1, len(ts) - 1):
             rising = vals[k] > vals[k - 1]
             if (vals[k + 1] > vals[k]) != rising:
-                cuts.append(_refine_extremum(f, i, fixed, ts[k - 1], ts[k + 1],
+                cuts.append(_refine_extremum(section, ts[k - 1], ts[k + 1],
                                              peak=rising, tol=tol))
 
     merged: list[float] = []
@@ -369,6 +376,7 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
             f"{len(merged) + 1} branches exceed the budget of {max_branches}")
 
     edges = [lo, *merged, hi]
+    first_section = _section(f, i, first_fiber)
     branches = []
     for bid, (a, b) in enumerate(zip(edges, edges[1:]), start=1):
         sub = d.with_axis(i, (a, b))
@@ -376,20 +384,20 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
         if not verdict.invertible:
             raise DegenerateInputError(
                 f"branch {bid} [{a!r}, {b!r}] is not monotone at grid {grid}")
-        qa = _section(f, i, first_fiber, a + 0.25 * (b - a))
-        qb = _section(f, i, first_fiber, a + 0.75 * (b - a))
+        qa = first_section(a + 0.25 * (b - a))
+        qb = first_section(a + 0.75 * (b - a))
         branches.append(Branch((a, b), 1 if qb > qa else -1, bid))
     return PiecewiseInverse(axis=i, branches=tuple(branches), source=f, domain=d)
 
 
-def _refine_extremum(f, i, fixed, a, b, peak: bool, tol: float) -> float:
+def _refine_extremum(section, a, b, peak: bool, tol: float) -> float:
     for _ in range(MAX_BISECT_STEPS):
         if b - a <= tol:
             break
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
-        v1 = _section(f, i, fixed, m1)
-        v2 = _section(f, i, fixed, m2)
+        v1 = section(m1)
+        v2 = section(m2)
         if (v1 < v2) == peak:
             a = m1
         else:

@@ -201,3 +201,13 @@ def test_pretty_flag():
     assert proc.returncode == 0
     assert proc.stdout.startswith("{\n")
     assert json.loads(proc.stdout) == {"value": 8.0}
+
+
+def test_in_process_argv_alone_decides_pretty(monkeypatch, capsys):
+    from mvfa import cli
+
+    monkeypatch.setattr(sys, "argv", ["mvfa", "eval", "x", "--pretty"])
+    assert cli.main(["eval", "x", "--bogus"]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and not out.startswith("{\n")
+    assert json.loads(out)["error"]["kind"] == "usage"

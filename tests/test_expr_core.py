@@ -134,6 +134,17 @@ def test_division_by_zero():
     assert err.value.node is not None
 
 
+def test_error_inside_routing_carries_primitive_and_local_point():
+    div = Prim(DIV)
+    # add(y1, y2 / y1): Diagonal copies y1 into the divisor slot of the lift
+    quotient = Diagonal(Lift(div, 3, (3, 2)), 2, 1)
+    e = Compose(Lift(Prim(ADD), 2, (1, 2)), 2, quotient)
+    with pytest.raises(EvalDomainError) as err:
+        evaluate(e, [0.0, 5.0])
+    assert err.value.node is div
+    assert err.value.point == (5.0, 0.0)
+
+
 def test_log_domain_errors():
     with pytest.raises(EvalDomainError):
         evaluate(Prim(LOG), [-1, 2])
@@ -257,3 +268,46 @@ def test_inverse_node_needs_axis():
     inv = Inverse(x_pow(1, 1, 2.0), 1)
     with pytest.raises(ConfigError):
         evaluate(inv, [0.25])
+
+
+# --- lowering cache ---
+
+def _count_lowerings(monkeypatch):
+    from mvfa import expr_core
+
+    lowered = []
+    lower = expr_core._lower
+
+    def counting(e):
+        lowered.append(e)
+        return lower(e)
+
+    monkeypatch.setattr(expr_core, "_lower", counting)
+    return lowered
+
+
+def test_invert_at_scan_lowers_once(monkeypatch):
+    from mvfa.inverse import invert_at
+
+    lowered = _count_lowerings(monkeypatch)
+    sq = x_pow(1, 1, 2.0)
+    roots = invert_at(sq, 1, 0.25, [], BoxDomain(((-1.0, 1.0),)), grid=1024)
+    assert roots == pytest.approx([-0.5, 0.5], abs=1e-8)
+    assert len(lowered) == 1 and lowered[0] is sq
+
+
+def test_inverse_formula_lowers_inner_once(monkeypatch):
+    lowered = _count_lowerings(monkeypatch)
+    sq = x_pow(1, 1, 2.0)
+    inv = Inverse(sq, 1, axis=(-1.0, 1.0))
+    assert evaluate(inv, [0.25]) == evaluate(inv, [0.25])
+    assert len(lowered) == 2 and sum(e is sq for e in lowered) == 1
+
+
+def test_evaluated_expression_still_pickles():
+    import pickle
+
+    e = Inverse(x_pow(1, 1, 2.0), 1, axis=(-1.0, 1.0))
+    value = evaluate(e, [0.25])
+    restored = pickle.loads(pickle.dumps(e))
+    assert restored == e and evaluate(restored, [0.25]) == value

@@ -1,0 +1,152 @@
+"""Property tests: structural evaluation against pointful oracles, bitwise.
+
+The structural compiler and the structural operators must reproduce the
+pointful value exactly, not just within a tolerance: they route
+coordinates, and routing changes no float operation.
+"""
+
+import math
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mvfa.expr_core import EvalError, evaluate
+from mvfa.frontend import AstCall, AstConst, AstSymbol, to_structural
+from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
+
+from util import ADD, DIV, MUL, POW, ast_eval
+
+# Seeded, so tier-1 runs are reproducible, and without a deadline, so a
+# slow shared host does not turn timing into a failure.
+PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+SYMBOLS = ("u", "v", "w")
+
+
+def asts(prims, constants, max_leaves):
+    leaves = st.one_of(st.sampled_from(SYMBOLS).map(AstSymbol), constants.map(AstConst))
+    return st.recursive(
+        leaves,
+        lambda sub: st.builds(AstCall, st.sampled_from(prims), sub, sub),
+        max_leaves=max_leaves)
+
+
+def rounded(lo, hi):
+    return st.floats(lo, hi).map(lambda v: round(v, 3))
+
+
+# add/mul/pow/div over mixed-sign constants and coordinates: domain errors,
+# overflow and complex results happen and are filtered out.
+MIXED = asts((ADD, MUL, POW, DIV), st.one_of(rounded(-3.0, 3.0), st.integers(-3, 3).map(float)), 8)
+MIXED_VALUE = st.one_of(st.floats(0.25, 3.0), st.integers(-3, 3).map(float))
+
+# add/mul/pow over [0.5, 2]: no domain errors (towers may still overflow).
+TAME = asts((ADD, MUL, POW), rounded(0.5, 2.0), 6)
+
+
+def tame_point(n):
+    return st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)
+
+
+def structural(ast):
+    """The structural form of ast; an all-constant tower that overflows
+    while being folded is rejected."""
+    try:
+        return to_structural(ast).expr
+    except EvalError:
+        assume(False)
+
+
+def outcome(e, point):
+    """The bitwise value of e at point, or the error it raises."""
+    try:
+        return evaluate(e, point).hex()
+    except EvalError as exc:
+        return (type(exc).__name__, str(exc), exc.point)
+
+
+@PROPERTY
+@given(ast=MIXED, values=st.tuples(MIXED_VALUE, MIXED_VALUE, MIXED_VALUE))
+def test_structural_form_evaluates_as_pointful_ast(ast, values):
+    env = dict(zip(SYMBOLS, values))
+    try:
+        want = ast_eval(ast, env)
+    except (ZeroDivisionError, OverflowError):
+        want = None
+    assume(isinstance(want, float) and math.isfinite(want))
+    form = to_structural(ast)
+    point = [env[form.binding[s]] for s in range(1, form.expr.arity + 1)]
+    assert evaluate(form.expr, point).hex() == want.hex()
+
+
+@PROPERTY
+@given(ast=TAME, data=st.data())
+def test_lift_routes_coordinates(ast, data):
+    f = structural(ast)
+    m = data.draw(st.integers(f.arity, f.arity + 2))
+    positions = data.draw(st.permutations(range(1, m + 1)))[: f.arity]
+    x = data.draw(tame_point(m))
+    assert outcome(lift(f, m, positions), x) == outcome(f, [x[p - 1] for p in positions])
+
+
+@PROPERTY
+@given(ast=TAME, data=st.data())
+def test_diagonal_feeds_coordinate_j_to_slot_i(ast, data):
+    f = structural(ast)
+    n = f.arity
+    assume(n >= 2)
+    i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
+    y = data.draw(tame_point(n - 1))
+
+    def renumbered(k):  # position of original slot k once slot i is deleted
+        return k - 1 if k > i else k
+
+    x = [y[renumbered(j) - 1] if k == i else y[renumbered(k) - 1] for k in range(1, n + 1)]
+    assert outcome(diagonal(f, i, j), y) == outcome(f, x)
+
+
+@PROPERTY
+@given(f_ast=TAME, g_ast=asts((ADD, MUL, POW), rounded(0.5, 2.0), 3), data=st.data())
+def test_compose_at_feeds_g_into_slot(f_ast, g_ast, data):
+    f = structural(f_ast)
+    g = structural(g_ast)
+    n = f.arity
+    assume(n >= 1 and g.arity <= n)
+    i = data.draw(st.integers(1, n))
+    x = data.draw(tame_point(n))
+    if 0 < g.arity < n:
+        positions = data.draw(st.permutations(range(1, n + 1)))[: g.arity]
+        g_point = [x[p - 1] for p in positions]
+    else:
+        positions = None
+        g_point = x if g.arity else []
+    try:
+        fed = list(x)
+        fed[i - 1] = evaluate(g, g_point)
+    except EvalError:
+        assume(False)
+    assert outcome(compose_at(f, i, g, positions), x) == outcome(f, fed)
+
+
+@PROPERTY
+@given(ast=TAME, pin=st.booleans(), data=st.data())
+def test_normalize_keeps_values_of_used_slots(ast, pin, data):
+    f = structural(ast)
+    m = data.draw(st.integers(max(f.arity, 1), f.arity + 3))
+    positions = data.draw(st.permutations(range(1, m + 1)))[: f.arity]
+    x = data.draw(tame_point(m))
+    e = lift(f, m, positions)
+    if pin:
+        s = data.draw(st.integers(1, m))
+        c = data.draw(rounded(0.5, 2.0))
+        e = substitute_const(e, s, c)
+        x[s - 1] = float(c)
+    try:
+        out, mapping = normalize(e)
+    except EvalError:  # nothing stays used and the constant overflows
+        assume(False)
+    assert out.arity == len(mapping) and sorted(mapping) == sorted(e.used_slots)
+    y = [0.0] * out.arity
+    for s, k in mapping.items():
+        y[k - 1] = x[s - 1]
+    assert outcome(out, y) == outcome(f, [x[p - 1] for p in positions])
