@@ -23,10 +23,8 @@ from .expr_core import (
     Primitive,
     StructureError,
     Var,
-    arity,
     equivalent_on,
     evaluate,
-    used_slots,
 )
 from .frontend import (
     ParseError,
@@ -61,7 +59,7 @@ __all__ = [
     "BoxDomain", "Compose", "ConfigError", "Const", "Diagonal",
     "EvalDomainError", "EvalError", "Expr", "Inverse", "Lift", "MvfaError",
     "NoSolutionError", "Prim", "Primitive", "StructureError", "Var",
-    "arity", "equivalent_on", "evaluate", "used_slots",
+    "equivalent_on", "evaluate",
     "ParseError", "StructuralForm", "ast_to_text", "format_expr", "parse",
     "parse_equation", "parse_structural", "to_structural",
     "Branch", "DegenerateInputError", "InvertVerdict", "PiecewiseInverse",

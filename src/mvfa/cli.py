@@ -15,10 +15,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
 from .expr_core import (
+    DEFAULT_TOL,
     BoxDomain,
     ConfigError,
     EvalDomainError,
@@ -45,7 +47,7 @@ from .inverse import (
     invert_at,
 )
 from .kst import ClampCounter, FormatError, KstRep, decompose, reconstruct
-from .solver import DEFAULT_SOLVER_TOL, Equation, solve
+from .solver import Equation, solve
 from .structure_ops import compose_at, diagonal, lift
 
 
@@ -59,25 +61,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj: dict, pretty: bool = False) -> None:
-    print(json.dumps(obj, indent=2 if pretty else None))
+    """Print `obj` as strict JSON; a NaN or infinity in it is an evaluation error."""
+    try:
+        text = json.dumps(obj, indent=2 if pretty else None, allow_nan=False)
+    except ValueError:
+        raise EvalError("the result is not finite and has no JSON form") from None
+    print(text)
 
 
 def _error_obj(kind: str, message: str, location=None) -> dict:
     return {"error": {"kind": kind, "message": message, "location": location}}
 
 
+def _number(text: str, complaint: str) -> float:
+    """`text` as a finite float; a non-number, NaN or infinity is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(complaint)
+    return value
+
+
 def _default_tol() -> float:
     raw = os.environ.get("MVFA_TOL")
     if raw is None:
-        return DEFAULT_SOLVER_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(f"MVFA_TOL is not a number: {raw!r}") from None
+        return DEFAULT_TOL
+    return _number(raw, f"MVFA_TOL is not a number: {raw!r}")
 
 
 def _resolve_tol(args) -> float:
-    return args.tol if args.tol is not None else _default_tol()
+    if args.tol is None:
+        return _default_tol()
+    if not math.isfinite(args.tol):
+        raise UsageError(f"--tol must be finite, got {args.tol}")
+    return args.tol
 
 
 def _parse_assignments(text: str, what: str) -> dict[str, float]:
@@ -86,11 +105,7 @@ def _parse_assignments(text: str, what: str) -> dict[str, float]:
         if "=" not in piece:
             raise UsageError(f"{what} entries look like name=value, got {piece!r}")
         name, _, value = piece.partition("=")
-        name = name.strip()
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise UsageError(f"bad numeric value in {what}: {piece!r}") from None
+        out[name.strip()] = _number(value, f"bad numeric value in {what}: {piece!r}")
     return out
 
 
@@ -98,10 +113,8 @@ def _parse_interval(text: str) -> tuple[float, float]:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise UsageError(f"intervals look like lo:hi, got {text!r}")
-    try:
-        return float(lo), float(hi)
-    except ValueError:
-        raise UsageError(f"bad interval bounds: {text!r}") from None
+    complaint = f"bad interval bounds: {text!r}"
+    return _number(lo, complaint), _number(hi, complaint)
 
 
 def _parse_box(text: str) -> BoxDomain:
@@ -165,29 +178,27 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_lift(args) -> int:
-    inner = parse_structural(args.expr)
-    e = lift(inner, args.arity, _parse_positions(args.positions))
+def _emit_expr(e, args) -> int:
+    """Output of the structural commands: the expression, its arity and used slots."""
     _emit({"expr": format_expr(e), "arity": e.arity,
            "used_slots": sorted(e.used_slots)}, args.pretty)
     return 0
+
+
+def _cmd_lift(args) -> int:
+    inner = parse_structural(args.expr)
+    return _emit_expr(lift(inner, args.arity, _parse_positions(args.positions)), args)
 
 
 def _cmd_compose(args) -> int:
     f = parse_structural(args.f)
     g = parse_structural(args.g)
     positions = _parse_positions(args.positions) if args.positions else None
-    e = compose_at(f, args.slot, g, positions)
-    _emit({"expr": format_expr(e), "arity": e.arity,
-           "used_slots": sorted(e.used_slots)}, args.pretty)
-    return 0
+    return _emit_expr(compose_at(f, args.slot, g, positions), args)
 
 
 def _cmd_diag(args) -> int:
-    e = diagonal(parse_structural(args.expr), args.i, args.j)
-    _emit({"expr": format_expr(e), "arity": e.arity,
-           "used_slots": sorted(e.used_slots)}, args.pretty)
-    return 0
+    return _emit_expr(diagonal(parse_structural(args.expr), args.i, args.j), args)
 
 
 def _cmd_invert(args) -> int:
@@ -204,6 +215,8 @@ def _cmd_invert(args) -> int:
         if key not in fixed_map:
             raise UsageError(f"no --fixed value for slot {slot}")
         fixed.append(fixed_map[key])
+    if not math.isfinite(args.target):
+        raise UsageError(f"--target must be finite, got {args.target}")
     warnings: list[str] = []
     roots = invert_at(f, args.slot, args.target, fixed, d,
                       tol=_resolve_tol(args), warnings=warnings)
@@ -237,10 +250,7 @@ def _cmd_kst_reconstruct(args) -> int:
     rep = KstRep.load(args.rep)
     if args.at is None:
         raise UsageError("reconstruct needs --at with comma-separated coordinates")
-    try:
-        point = [float(v) for v in args.at.split(",")]
-    except ValueError:
-        raise UsageError(f"bad point: {args.at!r}") from None
+    point = [_number(v, f"bad point: {args.at!r}") for v in args.at.split(",")]
     counter = ClampCounter()
     value = reconstruct(rep, point, counter)
     _emit({"value": value, "clamps": counter.count}, args.pretty)
@@ -329,9 +339,7 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
-_ERROR_KINDS = (
-    (UsageError, "usage"),
-    (ParseError, "parse"),
+_ERROR_KINDS = (  # first match wins; usage and parse errors are caught before
     (NoSolutionError, "no-solution"),
     (EvalDomainError, "domain"),
     (EvalError, "evaluation"),
@@ -362,11 +370,9 @@ def main(argv=None) -> int:
         _emit(_error_obj("parse", str(exc), {"line": exc.line, "col": exc.col}), args.pretty)
         return 1
     except MvfaError as exc:
-        for klass, kind in _ERROR_KINDS:
-            if isinstance(exc, klass):
-                _emit(_error_obj(kind, str(exc)), args.pretty)
-                return 1
-        raise AssertionError("unreachable")  # pragma: no cover
+        kind = next(kind for klass, kind in _ERROR_KINDS if isinstance(exc, klass))
+        _emit(_error_obj(kind, str(exc)), args.pretty)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -81,6 +81,7 @@ class Expr:
 
     @property
     def arity(self) -> int:
+        """Number of variables the expression accepts."""
         return self._arity
 
     @property
@@ -289,16 +290,6 @@ class BoxDomain:
         return all(lo - slack <= v <= hi + slack for v, (lo, hi) in zip(point, self.axes))
 
 
-def arity(e: Expr) -> int:
-    """Number of variables `e` accepts."""
-    return e.arity
-
-
-def used_slots(e: Expr) -> frozenset[int]:
-    """Slots whose value can affect evaluation of `e`."""
-    return e.used_slots
-
-
 def evaluate(e: Expr, point: Sequence[float]) -> float:
     """Evaluate `e` at `point` (length must equal the arity).
 
@@ -398,19 +389,16 @@ def _lower(e: Expr):
 
 
 def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
-    from .inverse import invert_at  # deferred: that module builds on this one
+    from .inverse import DEFAULT_GRID, _roots, _section  # deferred: that module builds on this one
 
     if e.axis is None:
         raise ConfigError("inverse node has no search interval attached")
-    axes = []
-    fixed = []
-    for k in range(1, e.inner.arity + 1):
-        if k == e.slot:
-            axes.append(e.axis)
-        else:
-            axes.append((pt[k - 1], pt[k - 1]))
-            fixed.append(pt[k - 1])
-    roots = invert_at(e.inner, e.slot, pt[e.slot - 1], fixed, BoxDomain(tuple(axes)))
+    for k, v in enumerate(pt, start=1):
+        if k != e.slot and not math.isfinite(v):
+            raise StructureError(f"axis {k} bounds must be finite, got [{v}, {v}]")
+    fixed = pt[: e.slot - 1] + pt[e.slot:]
+    roots = _roots(_section(e.inner, e.slot, fixed), *e.axis, pt[e.slot - 1], DEFAULT_TOL,
+                   DEFAULT_GRID, [])
     if not roots:
         raise NoSolutionError(
             f"no preimage of {pt[e.slot - 1]} on {list(e.axis)}", node=e, point=pt)

@@ -3,10 +3,16 @@
 Invertibility about one slot is probed on finite grids of fibers: for each
 assignment of the other coordinates, the one-variable section must be
 strictly monotone.  A passing verdict is evidence at the probed resolution,
-not a proof; resolution is configurable everywhere.  Numeric inversion uses
-a sign-change scan followed by bisection, and non-invertible functions are
-split into monotone branches along the inverted axis so that every preimage
-is reported (the multivalued reading).
+not a proof; resolution is configurable everywhere.  Non-invertible
+functions are split into monotone branches along the inverted axis so that
+every preimage is reported (the multivalued reading).
+
+Every entry point runs on one small core: `_check_slot` validates the
+arguments, `_scan_fiber` finds a fiber's flat steps and turning points,
+`_bisect` is the one bisection (roots, and the equal-value witnesses of a
+turning point), and `_roots` is the sign-change scan, bracketing and root
+grouping shared by `invert_at`, `inverse_fn` and the evaluation of Inverse
+nodes.  The default tolerance is the package's `DEFAULT_TOL` (1e-9).
 
 Primitives also carry closed-form partial inverses; the symbolic table and
 the numeric path agree within tolerance (tested, not assumed).
@@ -14,10 +20,12 @@ the numeric path agree within tolerance (tested, not assumed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 from .expr_core import (
+    DEFAULT_TOL,
     BoxDomain,
     Compose,
     Const,
@@ -33,7 +41,6 @@ from .expr_core import (
 
 DEFAULT_GRID = 1024        # scan points along the inverted axis
 DEFAULT_SPLIT_GRID = 65    # probe points per axis when isolating branches
-DEFAULT_TOL = 1e-10        # bisection residual tolerance
 MAX_BISECT_STEPS = 200
 MAX_BRANCHES = 64
 
@@ -115,73 +122,163 @@ def _section(f: Expr, i: int, fixed):
     return lambda t: fn(*before, t, *after)
 
 
+def _check_slot(f: Expr, i: int, d: BoxDomain, grid: int | None = None,
+                fixed=None) -> list[float] | None:
+    """Validate slot `i` of `f` over the box `d`, and the fiber grid or the
+    fixed coordinates when given; return the fixed coordinates as floats."""
+    n = f.arity
+    if not 1 <= i <= n:
+        raise StructureError(f"slot {i} out of range 1..{n}")
+    if d.dim != n:
+        raise StructureError(f"domain has {d.dim} axes, function has arity {n}")
+    if grid is not None and grid < 3:
+        raise StructureError(f"grid must be at least 3 points per axis, got {grid}")
+    if fixed is None:
+        return None
+    fixed = [float(v) for v in fixed]
+    if len(fixed) != n - 1:
+        raise StructureError(f"expected {n - 1} fixed values, got {len(fixed)}")
+    for k, v in zip((s for s in range(1, n + 1) if s != i), fixed):
+        lo, hi = d.axis(k)
+        if not lo <= v <= hi:
+            raise StructureError(f"fixed value {v} for slot {k} outside [{lo}, {hi}]")
+    return fixed
+
+
+def _scan_fiber(section, ts):
+    """The section's values at `ts`, the index k of its first flat step
+    (vals[k] == vals[k+1]) or None, and the indices of its turning points
+    (where the discrete slope changes sign) before that step."""
+    vals = [section(t) for t in ts]
+    turns = []
+    rising = None
+    prev = vals[0]
+    for k in range(1, len(vals)):
+        v = vals[k]
+        if v == prev:
+            return vals, k - 1, turns
+        up = v > prev
+        if up != rising and rising is not None:
+            turns.append(k - 1)
+        rising, prev = up, v
+    return vals, None, turns
+
+
+def _bisect(h, a, b, ha, hb, tol, notes=None) -> tuple[float, float]:
+    """Bisect [a, b], where ha = h(a) and hb = h(b) lie on opposite sides of
+    zero; return (t, |h(t)|) for the first t with |h(t)| <= tol, else for the
+    best t seen.
+
+    With a `notes` list, an evaluation failure ends the search with an
+    infinite residual and is noted, as is a search that ends above `tol`;
+    without one, the failure propagates.
+    """
+    best_t, best_err = a, abs(ha)
+    if abs(hb) < best_err:
+        best_t, best_err = b, abs(hb)
+    neg_left = ha < 0
+    for _ in range(MAX_BISECT_STEPS):
+        m = 0.5 * (a + b)
+        try:
+            hm = h(m)
+        except EvalError as exc:
+            if notes is None:
+                raise
+            notes.append(f"bisection aborted near t={m!r}: {exc}")
+            return m, math.inf
+        err = abs(hm)
+        if err < best_err:
+            best_t, best_err = m, err
+        if err <= tol:
+            return m, err
+        if (hm < 0) == neg_left:
+            a = m
+        else:
+            b = m
+        if a == b:
+            break
+    if notes is not None and not best_err <= tol:
+        notes.append(f"bisection stalled near t={best_t!r} (residual {best_err!r})")
+    return best_t, best_err
+
+
+def _roots(section, lo: float, hi: float, target: float, tol: float, grid: int,
+           notes: list) -> list[float]:
+    """All t in [lo, hi] with |section(t) - target| <= tol, ascending.
+
+    A scan at `grid` points brackets sign changes, bisection refines each
+    bracket, and roots closer than 10*tol keep the one of least residual.
+    Points and brackets where evaluation fails are skipped and noted.
+    """
+    def g(t: float) -> float:
+        return section(t) - target
+
+    ts = _axis_points(lo, hi, grid)
+    vals: list[float | None] = []
+    for t in ts:
+        try:
+            vals.append(g(t))
+        except EvalError as exc:
+            vals.append(None)
+            notes.append(f"evaluation failed at t={t!r}: {exc}")
+
+    candidates = [(t, abs(v)) for t, v in zip(ts, vals) if v is not None and abs(v) <= tol]
+    for k in range(len(ts) - 1):
+        a, b = vals[k], vals[k + 1]
+        if a is None or b is None:
+            if (a is None) != (b is None):
+                notes.append(f"skipped interval [{ts[k]!r}, {ts[k + 1]!r}]")
+            continue
+        if abs(a) <= tol or abs(b) <= tol:
+            continue  # endpoints already counted
+        if (a < 0) != (b < 0):
+            t, err = _bisect(g, ts[k], ts[k + 1], a, b, tol, notes)
+            if err <= tol:
+                candidates.append((t, err))
+
+    candidates.sort()
+    roots: list[float] = []
+    group: list[tuple[float, float]] = []
+    for cand in candidates:
+        if group and cand[0] - group[-1][0] > 10 * tol:
+            roots.append(min(group, key=lambda c: (c[1], c[0]))[0])
+            group = []
+        group.append(cand)
+    if group:
+        roots.append(min(group, key=lambda c: (c[1], c[0]))[0])
+    return roots
+
+
 def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
-                     tol: float = 1e-9) -> InvertVerdict:
+                     tol: float = DEFAULT_TOL) -> InvertVerdict:
     """Probe whether `f` is invertible about slot `i` over the box `d`.
 
     Every sampled fiber's section must be strictly monotone.  On the first
     violation a reproducible witness (two axis values with equal section
     values, |v1-v2| <= tol) is constructed by bisection and returned.
     """
-    n = f.arity
-    if not 1 <= i <= n:
-        raise StructureError(f"slot {i} out of range 1..{n}")
-    if d.dim != n:
-        raise StructureError(f"domain has {d.dim} axes, function has arity {n}")
-    if grid < 3:
-        raise StructureError(f"grid must be at least 3 points per axis, got {grid}")
+    _check_slot(f, i, d, grid)
     ts = _axis_points(*d.axis(i), grid)
     for fixed in _fibers(d, i, grid):
         section = _section(f, i, fixed)
-        vals = [section(t) for t in ts]
-        witness = _monotone_violation(section, fixed, ts, vals, tol)
-        if witness is not None:
+        vals, flat, turns = _scan_fiber(section, ts)
+        if flat is not None:
+            witness = Witness(tuple(fixed), ts[flat], ts[flat + 1], vals[flat], vals[flat + 1])
             return InvertVerdict(False, witness)
+        if turns:
+            # vals[k] is a local extremum; any level strictly between it and
+            # the nearer neighbour value is crossed on both sides.
+            k = turns[0]
+            va, vb, vc = vals[k - 1], vals[k], vals[k + 1]
+            level = (vb + (max(va, vc) if vb > va else min(va, vc))) / 2.0
+
+            def h(t: float) -> float:
+                return section(t) - level
+
+            t1, _ = _bisect(h, ts[k - 1], ts[k], va - level, vb - level, tol / 2.0)
+            t2, _ = _bisect(h, ts[k], ts[k + 1], vb - level, vc - level, tol / 2.0)
+            return InvertVerdict(False, Witness(tuple(fixed), t1, t2, section(t1), section(t2)))
     return InvertVerdict(True, None)
-
-
-def _monotone_violation(section, fixed, ts, vals, tol) -> Witness | None:
-    for k in range(len(ts) - 1):
-        if vals[k + 1] == vals[k]:
-            return Witness(tuple(fixed), ts[k], ts[k + 1], vals[k], vals[k + 1])
-    for k in range(1, len(ts) - 1):
-        if (vals[k + 1] > vals[k]) != (vals[k] > vals[k - 1]):
-            return _equal_value_witness(
-                section, fixed, ts[k - 1], ts[k], ts[k + 1],
-                vals[k - 1], vals[k], vals[k + 1], tol)
-    return None
-
-
-def _equal_value_witness(section, fixed, ta, tb, tc, va, vb, vc, tol) -> Witness:
-    # vb is a local extremum between its neighbours; any level strictly
-    # between vb and the nearer neighbour value is crossed on both sides.
-    peak = vb > va
-    level = (vb + (max(va, vc) if peak else min(va, vc))) / 2.0
-    t1 = _bisect_to_level(section, ta, tb, va, vb, level, tol / 2.0)
-    t2 = _bisect_to_level(section, tb, tc, vb, vc, level, tol / 2.0)
-    return Witness(tuple(fixed), t1, t2, section(t1), section(t2))
-
-
-def _bisect_to_level(section, a, b, va, vb, level, tol) -> float:
-    best_t, best_err = a, abs(va - level)
-    if abs(vb - level) < best_err:
-        best_t, best_err = b, abs(vb - level)
-    lo_below = va < level
-    for _ in range(MAX_BISECT_STEPS):
-        m = 0.5 * (a + b)
-        vm = section(m)
-        err = abs(vm - level)
-        if err < best_err:
-            best_t, best_err = m, err
-        if err <= tol:
-            return m
-        if (vm < level) == lo_below:
-            a = m
-        else:
-            b = m
-        if a == b:
-            break
-    return best_t
 
 
 # Closed-form partial inverses.  Convention: the result has the primitive's
@@ -237,92 +334,9 @@ def invert_at(f: Expr, i: int, target: float, fixed, d: BoxDomain,
     skipped and recorded in `warnings` when a list is supplied.  An empty
     result is not an error.
     """
-    n = f.arity
-    if not 1 <= i <= n:
-        raise StructureError(f"slot {i} out of range 1..{n}")
-    if d.dim != n:
-        raise StructureError(f"domain has {d.dim} axes, function has arity {n}")
-    fixed = [float(v) for v in fixed]
-    if len(fixed) != n - 1:
-        raise StructureError(f"expected {n - 1} fixed values, got {len(fixed)}")
-    other = [k for k in range(1, n + 1) if k != i]
-    for k, v in zip(other, fixed):
-        lo, hi = d.axis(k)
-        if not lo <= v <= hi:
-            raise StructureError(f"fixed value {v} for slot {k} outside [{lo}, {hi}]")
-    target = float(target)
-    section = _section(f, i, fixed)
-
-    def g(t: float) -> float:
-        return section(t) - target
-
-    lo, hi = d.axis(i)
-    ts = _axis_points(lo, hi, grid)
-    vals: list[float | None] = []
-    for t in ts:
-        try:
-            vals.append(g(t))
-        except EvalError as exc:
-            vals.append(None)
-            if warnings is not None:
-                warnings.append(f"evaluation failed at t={t!r}: {exc}")
-
-    candidates: list[tuple[float, float]] = []  # (root, residual)
-    for t, v in zip(ts, vals):
-        if v is not None and abs(v) <= tol:
-            candidates.append((t, abs(v)))
-    for k in range(len(ts) - 1):
-        a, b = vals[k], vals[k + 1]
-        if a is None or b is None:
-            if warnings is not None and (a is None) != (b is None):
-                warnings.append(f"skipped interval [{ts[k]!r}, {ts[k + 1]!r}]")
-            continue
-        if abs(a) <= tol or abs(b) <= tol:
-            continue  # endpoints already counted
-        if (a < 0) != (b < 0):
-            found = _bisect_root(g, ts[k], ts[k + 1], a, b, tol, warnings)
-            if found is not None:
-                candidates.append(found)
-
-    candidates.sort()
-    roots: list[float] = []
-    group: list[tuple[float, float]] = []
-    for cand in candidates:
-        if group and cand[0] - group[-1][0] > 10 * tol:
-            roots.append(min(group, key=lambda c: (c[1], c[0]))[0])
-            group = []
-        group.append(cand)
-    if group:
-        roots.append(min(group, key=lambda c: (c[1], c[0]))[0])
-    return roots
-
-
-def _bisect_root(g, a, b, va, vb, tol, warnings) -> tuple[float, float] | None:
-    best_t, best_err = (a, abs(va)) if abs(va) <= abs(vb) else (b, abs(vb))
-    neg_left = va < 0
-    for _ in range(MAX_BISECT_STEPS):
-        m = 0.5 * (a + b)
-        try:
-            vm = g(m)
-        except EvalError as exc:
-            if warnings is not None:
-                warnings.append(f"bisection aborted near t={m!r}: {exc}")
-            return None
-        if abs(vm) < best_err:
-            best_t, best_err = m, abs(vm)
-        if abs(vm) <= tol:
-            return m, abs(vm)
-        if (vm < 0) == neg_left:
-            a = m
-        else:
-            b = m
-        if a == b:
-            break
-    if best_err <= tol:
-        return best_t, best_err
-    if warnings is not None:
-        warnings.append(f"bisection stalled near t={best_t!r} (residual {best_err!r})")
-    return None
+    fixed = _check_slot(f, i, d, fixed=fixed)
+    return _roots(_section(f, i, fixed), *d.axis(i), float(target), tol, grid,
+                  [] if warnings is None else warnings)
 
 
 def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
@@ -336,34 +350,22 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
     pass check_invertible at the same resolution.  More than `max_branches`
     branches (or a flat section segment) is a degenerate input.
     """
-    n = f.arity
-    if not 1 <= i <= n:
-        raise StructureError(f"slot {i} out of range 1..{n}")
-    if d.dim != n:
-        raise StructureError(f"domain has {d.dim} axes, function has arity {n}")
-    if grid < 3:
-        raise StructureError(f"grid must be at least 3 points per axis, got {grid}")
+    _check_slot(f, i, d, grid)
     lo, hi = d.axis(i)
     ts = _axis_points(lo, hi, grid)
-    cell = (hi - lo) / (grid - 1) if grid > 1 else 0.0
+    cell = (hi - lo) / (grid - 1)
 
     cuts: list[float] = []
-    first_fiber: tuple[float, ...] | None = None
     for fixed in _fibers(d, i, grid):
-        if first_fiber is None:
-            first_fiber = tuple(fixed)
         section = _section(f, i, fixed)
-        vals = [section(t) for t in ts]
-        for k in range(len(ts) - 1):
-            if vals[k + 1] == vals[k]:
-                raise DegenerateInputError(
-                    f"flat section segment on axis {i} near t={ts[k]!r}: "
-                    "cannot isolate strictly monotone branches")
-        for k in range(1, len(ts) - 1):
-            rising = vals[k] > vals[k - 1]
-            if (vals[k + 1] > vals[k]) != rising:
-                cuts.append(_refine_extremum(section, ts[k - 1], ts[k + 1],
-                                             peak=rising, tol=tol))
+        vals, flat, turns = _scan_fiber(section, ts)
+        if flat is not None:
+            raise DegenerateInputError(
+                f"flat section segment on axis {i} near t={ts[flat]!r}: "
+                "cannot isolate strictly monotone branches")
+        for k in turns:
+            cuts.append(_refine_extremum(section, ts[k - 1], ts[k + 1],
+                                         peak=vals[k] > vals[k - 1], tol=tol))
 
     merged: list[float] = []
     for c in sorted(cuts):
@@ -376,7 +378,7 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
             f"{len(merged) + 1} branches exceed the budget of {max_branches}")
 
     edges = [lo, *merged, hi]
-    first_section = _section(f, i, first_fiber)
+    first_section = _section(f, i, next(_fibers(d, i, grid)))
     branches = []
     for bid, (a, b) in enumerate(zip(edges, edges[1:]), start=1):
         sub = d.with_axis(i, (a, b))
@@ -420,12 +422,12 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
     def fn(*args: float) -> list[float]:
         if len(args) != f.arity:
             raise StructureError(f"expected {f.arity} arguments, got {len(args)}")
-        target = args[i - 1]
-        fixed = [v for k, v in enumerate(args, start=1) if k != i]
+        fixed = _check_slot(f, i, d, fixed=args[: i - 1] + args[i:])
+        section = _section(f, i, fixed)
+        target = float(args[i - 1])
         found: list[float] = []
         for branch in pieces.branches:
-            sub = d.with_axis(i, branch.interval)
-            found.extend(invert_at(f, i, target, fixed, sub, tol=tol, grid=grid))
+            found.extend(_roots(section, *branch.interval, target, tol, grid, []))
         found.sort()
         roots: list[float] = []
         for t in found:

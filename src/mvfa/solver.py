@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr_core import (
+    DEFAULT_TOL,
     BoxDomain,
     ConfigError,
     Expr,
@@ -22,8 +23,6 @@ from .expr_core import (
 )
 from .inverse import DEFAULT_GRID, DEFAULT_SPLIT_GRID, inverse_fn
 from .structure_ops import diagonal, normalize, substitute_const
-
-DEFAULT_SOLVER_TOL = 1e-9
 
 
 @dataclass
@@ -176,7 +175,7 @@ def bind_params(e: Expr, binding: dict[int, str], params: dict[str, float]) -> E
     return out
 
 
-def solve(eq: Equation, tol: float = DEFAULT_SOLVER_TOL,
+def solve(eq: Equation, tol: float = DEFAULT_TOL,
           grid: int = DEFAULT_GRID, split_grid: int = DEFAULT_SPLIT_GRID) -> SolveReport:
     """Solve `eq` for its unknown.
 

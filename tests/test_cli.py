@@ -23,6 +23,14 @@ def run_json(*args, **kw):
     return proc.returncode, json.loads(proc.stdout)
 
 
+def strict_json(text: str):
+    """Parse `text`, refusing the NaN and Infinity extensions of json.loads."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 # --- eval ---
 
 def test_eval_pow():
@@ -39,6 +47,13 @@ def test_eval_division_by_zero():
     code, out = run_json("eval", "div(x,y)", "--at", "x=1,y=0")
     assert code == 1
     assert out["error"]["kind"] == "domain"
+
+
+def test_eval_overflow_is_evaluation_error():
+    # the product is infinite, which strict JSON cannot carry
+    proc = run("eval", "mul(x,y)", "--at", "x=1e200,y=1e200")
+    assert proc.returncode == 1
+    assert strict_json(proc.stdout)["error"]["kind"] == "evaluation"
 
 
 def test_eval_parse_error_has_location():
@@ -122,6 +137,22 @@ def test_tol_env_override():
     assert out["tolerance"] == 1e-8
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "mul(x,y)", "--at", "x=nan,y=1"],
+    ["solve", "add(x,a) = c", "--param", "a=nan", "--param", "c=5", "--domain", "0:10"],
+    ["solve", "add(x,a) = c", "--param", "a=2", "--param", "c=5", "--domain", "0:inf"],
+    ["invert", "pow", "1", "--target", "nan", "--fixed", "2=2", "--domain", "0:5,2:2"],
+    ["invert", "pow", "1", "--target", "9", "--fixed", "2=-inf", "--domain", "0:5,2:2"],
+    ["solve", "add(x,a) = c", "--param", "a=2", "--param", "c=5", "--domain", "0:10",
+     "--tol", "nan"],
+], ids=["at", "param", "interval", "target", "fixed", "tol"])
+def test_non_finite_input_is_usage_error(argv, capsys):
+    from mvfa import cli
+
+    assert cli.main(argv) == 2
+    assert strict_json(capsys.readouterr().out)["error"]["kind"] == "usage"
+
+
 # --- structural plumbing commands ---
 
 def test_lift_command():
@@ -176,6 +207,17 @@ def test_kst_zero_iters_residual_is_max(tmp_path):
     code, out = run_json("kst", "decompose", "add(x,y)", "--grid", "9",
                          "--iters", "0", "-o", str(rep))
     assert code == 0 and out["final_residual"] == 2.0
+
+
+def test_kst_reconstruct_non_finite_point_is_usage_error(tmp_path, capsys):
+    from mvfa import cli
+
+    rep = tmp_path / "rep.json"
+    assert cli.main(["kst", "decompose", "add(x,y)", "--grid", "9", "--iters", "0",
+                     "-o", str(rep)]) == 0
+    capsys.readouterr()
+    assert cli.main(["kst", "reconstruct", str(rep), "--at", "nan,0.5"]) == 2
+    assert strict_json(capsys.readouterr().out)["error"]["kind"] == "usage"
 
 
 def test_kst_reconstruct_bad_file(tmp_path):

@@ -263,6 +263,22 @@ def test_inverse_node_no_solution():
         evaluate(inv, [9.0])
 
 
+def test_inverse_node_matches_invert_at_default():
+    # formula evaluation and invert_at share one default tolerance and grid
+    from mvfa.inverse import invert_at
+
+    inv = Inverse(Prim(POW), 1, axis=(0.0, 5.0))
+    roots = invert_at(Prim(POW), 1, 9.0, [2.0], BoxDomain(((0.0, 5.0), (2.0, 2.0))))
+    assert evaluate(inv, [9.0, 2.0]).hex() == roots[0].hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_inverse_node_rejects_non_finite_coordinate(bad):
+    inv = Inverse(Prim(POW), 1, axis=(0.0, 5.0))
+    with pytest.raises(StructureError, match="axis 2 bounds must be finite"):
+        evaluate(inv, [9.0, bad])
+
+
 def test_inverse_node_needs_axis():
     from mvfa.expr_core import ConfigError
     inv = Inverse(x_pow(1, 1, 2.0), 1)

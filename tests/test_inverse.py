@@ -24,7 +24,7 @@ from mvfa.inverse import (
     invert_primitive,
     piecewise_split,
 )
-from mvfa.structure_ops import compose_at, diagonal
+from mvfa.structure_ops import compose_at, diagonal, normalize
 
 from util import ADD, DIV, E, LOG, MUL, POW, ROOT, poly_sum, x_pow
 
@@ -160,7 +160,6 @@ def test_invert_at_round_trip_residuals():
 
 def test_invert_at_skips_error_subintervals():
     # log base 2 of x over a domain crossing zero: nonpositive side errors out
-    from mvfa.structure_ops import normalize
     f, _ = normalize(Compose(Lift(Prim(LOG), 2, (1, 2)), 2, Const(2.0)))
     warnings = []
     roots = invert_at(f, 1, 3.0, [], BoxDomain(((-4.0, 16.0),)), warnings=warnings)
@@ -269,3 +268,92 @@ def test_inverse_fn_multivalued():
     assert roots[0] == pytest.approx(-0.5, abs=1e-8)
     assert roots[1] == pytest.approx(0.5, abs=1e-8)
     assert len(fn.pieces.branches) == 2
+
+
+# --- golden values: exact results of the scan/bisection core ---
+
+LOG2, _ = normalize(Compose(Lift(Prim(LOG), 2, (1, 2)), 2, Const(2.0)))     # log2(x1)
+CUBIC = diagonal(compose_at(compose_at(Lift(Prim(ADD), 2, (1, 2)), 1, x_pow(2, 1, 3.0)),
+                            2, compose_at(Lift(Prim(MUL), 2, (1, 2)), 1, Const(-1.0))),
+                 2, 1)                                                         # x^3 - x
+FLAT_IN_2 = Compose(Lift(Prim(ADD), 2, (1, 2)), 2, Const(1.0))                # x1 + 1
+SQUARE_PLUS = poly_sum(2, [(1, 2.0), (2, 1.0)])                               # x1^2 + x2
+UNIT_SQUARE = BoxDomain(((0, 1), (0, 1)))
+PLUS_MINUS_ONE = BoxDomain(((-1.0, 1.0), (-1.0, 1.0)))
+
+
+def _invert_with_warnings(*args, **kw):
+    warnings = []
+    return invert_at(*args, warnings=warnings, **kw), warnings
+
+
+GOLDEN = {
+    "grid-point-roots": (
+        lambda: _invert_with_warnings(x_pow(1, 1, 2.0), 1, 0.25, [], BoxDomain(((-1.0, 1.0),)),
+                                      tol=1e-10, grid=9),
+        "([-0.5, 0.5], [])"),
+    "bisected-root": (
+        lambda: _invert_with_warnings(Prim(POW), 1, 9.0, [2.0],
+                                      BoxDomain(((0.0, 5.0), (2.0, 2.0))), tol=1e-12, grid=10),
+        "([3.00000000000005], [])"),
+    "bisection-abort": (
+        lambda: _invert_with_warnings(Prim(DIV), 2, 0.5, [1.0],
+                                      BoxDomain(((1.0, 1.0), (-1.0, 3.0))), tol=1e-9, grid=3),
+        "([2.0], ['bisection aborted near t=0.0: division by zero'])"),
+    "bisection-stall": (
+        lambda: _invert_with_warnings(Prim(DIV), 2, 0.0, [1.0],
+                                      BoxDomain(((1.0, 1.0), (-1.0, 0.5))), tol=1e-9, grid=3),
+        "([], ['bisection stalled near t=0.5 (residual 2.0)'])"),
+    "skipped-interval": (
+        lambda: _invert_with_warnings(LOG2, 1, 3.0, [], BoxDomain(((-4.0, 16.0),)),
+                                      tol=1e-9, grid=11),
+        "([8.0], ['evaluation failed at t=-4.0: logarithm of a non-positive value', "
+        "'evaluation failed at t=-2.0: logarithm of a non-positive value', "
+        "'evaluation failed at t=0.0: logarithm of a non-positive value', "
+        "'skipped interval [0.0, 2.0]'])"),
+    "flat-step-witness": (
+        lambda: check_invertible(FLAT_IN_2, 2, UNIT_SQUARE, grid=5, tol=1e-9),
+        "InvertVerdict(invertible=False, witness=Witness(fixed=(0.0,), t1=0.0, t2=0.25, "
+        "v1=1.0, v2=1.0))"),
+    "turning-point-witness": (
+        lambda: check_invertible(CUBE_PLUS_SQUARE, 2, PLUS_MINUS_ONE, grid=33, tol=1e-9),
+        "InvertVerdict(invertible=False, witness=Witness(fixed=(-1.0,), "
+        "t1=-0.04419417679309845, t2=0.04419417679309845, "
+        "v1=-0.9980468747375804, v2=-0.9980468747375804))"),
+    "invertible": (
+        lambda: check_invertible(CUBE_PLUS_SQUARE, 1, PLUS_MINUS_ONE, grid=9, tol=1e-9),
+        "InvertVerdict(invertible=True, witness=None)"),
+    "three-branch-split": (
+        lambda: piecewise_split(CUBIC, 1, BoxDomain(((-2.0, 2.0),)), grid=65, tol=1e-10).branches,
+        "(Branch(interval=(-2.0, -0.5773502731187958), sign=1, branch_id=1), "
+        "Branch(interval=(-0.5773502731187958, 0.5773502731187958), sign=-1, branch_id=2), "
+        "Branch(interval=(0.5773502731187958, 2.0), sign=1, branch_id=3))"),
+    "flat-split": (
+        lambda: piecewise_split(FLAT_IN_2, 2, UNIT_SQUARE, grid=5, tol=1e-9),
+        "DegenerateInputError: flat section segment on axis 2 near t=0.0: "
+        "cannot isolate strictly monotone branches"),
+    "two-dim-split": (
+        lambda: piecewise_split(SQUARE_PLUS, 1, BoxDomain(((-1.0, 1.0), (0.0, 1.0))),
+                                grid=17, tol=1e-9).branches,
+        "(Branch(interval=(-1.0, -7.032441786194785e-11), sign=-1, branch_id=1), "
+        "Branch(interval=(-7.032441786194785e-11, 1.0), sign=1, branch_id=2))"),
+    "multi-branch-inverse-fn": (
+        lambda: inverse_fn(CUBIC, 1, BoxDomain(((-2.0, 2.0),)), tol=1e-10, grid=257,
+                           split_grid=33)(0.1),
+        "[-0.94564927392914, -0.1010312578288459, 1.0466805317940984]"),
+    "two-dim-inverse-fn": (
+        lambda: inverse_fn(SQUARE_PLUS, 1, BoxDomain(((-1.0, 1.0), (0.0, 1.0))), tol=1e-9,
+                           grid=129, split_grid=17)(0.75, 0.5),
+        "[-0.5000000000351622, 0.4999999999648378]"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_values(name):
+    """Exact roots, warnings, witnesses and branches at explicit tolerances."""
+    call, expected = GOLDEN[name]
+    try:
+        got = repr(call())
+    except DegenerateInputError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == expected
