@@ -229,8 +229,12 @@ def _roots(section, lo: float, hi: float, target: float, tol: float, grid: int,
             if (a is None) != (b is None):
                 notes.append(f"skipped interval [{ts[k]!r}, {ts[k + 1]!r}]")
             continue
-        if abs(a) <= tol or abs(b) <= tol:
-            continue  # endpoints already counted
+        # An end within tol is a root already counted.  Every comparison with
+        # NaN is false, so a NaN end lands here too and forms no bracket.
+        if not (abs(a) > tol and abs(b) > tol):
+            if a != a or b != b:
+                notes.append(f"skipped interval [{ts[k]!r}, {ts[k + 1]!r}]: nan")
+            continue
         if (a < 0) != (b < 0):
             t, err = _bisect(g, ts[k], ts[k + 1], a, b, tol, notes)
             if err <= tol:

@@ -31,6 +31,16 @@ the storage knots to keep held-out reconstruction smooth.  A step that
 would raise the max-norm training residual is halved until it does not
 (kept unchanged in the worst case), so the recorded residual history is
 non-increasing by construction.
+
+The fit runs on a plan built once per call.  The training grid is a
+product grid, so each inner sum adds one precomputed psi value per
+coordinate: (2n+1)*n*grid inner-map calls, not (2n+1)*n*grid**2.  The
+inner sums never change during the fit, so each sample's knot cell,
+offset and cell width, and its bin and bin weight, are found once; an
+iteration then gathers the outer functions and the correction at those
+cells, and every step-halving trial is elementwise arithmetic.  That
+arithmetic is np.interp's own, so the fit is bitwise the one that calls
+np.interp on every trial.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from .expr_core import (
     Expr,
     MvfaError,
     StructureError,
-    evaluate,
+    lowered,
 )
 from .structure_ops import compose_at, lift, normalize
 from .expr_core import Const, Prim, Primitive
@@ -198,8 +208,9 @@ class KstRep:
         return rep
 
     def save(self, path) -> None:
+        text = json.dumps(self.to_dict())  # one write, not json.dump's many small ones
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "KstRep":
@@ -213,6 +224,38 @@ class KstRep:
 
 def _inner_sum(q: int, point, n: int, depth: int) -> float:
     return sum(inner_psi(q, p, point[p - 1], n, depth) for p in range(1, n + 1))
+
+
+def _interp_plan(s: np.ndarray, xp: np.ndarray):
+    """np.interp(s[q], xp[q], fp[q]) for every row q, split into the search,
+    done here once, and the arithmetic, left to the caller.
+
+    Returns the flat index `cell` of each sample's left knot xp[j] (the j
+    with xp[j] <= s < xp[j+1]), the offset dx = s - xp[j], the cell width
+    h = xp[j+1] - xp[j], and the flat indices `ends` of the samples on the
+    last knot.  (fp[j+1] - fp[j]) / h * dx + fp[j], set to fp[j+1] at the
+    ends, is np.interp's own arithmetic: for finite fp it gives np.interp's
+    floats, except that a -0.0 knot value hit exactly may come out as 0.0.
+    """
+    rows, knots = xp.shape
+    s = np.clip(s, xp[:, :1], xp[:, -1:])  # np.interp holds the end values
+    j = np.array([np.searchsorted(x, v, side="right") for x, v in zip(xp, s)])
+    cell = np.minimum(j - 1, knots - 2) + knots * np.arange(rows)[:, None]
+    left = xp.take(cell)
+    return cell, s - left, xp.take(cell + 1) - left, np.flatnonzero(s == xp[:, -1:])
+
+
+def _interp_cells(left, right, dx, h, ends):
+    """np.interp's values at the samples of an `_interp_plan`, from the knot
+    values fp[j] (`left`) and fp[j+1] (`right`) of each sample's cell;
+    computed in `right`'s buffer, which is returned."""
+    at_ends = right.take(ends)
+    right -= left
+    right /= h
+    right *= dx
+    right += left
+    right.put(ends, at_ends)
+    return right
 
 
 def decompose(f: Expr, grid: int = 33, iters: int = 50, *,
@@ -239,63 +282,90 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50, *,
         raise StructureError("bin and knot counts must be at least 2")
 
     q_count = 2 * n + 1
-    axis = np.linspace(0.0, 1.0, grid)
-    points = [(float(x1), float(x2)) for x1 in axis for x2 in axis]
-    F = np.array([evaluate(f, pt) for pt in points])
+    axis = np.linspace(0.0, 1.0, grid).tolist()
+    fn = lowered(f)
+    F = np.array([fn(x1, x2) for x1 in axis for x2 in axis])
 
-    S = np.empty((q_count, len(points)))
+    # The training grid is a product grid, so every inner sum is one value of
+    # psi_{q,1} plus one of psi_{q,2}: (2n+1)*n*grid scalar maps, not
+    # (2n+1)*n*grid**2.  The sums are the floats _inner_sum adds, in its order.
+    S = np.empty((q_count, F.size))
     for q in range(q_count):
-        S[q] = [_inner_sum(q, pt, n, depth) for pt in points]
-
+        psi1, psi2 = ([inner_psi(q, p, x, n, depth) for x in axis] for p in (1, 2))
+        S[q] = np.add.outer(psi1, psi2).ravel()
     # Exact inner-sum range over the unit box: the maps are increasing, so
-    # the extremes sit at the all-zero and all-one corners.
-    los = np.array([_inner_sum(q, (0.0,) * n, n, depth) for q in range(q_count)])
-    his = np.array([_inner_sum(q, (1.0,) * n, n, depth) for q in range(q_count)])
+    # the extremes sit at the all-zero and all-one corners, which are the
+    # first and the last training point.
+    los, his = S[:, 0].copy(), S[:, -1].copy()
 
-    knot_xs = [np.linspace(los[q], his[q], knots) for q in range(q_count)]
+    knot_xs = np.array([np.linspace(los[q], his[q], knots) for q in range(q_count)])
     node_xs = [np.linspace(los[q], his[q], bins) for q in range(q_count)]
-    phi = [np.zeros(knots) for _ in range(q_count)]
+    phi = np.zeros((q_count, knots))
     share = 2.0 * damping / q_count
 
-    def recon() -> np.ndarray:
-        total = np.zeros(len(points))
-        for q in range(q_count):
-            total += np.interp(S[q], knot_xs[q], phi[q])
-        return total
+    # Everything that depends only on S is computed once: the interpolation
+    # plan, and the binning: each sample's bin (flat index `b` into the bin
+    # rows), its linear weight `w` (in S's buffer, which the plan no longer
+    # needs) and the per-bin weight totals `den`.  Only the weighted
+    # residual sums depend on the iteration.
+    cell, dx, h, ends = _interp_plan(S, knot_xs)
+    w = np.subtract(S, los[:, None], out=S)
+    w /= (his - los)[:, None]
+    w *= bins - 1
+    b = np.clip(np.floor(w).astype(int), 0, bins - 2)
+    w -= b
+    b = (b + bins * np.arange(q_count)[:, None]).ravel()
+    size = q_count * bins
+    den = (np.bincount(b, weights=(1.0 - w).ravel(), minlength=size)
+           + np.bincount(b + 1, weights=w.ravel(), minlength=size))
+    hit = den > 1e-12
 
+    # history[-1] is always the max-norm residual of `fit`, the training
+    # reconstruction, so the accepted trial becomes the next `fit` as is.
+    fit = np.zeros(F.size)
+    delta = np.empty((q_count, knots))
+    phi_l, phi_r, delta_l, delta_r, left, vals = (np.empty(w.shape) for _ in range(6))
+    err = np.empty(F.size)
     history = [float(np.max(np.abs(F)))]
     for _ in range(iters):
-        R = F - recon()
-        current = float(np.max(np.abs(R)))
-        deltas = []
-        for q in range(q_count):
-            width = his[q] - los[q]
-            t = (S[q] - los[q]) / width * (bins - 1)
-            k = np.clip(np.floor(t).astype(int), 0, bins - 2)
-            w = t - k
-            num = (np.bincount(k, weights=R * (1.0 - w), minlength=bins)
-                   + np.bincount(k + 1, weights=R * w, minlength=bins))
-            den = (np.bincount(k, weights=1.0 - w, minlength=bins)
-                   + np.bincount(k + 1, weights=w, minlength=bins))
-            hit = den > 1e-12
-            corr = np.zeros(bins)
-            corr[hit] = num[hit] / den[hit]
-            if not hit.all():
-                corr = np.interp(node_xs[q], node_xs[q][hit], corr[hit])
-            deltas.append(share * np.interp(knot_xs[q], node_xs[q], corr))
+        R = F - fit
+        current = history[-1]
+        np.subtract(1.0, w, out=left)   # the trial buffers hold the weighted residuals
+        left *= R
+        np.multiply(R, w, out=vals)
+        num = (np.bincount(b, weights=left.ravel(), minlength=size)
+               + np.bincount(b + 1, weights=vals.ravel(), minlength=size))
+        corr = np.zeros(size)
+        corr[hit] = num[hit] / den[hit]
+        for q, c, on in zip(range(q_count), corr.reshape(q_count, bins),
+                            hit.reshape(q_count, bins)):
+            if not on.all():
+                c = np.interp(node_xs[q], node_xs[q][on], c[on])
+            delta[q] = share * np.interp(knot_xs[q], node_xs[q], c)
         # accept the largest halving of the step that does not raise the
-        # max-norm residual; keep Phi unchanged if none does
+        # max-norm residual; keep Phi unchanged if none does.  A trial
+        # interpolates phi + scale*delta through the plan: gathers once per
+        # iteration, elementwise arithmetic in two buffers per trial.
+        # (the cells are in range; mode="clip" writes `out` without a bounce buffer)
+        phi.take(cell, out=phi_l, mode="clip")
+        phi.take(cell + 1, out=phi_r, mode="clip")
+        delta.take(cell, out=delta_l, mode="clip")
+        delta.take(cell + 1, out=delta_r, mode="clip")
         scale = 1.0
         accepted = current
         while scale > 2.0 ** -24:
-            trial = np.zeros(len(points))
-            for q in range(q_count):
-                trial += np.interp(S[q], knot_xs[q], phi[q] + scale * deltas[q])
-            trial_max = float(np.max(np.abs(F - trial)))
+            np.multiply(delta_l, scale, out=left)   # fp[j]
+            left += phi_l
+            np.multiply(delta_r, scale, out=vals)   # fp[j+1]
+            vals += phi_r
+            trial = np.zeros(F.size)   # q by q from zero, not numpy's reduction order
+            for row in _interp_cells(left, vals, dx, h, ends):
+                trial += row
+            np.subtract(F, trial, out=err)
+            trial_max = float(np.abs(err, out=err).max())
             if trial_max <= current:
-                for q in range(q_count):
-                    phi[q] += scale * deltas[q]
-                accepted = trial_max
+                phi += scale * delta
+                fit, accepted = trial, trial_max
                 break
             scale *= 0.5
         history.append(accepted)

@@ -15,6 +15,7 @@ from mvfa.expr_core import (
     StructureError,
     evaluate,
 )
+from mvfa.frontend import parse, to_structural
 from mvfa.inverse import (
     DegenerateInputError,
     UnsupportedInverseError,
@@ -24,6 +25,7 @@ from mvfa.inverse import (
     invert_primitive,
     piecewise_split,
 )
+from mvfa.solver import Equation, collapse_unknowns
 from mvfa.structure_ops import compose_at, diagonal, normalize
 
 from util import ADD, DIV, E, LOG, MUL, POW, ROOT, poly_sum, x_pow
@@ -165,6 +167,19 @@ def test_invert_at_skips_error_subintervals():
     roots = invert_at(f, 1, 3.0, [], BoxDomain(((-4.0, 16.0),)), warnings=warnings)
     assert len(roots) == 1 and roots[0] == pytest.approx(8.0, abs=1e-7)
     assert warnings  # the nonpositive stretch was skipped and recorded
+
+
+def test_invert_at_nan_end_forms_no_bracket():
+    # x*1e308 - x*1e308 - x^2 is NaN at t = +-2 (inf - inf) and -x^2 elsewhere:
+    # the intervals with a NaN end are skipped and noted, not bisected
+    form = to_structural(parse("add(add(mul(x,1e308),mul(x,-1e308)),mul(mul(x,x),-1))"))
+    f, _, _ = collapse_unknowns(Equation(form.expr, form.binding, rhs=0.0, params={},
+                                         domain=BoxDomain(((-2.0, 2.0),))))
+    warnings = []
+    roots = invert_at(f, 1, 0.0, [], BoxDomain(((-2.0, 2.0),)), grid=9, warnings=warnings)
+    assert roots == [0.0]
+    assert warnings == ["skipped interval [-2.0, -1.5]: nan",
+                        "skipped interval [1.5, 2.0]: nan"]
 
 
 # --- piecewise_split ---

@@ -1,5 +1,6 @@
 """Inner-map family, decomposition fitting, reconstruction, rescaling, IO."""
 
+import hashlib
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from mvfa import kst
 from mvfa.expr_core import BoxDomain, EvalDomainError, StructureError, evaluate
 from mvfa.frontend import parse, to_structural
 from mvfa.kst import (
@@ -135,6 +137,58 @@ def test_training_reconstruction_consistency():
     assert worst <= rep.residual + 1e-6
 
 
+# SHA-256 of json.dumps(decompose(f, grid, iters).to_dict()), recorded with
+# the fit that called np.interp on every step-halving trial; the planned fit
+# must reproduce it bit for bit.  The first five are the benchmark's kst-fit
+# families with one fixed coefficient each.
+GOLDEN_FITS = [
+    ("add(pow(x,1.37),y)", 33, 50,
+     "e705fa8207f8867c04b1724aaa87f11a6d2f8adee4a794719652681e547d1b64"),
+    ("add(mul(x,0.62),mul(y,0.62))", 33, 50,
+     "5e22a5a7012d1c40d760b140ca0c03a0e5e762188262f05fa10978e12d06d357"),
+    ("mul(mul(x,1.25),y)", 33, 50,
+     "528316cabbbf047f6bfe7a8abe5ff4b254c7d028df1782ffec05848ba1ae7fd2"),
+    ("mul(x,add(y,1.9))", 33, 50,
+     "193f709767a040e000f793461be0f32d3334da19330cdb268115ecb43cfeefc0"),
+    ("add(mul(x,y),0.85)", 65, 100,
+     "bd6e2ff41c8e0bfb3d67100f75c551ccf82c045452ed4b6e7880f7f79b19ef77"),
+    ("add(x,y)", 9, 0,
+     "ab5e4f3afca38ff236adf82b32aa584e0707d929b73e20fbac1c07c9cedaf177"),
+    ("add(x,y)", 17, 25,
+     "824399590acf3e8b957c1980c62ea53bd80b1c57628e0bd7c58596c9353187e4"),
+    ("mul(x,y)", 65, 100,
+     "7270d254d690e5913851fa94249e56e1756a726e548322c5074cdccc4a0909dc"),
+]
+
+
+@pytest.mark.parametrize("text,grid,iters,digest", GOLDEN_FITS)
+def test_golden_fit(text, grid, iters, digest):
+    rep = decompose(expr_of(text), grid=grid, iters=iters)
+    assert hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest() == digest
+
+
+def test_interp_plan_reproduces_np_interp():
+    rng = np.random.default_rng(5)
+    xp = np.sort(rng.uniform(0.0, 3.0, (3, 17)), axis=1)
+    s = rng.uniform(-0.5, 3.5, (3, 200))
+    s[:, :3] = xp[:, [0, 5, -1]]  # samples on a knot, the last knot included
+    fp = rng.normal(size=(3, 17))
+    cell, dx, h, ends = kst._interp_plan(s, xp)
+    got = kst._interp_cells(fp.take(cell), fp.take(cell + 1), dx, h, ends)
+    want = [np.interp(s[q], xp[q], fp[q]) for q in range(3)]
+    assert np.array_equal(got, want)
+
+
+def test_inner_maps_evaluated_per_axis_not_per_point(monkeypatch):
+    # the training grid is a product grid: 2 coordinates x 5 outer functions
+    # x 65 axis values, plus slack for the box corners
+    calls = []
+    psi_base = kst._psi_base
+    monkeypatch.setattr(kst, "_psi_base", lambda *a: calls.append(a) or psi_base(*a))
+    decompose(MUL_XY, grid=65, iters=2)
+    assert 0 < len(calls) <= 2 * 5 * 65 + 20
+
+
 def test_decompose_requires_bivariate():
     with pytest.raises(StructureError):
         decompose(expr_of("x"), grid=9, iters=1)
@@ -220,6 +274,13 @@ def test_rep_round_trip(tmp_path):
         assert f1.lo == f2.lo and f1.hi == f2.hi
         assert np.array_equal(f1.values, f2.values)
     assert reconstruct(back, [0.3, 0.6]) == reconstruct(rep, [0.3, 0.6])
+
+
+def test_rep_file_is_the_json_document(tmp_path):
+    rep = decompose(MUL_XY, grid=9, iters=3)
+    path = tmp_path / "rep.json"
+    rep.save(path)
+    assert path.read_text(encoding="utf-8") == json.dumps(rep.to_dict())
 
 
 def test_rep_version_guard(tmp_path):
