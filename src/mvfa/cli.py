@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from .expr_core import (
@@ -56,6 +57,12 @@ class UsageError(MvfaError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value that starts with a minus sign and a digit is a value, not an
+        # option: argparse's own rule covers "-1" but not "-1:5" or "-0.5,0.5".
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse would print usage text and exit
         raise UsageError(message)
 
@@ -92,11 +99,10 @@ def _default_tol() -> float:
 
 
 def _resolve_tol(args) -> float:
-    if args.tol is None:
-        return _default_tol()
-    if not math.isfinite(args.tol):
-        raise UsageError(f"--tol must be finite, got {args.tol}")
-    return args.tol
+    tol = _default_tol() if args.tol is None else args.tol
+    if not (tol > 0 and math.isfinite(tol)):
+        raise UsageError(f"the tolerance must be positive and finite, got {tol}")
+    return tol
 
 
 def _parse_assignments(text: str, what: str) -> dict[str, float]:

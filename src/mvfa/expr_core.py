@@ -93,9 +93,11 @@ class Expr:
         return evaluate(self, point)
 
     def __getstate__(self):
-        # the lowered function is a per-process cache, rebuilt on first use
+        # lowered code and an Inverse's axis grid are per-process caches,
+        # rebuilt on first use
         state = dict(self.__dict__)
-        state.pop("_lowered", None)
+        for cache in ("_lowered", "_scans", "_grid"):
+            state.pop(cache, None)
         return state
 
     def _derive(self, arity: int, used) -> None:
@@ -318,19 +320,36 @@ def lowered(e: Expr):
         return fn
 
 
-def _lower(e: Expr):
-    """Compile `e` once into a flat Python function of its coordinates.
+def lowered_scan(e: Expr, slot: int):
+    """The scan kernel of `e` along `slot`, built on first use and cached on
+    the node per slot.
+
+    `scan(ts, target, notes, *fixed)` is a generator: with the other
+    coordinates `fixed` (ascending slot order) it yields e(...) - target at
+    each t of `ts` put in `slot`, computed as `lowered` computes it.  Where
+    evaluation fails it appends "evaluation failed at t=...: ..." to `notes`
+    and yields None.
+    """
+    scans = e.__dict__.setdefault("_scans", {})
+    if slot not in scans:
+        scans[slot] = _lower(e, slot)
+    return scans[slot]
+
+
+def _lower(e: Expr, slot: int | None = None):
+    """Compile `e` once into a flat Python function of its coordinates, or,
+    given a `slot`, into the scan kernel that loops along it.
 
     Slot routing (Var, Lift, Diagonal, and a Compose whose slot f ignores)
     only renames arguments and emits no code.  Each arithmetic primitive
     emits one line, a Compose computes g before f, and an Inverse calls
     `_eval_inverse`: the same float operations in the same order as a walk
     of the tree, so results and errors (node and local point) are unchanged.
-    Constants and nodes reach the code through its namespace, never through
-    its text.
+    The kernel inlines the same lines in its loop.  Constants and nodes
+    reach the code through its namespace, never through its text.
     """
     namespace = {"_apply_primitive": _apply_primitive, "_checked_pow": _checked_pow,
-                 "_eval_inverse": _eval_inverse}
+                 "_eval_inverse": _eval_inverse, "EvalError": EvalError}
     lines: list[str] = []
 
     def bind(obj) -> str:
@@ -382,27 +401,44 @@ def _lower(e: Expr):
 
     params = [f"x{k}" for k in range(e.arity)]
     result = emit(e, params)
-    body = "".join(f"    {line}\n" for line in lines)
-    source = f"def lowered({', '.join(params)}):\n{body}    return {result}\n"
+    if slot is None:
+        body = "".join(f"    {line}\n" for line in lines)
+        source = f"def lowered({', '.join(params)}):\n{body}    return {result}\n"
+    else:
+        t = params.pop(slot - 1)
+        body = "".join(f"            {line}\n" for line in lines or ["pass"])
+        source = (f"def scan({', '.join(['ts', 'target', 'notes', *params])}):\n"
+                  f"    for {t} in ts:\n"
+                  f"        try:\n{body}"
+                  "        except EvalError as exc:\n"
+                  f"            notes.append(f'evaluation failed at t={{{t}!r}}: {{exc}}')\n"
+                  "            yield None\n"
+                  "        else:\n"
+                  f"            yield {result} - target\n")
     exec(compile(source, "<lowered expression>", "exec"), namespace)
-    return namespace["lowered"]
+    return namespace["lowered" if slot is None else "scan"]
 
 
 def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
-    from .inverse import DEFAULT_GRID, _roots, _section  # deferred: that module builds on this one
+    from .inverse import DEFAULT_GRID, _axis_points, _roots  # deferred: that module builds on this one
 
     if e.axis is None:
         raise ConfigError("inverse node has no search interval attached")
     for k, v in enumerate(pt, start=1):
         if k != e.slot and not math.isfinite(v):
             raise StructureError(f"axis {k} bounds must be finite, got [{v}, {v}]")
+    try:
+        ts = e.__dict__["_grid"]
+    except KeyError:
+        ts = _axis_points(*e.axis, DEFAULT_GRID)
+        object.__setattr__(e, "_grid", ts)
     fixed = pt[: e.slot - 1] + pt[e.slot:]
-    roots = _roots(_section(e.inner, e.slot, fixed), *e.axis, pt[e.slot - 1], DEFAULT_TOL,
-                   DEFAULT_GRID, [])
-    if not roots:
+    # the smallest root: the scan stops once it is past that root's group
+    root = next(_roots(e.inner, e.slot, fixed, ts, pt[e.slot - 1], DEFAULT_TOL, []), None)
+    if root is None:
         raise NoSolutionError(
             f"no preimage of {pt[e.slot - 1]} on {list(e.axis)}", node=e, point=pt)
-    return roots[0]
+    return root
 
 
 def _apply_primitive(op: Primitive, args, node, point) -> float:

@@ -12,7 +12,9 @@ arguments, `_scan_fiber` finds a fiber's flat steps and turning points,
 `_bisect` is the one bisection (roots, and the equal-value witnesses of a
 turning point), and `_roots` is the sign-change scan, bracketing and root
 grouping shared by `invert_at`, `inverse_fn` and the evaluation of Inverse
-nodes.  The default tolerance is the package's `DEFAULT_TOL` (1e-9).
+nodes: one lazy pass over the expression's compiled scan kernel, so the
+evaluation of an Inverse node stops at its first root.  The default
+tolerance is the package's `DEFAULT_TOL` (1e-9).
 
 Primitives also carry closed-form partial inverses; the symbolic table and
 the numeric path agree within tolerance (tested, not assumed).
@@ -37,6 +39,7 @@ from .expr_core import (
     Primitive,
     StructureError,
     lowered,
+    lowered_scan,
 )
 
 DEFAULT_GRID = 1024        # scan points along the inverted axis
@@ -148,18 +151,24 @@ def _check_slot(f: Expr, i: int, d: BoxDomain, grid: int | None = None,
 def _scan_fiber(section, ts):
     """The section's values at `ts`, the index k of its first flat step
     (vals[k] == vals[k+1]) or None, and the indices of its turning points
-    (where the discrete slope changes sign) before that step."""
+    (where the discrete slope changes sign) before that step.
+
+    A non-finite value takes part in neither test: a step or a turn that
+    involves one is passed over, so every reported value is finite.
+    """
     vals = [section(t) for t in ts]
     turns = []
     rising = None
     prev = vals[0]
     for k in range(1, len(vals)):
         v = vals[k]
-        if v == prev:
-            return vals, k - 1, turns
         up = v > prev
-        if up != rising and rising is not None:
-            turns.append(k - 1)
+        if v == prev:
+            if math.isfinite(v):
+                return vals, k - 1, turns
+        elif up != rising and rising is not None:
+            if all(map(math.isfinite, vals[k - 2: k + 1])):
+                turns.append(k - 1)
         rising, prev = up, v
     return vals, None, turns
 
@@ -202,55 +211,70 @@ def _bisect(h, a, b, ha, hb, tol, notes=None) -> tuple[float, float]:
     return best_t, best_err
 
 
-def _roots(section, lo: float, hi: float, target: float, tol: float, grid: int,
-           notes: list) -> list[float]:
-    """All t in [lo, hi] with |section(t) - target| <= tol, ascending.
+def _roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
+           notes: list):
+    """Yield, ascending, the t in [ts[0], ts[-1]] with
+    |f(..., t, ...) - target| <= tol that the ascending scan points `ts`
+    isolate (t at slot i of f, the other slots at `fixed`).
 
-    A scan at `grid` points brackets sign changes, bisection refines each
-    bracket, and roots closer than 10*tol keep the one of least residual.
-    Points and brackets where evaluation fails are skipped and noted.
+    One pass of f's scan kernel brackets sign changes, bisection refines
+    each bracket, and roots closer than 10*tol keep the one of least
+    residual.  A group's root is yielded once the scan is past it by more
+    than 10*tol, so a caller that needs the first root stops there.  Points
+    and brackets where evaluation fails are skipped and noted; the notes on
+    intervals and bisections follow the scan's own.
     """
-    def g(t: float) -> float:
-        return section(t) - target
-
-    ts = _axis_points(lo, hi, grid)
-    vals: list[float | None] = []
-    for t in ts:
-        try:
-            vals.append(g(t))
-        except EvalError as exc:
-            vals.append(None)
-            notes.append(f"evaluation failed at t={t!r}: {exc}")
-
-    candidates = [(t, abs(v)) for t, v in zip(ts, vals) if v is not None and abs(v) <= tol]
-    for k in range(len(ts) - 1):
-        a, b = vals[k], vals[k + 1]
+    later: list[str] = []
+    band = 10 * tol
+    section = None        # the point function, for bisection only
+    best = last = None    # the open group's (residual, root) and its last member
+    scan = zip(ts, lowered_scan(f, i)(ts, target, notes, *fixed))
+    ta, a = next(scan)
+    if a is not None and abs(a) <= tol:
+        best, last = (abs(a), ta), ta
+    for t, b in scan:
+        found = None
         if a is None or b is None:
-            if (a is None) != (b is None):
-                notes.append(f"skipped interval [{ts[k]!r}, {ts[k + 1]!r}]")
-            continue
-        # An end within tol is a root already counted.  Every comparison with
-        # NaN is false, so a NaN end lands here too and forms no bracket.
-        if not (abs(a) > tol and abs(b) > tol):
-            if a != a or b != b:
-                notes.append(f"skipped interval [{ts[k]!r}, {ts[k + 1]!r}]: nan")
-            continue
-        if (a < 0) != (b < 0):
-            t, err = _bisect(g, ts[k], ts[k + 1], a, b, tol, notes)
-            if err <= tol:
-                candidates.append((t, err))
+            if a is not b:
+                later.append(f"skipped interval [{ta!r}, {t!r}]")
+            if b is not None and abs(b) <= tol:
+                found = (abs(b), t)
+        elif abs(a) > tol and abs(b) > tol:
+            if (a < 0) != (b < 0):
+                if section is None:
+                    section = _section(f, i, fixed)
 
-    candidates.sort()
-    roots: list[float] = []
-    group: list[tuple[float, float]] = []
-    for cand in candidates:
-        if group and cand[0] - group[-1][0] > 10 * tol:
-            roots.append(min(group, key=lambda c: (c[1], c[0]))[0])
-            group = []
-        group.append(cand)
-    if group:
-        roots.append(min(group, key=lambda c: (c[1], c[0]))[0])
-    return roots
+                    def h(m: float) -> float:
+                        return section(m) - target
+
+                m, err = _bisect(h, ta, t, a, b, tol, later)
+                if err <= tol:
+                    found = (err, m)
+        else:
+            # An end within tol is a root already counted.  Every comparison
+            # with NaN is false, so a NaN end lands here too and forms no
+            # bracket.
+            if a != a or b != b:
+                later.append(f"skipped interval [{ta!r}, {t!r}]: nan")
+            if abs(b) <= tol:
+                found = (abs(b), t)
+        if found is not None:
+            # Candidates arrive in ascending order: a bracket's root lies
+            # strictly between its ends, whose residuals exceed tol.
+            if best is not None and found[1] - last > band:
+                yield best[1]
+                best = None
+            if best is None or found < best:
+                best = found
+            last = found[1]
+        if best is not None and t - last > band:
+            # every later candidate lies at or beyond t
+            yield best[1]
+            best = None
+        ta, a = t, b
+    notes.extend(later)
+    if best is not None:
+        yield best[1]
 
 
 def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
@@ -339,8 +363,8 @@ def invert_at(f: Expr, i: int, target: float, fixed, d: BoxDomain,
     result is not an error.
     """
     fixed = _check_slot(f, i, d, fixed=fixed)
-    return _roots(_section(f, i, fixed), *d.axis(i), float(target), tol, grid,
-                  [] if warnings is None else warnings)
+    return list(_roots(f, i, fixed, _axis_points(*d.axis(i), grid), float(target), tol,
+                       [] if warnings is None else warnings))
 
 
 def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
@@ -422,16 +446,16 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
     returned callable as `.pieces`.
     """
     pieces = piecewise_split(f, i, d, split_grid, tol=tol)
+    scans = [_axis_points(*branch.interval, grid) for branch in pieces.branches]
 
     def fn(*args: float) -> list[float]:
         if len(args) != f.arity:
             raise StructureError(f"expected {f.arity} arguments, got {len(args)}")
         fixed = _check_slot(f, i, d, fixed=args[: i - 1] + args[i:])
-        section = _section(f, i, fixed)
         target = float(args[i - 1])
         found: list[float] = []
-        for branch in pieces.branches:
-            found.extend(_roots(section, *branch.interval, target, tol, grid, []))
+        for ts in scans:
+            found.extend(_roots(f, i, fixed, ts, target, tol, []))
         found.sort()
         roots: list[float] = []
         for t in found:

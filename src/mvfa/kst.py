@@ -54,6 +54,7 @@ import numpy as np
 from .expr_core import (
     BoxDomain,
     EvalDomainError,
+    EvalError,
     Expr,
     MvfaError,
     StructureError,
@@ -269,7 +270,8 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50, *,
     by inner-sum value for every q and adds the damped per-bin mean
     correction (equally shared across the 2n+1 outer functions) to Phi_q.
     With iters = 0 the outer functions are identically zero and the recorded
-    residual equals max|f| on the grid.
+    residual equals max|f| on the grid.  A target value that is not finite
+    raises EvalError naming its training point before anything is fitted.
     """
     n = f.arity
     if n != 2:
@@ -285,6 +287,10 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50, *,
     axis = np.linspace(0.0, 1.0, grid).tolist()
     fn = lowered(f)
     F = np.array([fn(x1, x2) for x1 in axis for x2 in axis])
+    if not np.isfinite(F).all():
+        k = int(np.flatnonzero(~np.isfinite(F))[0])
+        point = (axis[k // grid], axis[k % grid])
+        raise EvalError(f"target is not finite at {point}: {float(F[k])!r}", f, point)
 
     # The training grid is a product grid, so every inner sum is one value of
     # psi_{q,1} plus one of psi_{q,2}: (2n+1)*n*grid scalar maps, not

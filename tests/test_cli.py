@@ -153,6 +153,37 @@ def test_non_finite_input_is_usage_error(argv, capsys):
     assert strict_json(capsys.readouterr().out)["error"]["kind"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "add(x,a) = c", "--param", "a=1", "--param", "c=0"],
+    ["invert", "pow", "1", "--target", "9", "--fixed", "2=2"],
+], ids=["solve", "invert"])
+def test_negative_low_bound_in_either_spelling(argv, capsys):
+    from mvfa import cli
+
+    domain = "-3:-0.5" if argv[0] == "solve" else "-1:5,2:2"
+    assert cli.main(argv + ["--domain", domain]) == 0
+    two_words = capsys.readouterr().out
+    assert cli.main(argv + [f"--domain={domain}"]) == 0
+    assert capsys.readouterr().out == two_words
+    assert strict_json(two_words)["roots"] == pytest.approx([-1.0 if argv[0] == "solve" else 3.0],
+                                                            abs=1e-8)
+
+
+@pytest.mark.parametrize("tol, env", [("-1e-3", None), ("0", None), (None, "-1e-3")],
+                         ids=["negative", "zero", "env"])
+def test_non_positive_tolerance_is_usage_error(tol, env, monkeypatch, capsys):
+    from mvfa import cli
+
+    argv = ["solve", "add(x,a) = c", "--param", "a=1", "--param", "c=0", "--domain=-3:0"]
+    if tol is not None:
+        argv += ["--tol", tol]
+    monkeypatch.delenv("MVFA_TOL", raising=False)
+    if env is not None:
+        monkeypatch.setenv("MVFA_TOL", env)
+    assert cli.main(argv) == 2
+    assert strict_json(capsys.readouterr().out)["error"]["kind"] == "usage"
+
+
 # --- structural plumbing commands ---
 
 def test_lift_command():
@@ -218,6 +249,18 @@ def test_kst_reconstruct_non_finite_point_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["kst", "reconstruct", str(rep), "--at", "nan,0.5"]) == 2
     assert strict_json(capsys.readouterr().out)["error"]["kind"] == "usage"
+
+
+def test_kst_decompose_non_finite_target_writes_nothing(tmp_path, capsys):
+    from mvfa import cli
+
+    rep = tmp_path / "rep.json"
+    assert cli.main(["kst", "decompose", "mul(mul(x,1e300),mul(y,1e10))", "--grid", "9",
+                     "--iters", "3", "-o", str(rep)]) == 1
+    error = strict_json(capsys.readouterr().out)["error"]
+    assert error["kind"] == "evaluation"
+    assert error["message"] == "target is not finite at (0.125, 0.25): inf"
+    assert not rep.exists()
 
 
 def test_kst_reconstruct_bad_file(tmp_path):

@@ -286,20 +286,43 @@ def test_inverse_node_needs_axis():
         evaluate(inv, [0.25])
 
 
+def test_inverse_formula_stops_at_its_first_root(monkeypatch):
+    # x/2 = 0.25 on [0, 10]: the only root, 0.5, lies in the first tenth
+    from mvfa import expr_core
+    from mvfa.inverse import DEFAULT_GRID, invert_at
+
+    calls = []
+    apply = expr_core._apply_primitive
+    monkeypatch.setattr(expr_core, "_apply_primitive",
+                        lambda *a: calls.append(a) or apply(*a))
+    half = Diagonal(Compose(Lift(Prim(DIV), 2, (1, 2)), 2, Const(2.0)), 2, 1)
+    value = evaluate(Inverse(half, 1, axis=(0.0, 10.0)), [0.25])
+    assert 0 < len(calls) < DEFAULT_GRID // 2
+    assert value.hex() == invert_at(half, 1, 0.25, [], BoxDomain(((0.0, 10.0),)))[0].hex()
+
+
 # --- lowering cache ---
 
 def _count_lowerings(monkeypatch):
+    """Record (expression, slot) for every lowering: slot None for a point
+    function, the scanned slot for a scan kernel."""
     from mvfa import expr_core
 
     lowered = []
     lower = expr_core._lower
 
-    def counting(e):
-        lowered.append(e)
-        return lower(e)
+    def counting(e, slot=None):
+        lowered.append((e, slot))
+        return lower(e, slot)
 
     monkeypatch.setattr(expr_core, "_lower", counting)
     return lowered
+
+
+def _once_each(lowered, *expected):
+    """Each expected (expression, slot) lowered exactly once, nothing else."""
+    return (len(lowered) == len(expected)
+            and all(sum(e is x and s == slot for e, s in lowered) == 1 for x, slot in expected))
 
 
 def test_invert_at_scan_lowers_once(monkeypatch):
@@ -307,9 +330,11 @@ def test_invert_at_scan_lowers_once(monkeypatch):
 
     lowered = _count_lowerings(monkeypatch)
     sq = x_pow(1, 1, 2.0)
-    roots = invert_at(sq, 1, 0.25, [], BoxDomain(((-1.0, 1.0),)), grid=1024)
-    assert roots == pytest.approx([-0.5, 0.5], abs=1e-8)
-    assert len(lowered) == 1 and lowered[0] is sq
+    for _ in range(2):
+        roots = invert_at(sq, 1, 0.25, [], BoxDomain(((-1.0, 1.0),)), grid=1024)
+        assert roots == pytest.approx([-0.5, 0.5], abs=1e-8)
+    # one scan kernel for the 1 024 points, one point function for bisection
+    assert _once_each(lowered, (sq, 1), (sq, None))
 
 
 def test_inverse_formula_lowers_inner_once(monkeypatch):
@@ -317,7 +342,7 @@ def test_inverse_formula_lowers_inner_once(monkeypatch):
     sq = x_pow(1, 1, 2.0)
     inv = Inverse(sq, 1, axis=(-1.0, 1.0))
     assert evaluate(inv, [0.25]) == evaluate(inv, [0.25])
-    assert len(lowered) == 2 and sum(e is sq for e in lowered) == 1
+    assert _once_each(lowered, (inv, None), (sq, 1), (sq, None))
 
 
 def test_evaluated_expression_still_pickles():
@@ -325,5 +350,8 @@ def test_evaluated_expression_still_pickles():
 
     e = Inverse(x_pow(1, 1, 2.0), 1, axis=(-1.0, 1.0))
     value = evaluate(e, [0.25])
+    assert {"_lowered", "_grid"} <= set(e.__dict__) and "_scans" in e.inner.__dict__
     restored = pickle.loads(pickle.dumps(e))
+    caches = {"_lowered", "_scans", "_grid"}
+    assert not caches & (set(restored.__dict__) | set(restored.inner.__dict__))
     assert restored == e and evaluate(restored, [0.25]) == value

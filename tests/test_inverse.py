@@ -9,6 +9,7 @@ from mvfa.expr_core import (
     BoxDomain,
     Compose,
     Const,
+    Inverse,
     Lift,
     Prim,
     Primitive,
@@ -182,6 +183,26 @@ def test_invert_at_nan_end_forms_no_bracket():
                         "skipped interval [1.5, 2.0]: nan"]
 
 
+@pytest.mark.parametrize("text", [
+    # NaN at t = +-2 (inf - inf), -x^2 elsewhere
+    "add(add(mul(x,1e308),mul(x,-1e308)),mul(mul(x,x),-1))",
+    # +inf at t = +-2 and +-1.5 (x^2 * 1e308 overflows), a flat pair of infinities
+    "mul(mul(x,x),1e308)",
+], ids=["nan", "inf"])
+def test_non_finite_section_values_give_no_witness(text):
+    form = to_structural(parse(text))
+    box = BoxDomain(((-2.0, 2.0),))
+    f, _, _ = collapse_unknowns(Equation(form.expr, form.binding, rhs=0.0, params={},
+                                         domain=box))
+    verdict = check_invertible(f, 1, box, grid=9)
+    w = verdict.witness
+    # the true turning point at 0, not the stretch with non-finite values
+    assert not verdict.invertible and w.t1 < 0 < w.t2
+    assert math.isfinite(w.v1) and math.isfinite(w.v2) and abs(w.v1 - w.v2) <= 1e-9
+    branches = piecewise_split(f, 1, box, grid=9).branches
+    assert len(branches) == 2 and abs(branches[0].interval[1]) < 1e-6
+
+
 # --- piecewise_split ---
 
 def test_split_square_two_branches():
@@ -293,6 +314,7 @@ CUBIC = diagonal(compose_at(compose_at(Lift(Prim(ADD), 2, (1, 2)), 1, x_pow(2, 1
                  2, 1)                                                         # x^3 - x
 FLAT_IN_2 = Compose(Lift(Prim(ADD), 2, (1, 2)), 2, Const(1.0))                # x1 + 1
 SQUARE_PLUS = poly_sum(2, [(1, 2.0), (2, 1.0)])                               # x1^2 + x2
+WELL = to_structural(parse("mul(pow(add(x,-0.5),2),1e12)")).expr            # 1e12 (x - 0.5)^2
 UNIT_SQUARE = BoxDomain(((0, 1), (0, 1)))
 PLUS_MINUS_ONE = BoxDomain(((-1.0, 1.0), (-1.0, 1.0)))
 
@@ -326,6 +348,19 @@ GOLDEN = {
         "'evaluation failed at t=-2.0: logarithm of a non-positive value', "
         "'evaluation failed at t=0.0: logarithm of a non-positive value', "
         "'skipped interval [0.0, 2.0]'])"),
+    # every grid point is a root, each its own group
+    "constant-section": (
+        lambda: _invert_with_warnings(FLAT_IN_2, 2, 1.0, [0.0], UNIT_SQUARE, tol=1e-9, grid=5),
+        "([0.0, 0.25, 0.5, 0.75, 1.0], [])"),
+    # two bracketed roots 6.3e-9 apart, in the cells on either side of 0.5:
+    # one group, and the root of least residual
+    "close-roots-one-group": (
+        lambda: _invert_with_warnings(WELL, 1, 1e-5, [], BoxDomain(((0.4999, 0.5001),)),
+                                      tol=1e-9, grid=41),
+        "([0.5000000031623244], [])"),
+    "formula-close-roots": (
+        lambda: evaluate(Inverse(WELL, 1, axis=(0.499489, 0.500512)), [1e-5]),
+        "0.5000000031623839"),
     "flat-step-witness": (
         lambda: check_invertible(FLAT_IN_2, 2, UNIT_SQUARE, grid=5, tol=1e-9),
         "InvertVerdict(invertible=False, witness=Witness(fixed=(0.0,), t1=0.0, t2=0.25, "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mvfa import kst
-from mvfa.expr_core import BoxDomain, EvalDomainError, StructureError, evaluate
+from mvfa.expr_core import BoxDomain, EvalDomainError, EvalError, StructureError, evaluate
 from mvfa.frontend import parse, to_structural
 from mvfa.kst import (
     ClampCounter,
@@ -192,6 +192,15 @@ def test_inner_maps_evaluated_per_axis_not_per_point(monkeypatch):
 def test_decompose_requires_bivariate():
     with pytest.raises(StructureError):
         decompose(expr_of("x"), grid=9, iters=1)
+
+
+def test_decompose_rejects_non_finite_target(monkeypatch):
+    # 0.125e300 * 0.25e10 overflows: the first infinite training value
+    fitted = []
+    monkeypatch.setattr(kst, "_interp_plan", lambda *a: fitted.append(a))
+    with pytest.raises(EvalError, match=r"not finite at \(0.125, 0.25\): inf") as info:
+        decompose(expr_of("mul(mul(x,1e300),mul(y,1e10))"), grid=9, iters=3)
+    assert info.value.point == (0.125, 0.25) and not fitted
 
 
 # --- reconstruct ---

@@ -2,16 +2,19 @@
 
 The structural compiler and the structural operators must reproduce the
 pointful value exactly, not just within a tolerance: they route
-coordinates, and routing changes no float operation.
+coordinates, and routing changes no float operation.  Likewise an Inverse
+formula, whose scan stops early, must give invert_at's first root exactly.
 """
 
 import math
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvfa.expr_core import EvalError, evaluate
+from mvfa.expr_core import BoxDomain, EvalError, Inverse, NoSolutionError, evaluate
 from mvfa.frontend import AstCall, AstConst, AstSymbol, to_structural
+from mvfa.inverse import invert_at
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
 
 from util import ADD, DIV, MUL, POW, ast_eval
@@ -150,3 +153,32 @@ def test_normalize_keeps_values_of_used_slots(ast, pin, data):
     for s, k in mapping.items():
         y[k - 1] = x[s - 1]
     assert outcome(out, y) == outcome(f, [x[p - 1] for p in positions])
+
+
+@PROPERTY
+@given(ast=MIXED, data=st.data())
+def test_inverse_formula_is_first_root_of_invert_at(ast, data):
+    # the formula's scan stops at its first root; invert_at scans the whole
+    # axis.  Mixed signs make subintervals fail (domain errors, overflow).
+    f = structural(ast)
+    assume(f.arity >= 1)
+    i = data.draw(st.integers(1, f.arity))
+    lo, hi = sorted(data.draw(st.tuples(rounded(-3.0, 3.0), rounded(-3.0, 3.0))))
+    fixed = data.draw(st.lists(MIXED_VALUE, min_size=f.arity - 1, max_size=f.arity - 1))
+    # mostly a planted root: the value at a drawn point of the axis
+    t = lo + (hi - lo) * data.draw(st.floats(0.0, 1.0))
+    try:
+        target = evaluate(f, fixed[: i - 1] + [t] + fixed[i - 1:])
+    except EvalError:
+        target = math.inf
+    if not abs(target) < 1e6:
+        target = data.draw(rounded(-4.0, 4.0))
+    point = fixed[: i - 1] + [target] + fixed[i - 1:]
+    box = BoxDomain(tuple((lo, hi) if k == i else (v, v) for k, v in enumerate(point, start=1)))
+    roots = invert_at(f, i, target, fixed, box)
+    formula = Inverse(f, i, axis=(lo, hi))
+    if roots:
+        assert evaluate(formula, point).hex() == roots[0].hex()
+    else:
+        with pytest.raises(NoSolutionError):
+            evaluate(formula, point)
