@@ -45,25 +45,30 @@ np.interp on every trial.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expr_core import (
     BoxDomain,
+    Const,
     EvalDomainError,
     EvalError,
     Expr,
     MvfaError,
+    Prim,
+    Primitive,
     StructureError,
     lowered,
 )
 from .structure_ops import compose_at, lift, normalize
-from .expr_core import Const, Prim, Primitive
 
-KST_FORMAT_VERSION = 1
+# Since version 2, each outer function's values are one base64 string of
+# their little-endian IEEE-754 float64 bytes (`_pack`).
+KST_FORMAT_VERSION = 2
 
 DEFAULT_DEPTH = 10       # series truncation K
 DEFAULT_KNOTS = 2 ** 12  # storage grid per outer function
@@ -172,7 +177,7 @@ class KstRep:
             "dimension": self.dimension,
             "inner_params": self.inner,
             "outer": [
-                {"lo": fn.lo, "hi": fn.hi, "values": fn.values.tolist()}
+                {"lo": fn.lo, "hi": fn.hi, "values": _pack(fn.values)}
                 for fn in self.outer
             ],
             "iterations": self.iterations,
@@ -189,18 +194,20 @@ class KstRep:
                 f"unsupported representation version {doc['version']!r}, "
                 f"expected {KST_FORMAT_VERSION}")
         try:
-            outer = [OuterFunction(o["lo"], o["hi"], np.asarray(o["values"], dtype=float))
-                     for o in doc["outer"]]
             rep = cls(
                 dimension=int(doc["dimension"]),
                 inner=dict(doc["inner_params"]),
-                outer=outer,
+                outer=[_outer_from_doc(o) for o in doc["outer"]],
                 iterations=int(doc["iterations"]),
                 history=[float(h) for h in doc["history"]],
                 grid=int(doc.get("grid", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed representation document: {exc}") from exc
+        if not np.isfinite(rep.history).all():
+            raise FormatError("residual history holds a value that is not finite")
+        if len(rep.history) != rep.iterations + 1:
+            raise FormatError("residual history needs one entry per iteration, plus one")
         if len(rep.outer) != 2 * rep.dimension + 1:
             raise FormatError("document does not carry 2n+1 outer functions")
         expected = inner_params(rep.dimension, int(rep.inner.get("depth", DEFAULT_DEPTH)))
@@ -217,10 +224,40 @@ class KstRep:
     def load(cls, path) -> "KstRep":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                doc = json.load(fh, parse_constant=_refuse_constant)
+        except (OSError, ValueError) as exc:   # JSONDecodeError, UnicodeDecodeError
             raise FormatError(f"cannot read representation file: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def _pack(values: np.ndarray) -> str:
+    """Base64 of the values' little-endian float64 bytes: exact and compact."""
+    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _unpack(text: str) -> np.ndarray:
+    """The float64 values of a `_pack` string, two knots at least."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:   # binascii.Error, or a str that is not ASCII
+        raise FormatError(f"outer values are not valid base64: {exc}") from exc
+    if len(raw) % 8 or len(raw) < 16:
+        raise FormatError(f"outer values take {len(raw)} bytes, "
+                          "not 8 per knot for two knots or more")
+    return np.frombuffer(raw, dtype="<f8").astype(float)
+
+
+def _outer_from_doc(o: dict) -> OuterFunction:
+    lo, hi, values = o["lo"], o["hi"], _unpack(o["values"])
+    if not (math.isfinite(lo) and math.isfinite(hi) and np.isfinite(values).all()):
+        raise FormatError("outer function holds a value that is not finite")
+    if not lo < hi:
+        raise FormatError(f"outer function knot range [{lo!r}, {hi!r}] is empty")
+    return OuterFunction(lo, hi, values)
+
+
+def _refuse_constant(name: str):
+    raise FormatError(f"representation file holds {name}, which is not strict JSON")
 
 
 def _inner_sum(q: int, point, n: int, depth: int) -> float:

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from util import strict_json
+
 MVFA = [sys.executable, "-m", "mvfa"]
 
 
@@ -21,14 +23,6 @@ def run(*args, env_extra=None):
 def run_json(*args, **kw):
     proc = run(*args, **kw)
     return proc.returncode, json.loads(proc.stdout)
-
-
-def strict_json(text: str):
-    """Parse `text`, refusing the NaN and Infinity extensions of json.loads."""
-    def refuse(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    return json.loads(text, parse_constant=refuse)
 
 
 # --- eval ---
@@ -261,6 +255,14 @@ def test_kst_decompose_non_finite_target_writes_nothing(tmp_path, capsys):
     assert error["kind"] == "evaluation"
     assert error["message"] == "target is not finite at (0.125, 0.25): inf"
     assert not rep.exists()
+
+
+def test_kst_decompose_file_is_byte_identical_across_runs(tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    outs = [run("kst", "decompose", "mul(x,add(y,1.9))", "--grid", "17", "--iters", "10",
+                "-o", str(path)) for path in paths]
+    assert all(proc.returncode == 0 for proc in outs)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_kst_reconstruct_bad_file(tmp_path):

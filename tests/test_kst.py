@@ -1,5 +1,6 @@
 """Inner-map family, decomposition fitting, reconstruction, rescaling, IO."""
 
+import base64
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from mvfa import kst
+from mvfa import cli, kst
 from mvfa.expr_core import BoxDomain, EvalDomainError, EvalError, StructureError, evaluate
 from mvfa.frontend import parse, to_structural
 from mvfa.kst import (
@@ -22,7 +23,7 @@ from mvfa.kst import (
     rescale,
 )
 
-from util import assert_matches_fn
+from util import assert_matches_fn, strict_json
 
 
 def expr_of(text):
@@ -137,9 +138,15 @@ def test_training_reconstruction_consistency():
     assert worst <= rep.residual + 1e-6
 
 
-# SHA-256 of json.dumps(decompose(f, grid, iters).to_dict()), recorded with
-# the fit that called np.interp on every step-halving trial; the planned fit
-# must reproduce it bit for bit.  The first five are the benchmark's kst-fit
+def v1_text(rep):
+    """The version-1 document of `rep`: outer values as decimal lists."""
+    return json.dumps(dict(rep.to_dict(), version=1, outer=[
+        {"lo": fn.lo, "hi": fn.hi, "values": fn.values.tolist()} for fn in rep.outer]))
+
+
+# SHA-256 of v1_text(decompose(f, grid, iters)), recorded with the fit that
+# called np.interp on every step-halving trial; the planned fit must
+# reproduce it bit for bit.  The first five are the benchmark's kst-fit
 # families with one fixed coefficient each.
 GOLDEN_FITS = [
     ("add(pow(x,1.37),y)", 33, 50,
@@ -164,7 +171,7 @@ GOLDEN_FITS = [
 @pytest.mark.parametrize("text,grid,iters,digest", GOLDEN_FITS)
 def test_golden_fit(text, grid, iters, digest):
     rep = decompose(expr_of(text), grid=grid, iters=iters)
-    assert hashlib.sha256(json.dumps(rep.to_dict()).encode()).hexdigest() == digest
+    assert hashlib.sha256(v1_text(rep).encode()).hexdigest() == digest
 
 
 def test_interp_plan_reproduces_np_interp():
@@ -271,17 +278,20 @@ def test_rescale_zero_width_axis():
 # --- serialization ---
 
 def test_rep_round_trip(tmp_path):
+    # bitwise, -0.0 and subnormals included
     rep = decompose(ADD_XY, grid=17, iters=5)
+    rep.outer[1].values[:3] = (-0.0, 5e-324, -2.2250738585072e-309)
     path = tmp_path / "rep.json"
     rep.save(path)
     back = KstRep.load(path)
     assert back.dimension == rep.dimension
     assert back.inner == rep.inner
-    assert back.history == rep.history
+    assert np.array(back.history).tobytes() == np.array(rep.history).tobytes()
     assert back.iterations == rep.iterations
     for f1, f2 in zip(rep.outer, back.outer):
         assert f1.lo == f2.lo and f1.hi == f2.hi
-        assert np.array_equal(f1.values, f2.values)
+        assert f2.values.tobytes() == f1.values.tobytes()
+    assert math.copysign(1.0, back.outer[1].values[0]) == -1.0
     assert reconstruct(back, [0.3, 0.6]) == reconstruct(rep, [0.3, 0.6])
 
 
@@ -289,10 +299,20 @@ def test_rep_file_is_the_json_document(tmp_path):
     rep = decompose(MUL_XY, grid=9, iters=3)
     path = tmp_path / "rep.json"
     rep.save(path)
-    assert path.read_text(encoding="utf-8") == json.dumps(rep.to_dict())
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(rep.to_dict())
+    doc = strict_json(text)
+    assert doc["version"] == kst.KST_FORMAT_VERSION == 2
+    assert doc["history"] == rep.history
+    for entry, fn in zip(doc["outer"], rep.outer):
+        assert (entry["lo"], entry["hi"]) == (fn.lo, fn.hi)
+        # one base64 string of little-endian float64s, 8 bytes per knot
+        raw = base64.b64decode(entry["values"], validate=True)
+        assert raw == fn.values.astype("<f8").tobytes()
+        assert len(raw) == 8 * kst.DEFAULT_KNOTS
 
 
-def test_rep_version_guard(tmp_path):
+def test_rep_version_guard(tmp_path, capsys):
     rep = decompose(ADD_XY, grid=9, iters=1)
     doc = rep.to_dict()
     doc["version"] = 99
@@ -300,6 +320,13 @@ def test_rep_version_guard(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         KstRep.load(path)
+    # a version-1 file (decimal value lists) is refused by name, not read
+    path.write_text(v1_text(rep))
+    with pytest.raises(FormatError, match="version 1, expected 2"):
+        KstRep.load(path)
+    assert cli.main(["kst", "reconstruct", str(path), "--at", "0.5,0.5"]) == 1
+    error = strict_json(capsys.readouterr().out)["error"]
+    assert error["kind"] == "format" and "version 1" in error["message"]
 
 
 def test_rep_rejects_foreign_inner_family(tmp_path):
@@ -317,6 +344,54 @@ def test_rep_malformed_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(FormatError):
         KstRep.load(path)
+    path.write_bytes(b"\xff\xfe{}")   # not UTF-8
+    with pytest.raises(FormatError, match="cannot read"):
+        KstRep.load(path)
     path.write_text(json.dumps({"version": 1, "dimension": 2}))
     with pytest.raises(FormatError):
         KstRep.load(path)
+
+
+def packed(*values):
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+# Each edit of a valid document, as (where, new value, expected message).
+# `where` is the last history entry, a top-level key, or a field of the third
+# outer function; the value is JSON text, put into the file as is.
+BAD_DOCUMENTS = [
+    ("history", "NaN", "holds NaN"),
+    ("history", "Infinity", "holds Infinity"),
+    ("lo", "-Infinity", "holds -Infinity"),
+    ("lo", "-1e999", "not finite"),   # overflows to -inf without a constant
+    ("hi", "1e999", "not finite"),
+    ("history", "1e999", "history holds a value that is not finite"),
+    ("values", json.dumps(packed(0.0, float("nan"), 1.0)), "not finite"),
+    ("values", json.dumps(packed(0.0, float("inf"))), "not finite"),
+    ("values", json.dumps(packed(0.0, 1.0)[:8] + "!" + packed(0.0, 1.0)[8:]),
+     "not valid base64"),                               # a character outside the alphabet
+    ("values", '"AAAAAAA"', "not valid base64"),          # bad padding
+    ("values", '"\u00e9AAA"', "not valid base64"),        # not ASCII
+    ("values", json.dumps(packed(0.0, 1.0)[:16]), "12 bytes"),
+    ("values", json.dumps(packed(1.0)), "8 bytes"),
+    ("values", '""', "0 bytes"),
+    ("lo", "1e3", "knot range .* is empty"),   # above hi: every sum would clamp
+    ("iterations", "7", "one entry per iteration"),
+]
+
+
+@pytest.mark.parametrize("where,value,message", BAD_DOCUMENTS)
+def test_rep_strict_loader(tmp_path, capsys, where, value, message):
+    doc = decompose(ADD_XY, grid=9, iters=1).to_dict()
+    if where == "history":
+        doc["history"][-1] = "@"
+    elif where in doc:
+        doc[where] = "@"
+    else:
+        doc["outer"][2][where] = "@"
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc).replace('"@"', value))
+    with pytest.raises(FormatError, match=message):
+        KstRep.load(path)
+    assert cli.main(["kst", "reconstruct", str(path), "--at", "0.5,0.5"]) == 1
+    assert strict_json(capsys.readouterr().out)["error"]["kind"] == "format"

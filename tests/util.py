@@ -7,6 +7,7 @@ pipeline, so they can serve as oracles for it.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -149,3 +150,11 @@ def raises_eval_error(expr: Expr, point) -> bool:
         return False
     except EvalError:
         return True
+
+
+def strict_json(text: str):
+    """Parse `text`, refusing the NaN and Infinity extensions of json.loads."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
