@@ -16,6 +16,19 @@ nodes: one lazy pass over the expression's compiled scan kernel, so the
 evaluation of an Inverse node stops at its first root.  The default
 tolerance is the package's `DEFAULT_TOL` (1e-9).
 
+The core has one failure rule.  A point where the section does not
+evaluate (log, root or division outside its domain, overflow in a power)
+is a gap: it ends a run of the scan, takes part in no flat-step,
+turning-point or sign test, ends a bisection or an extremum refinement
+where it stands, and is noted where a notes list exists (`invert_at`'s
+`warnings`).  It is never raised out of `check_invertible`,
+`piecewise_split`, `invert_at` or `inverse_fn`: the stretches where the
+function is undefined are skipped, and the defined runs are searched.
+No values are compared across a gap, so a verdict holds run by run: on
+0:4, log2((x-1)(x-3)) falls on [0, 1) and rises on (3, 4], and it is
+reported invertible as one branch.  A solve still finds both of its
+preimages of 0.5, because every branch is scanned whole.
+
 Primitives also carry closed-form partial inverses; the symbolic table and
 the numeric path agree within tolerance (tested, not assumed).
 """
@@ -78,7 +91,10 @@ class Branch:
     """One monotone piece of an axis interval."""
 
     interval: tuple[float, float]
-    sign: int        # +1 increasing, -1 decreasing (on the first probed fiber)
+    # +1 increasing, -1 decreasing: the first step between two finite values
+    # in the branch's own invertibility probe (the first fiber that has
+    # one), or +1 where the section is nowhere finite twice in a row
+    sign: int
     branch_id: int
 
 
@@ -114,15 +130,17 @@ def _fibers(d: BoxDomain, i: int, grid: int):
     yield from product(*(_axis_points(lo, hi, grid) for lo, hi in other_axes))
 
 
-def _section(f: Expr, i: int, fixed):
-    """The one-variable section t -> f(fixed, with t at slot i).
+def _section(f: Expr, i: int, fixed, target: float = 0.0):
+    """The one-variable section t -> f(fixed, with t at slot i) - target.
 
     It calls f's lowered function directly: the callers validate their
-    inputs once, not at every point of a scan.
+    inputs once, not at every point of a scan.  `v - 0.0` is bitwise `v`,
+    -0.0 included.  A point that does not evaluate raises `EvalError`, and
+    every caller turns it into a gap.
     """
     fn = lowered(f)
     before, after = tuple(fixed[: i - 1]), tuple(fixed[i - 1:])
-    return lambda t: fn(*before, t, *after)
+    return lambda t: fn(*before, t, *after) - target
 
 
 def _check_slot(f: Expr, i: int, d: BoxDomain, grid: int | None = None,
@@ -153,15 +171,23 @@ def _scan_fiber(section, ts):
     (vals[k] == vals[k+1]) or None, and the indices of its turning points
     (where the discrete slope changes sign) before that step.
 
-    A non-finite value takes part in neither test: a step or a turn that
-    involves one is passed over, so every reported value is finite.
+    A point that does not evaluate has the value None and ends a run: no
+    step or turn spans it.  A non-finite value takes part in neither test:
+    a step or a turn that involves one is passed over, so every reported
+    value is finite.
     """
-    vals = [section(t) for t in ts]
+    vals = []
+    for t in ts:
+        try:
+            vals.append(section(t))
+        except EvalError:
+            vals.append(None)
     turns = []
-    rising = None
-    prev = vals[0]
-    for k in range(1, len(vals)):
-        v = vals[k]
+    rising = prev = None
+    for k, v in enumerate(vals):
+        if v is None or prev is None:
+            rising, prev = None, v
+            continue
         up = v > prev
         if v == prev:
             if math.isfinite(v):
@@ -173,14 +199,14 @@ def _scan_fiber(section, ts):
     return vals, None, turns
 
 
-def _bisect(h, a, b, ha, hb, tol, notes=None) -> tuple[float, float]:
+def _bisect(h, a, b, ha, hb, tol, notes: list) -> tuple[float, float]:
     """Bisect [a, b], where ha = h(a) and hb = h(b) lie on opposite sides of
     zero; return (t, |h(t)|) for the first t with |h(t)| <= tol, else for the
     best t seen.
 
-    With a `notes` list, an evaluation failure ends the search with an
-    infinite residual and is noted, as is a search that ends above `tol`;
-    without one, the failure propagates.
+    A point that does not evaluate ends the search with an infinite
+    residual: the bracket spans a gap.  That, and a search that ends above
+    `tol`, is noted.
     """
     best_t, best_err = a, abs(ha)
     if abs(hb) < best_err:
@@ -191,8 +217,6 @@ def _bisect(h, a, b, ha, hb, tol, notes=None) -> tuple[float, float]:
         try:
             hm = h(m)
         except EvalError as exc:
-            if notes is None:
-                raise
             notes.append(f"bisection aborted near t={m!r}: {exc}")
             return m, math.inf
         err = abs(hm)
@@ -206,7 +230,7 @@ def _bisect(h, a, b, ha, hb, tol, notes=None) -> tuple[float, float]:
             b = m
         if a == b:
             break
-    if notes is not None and not best_err <= tol:
+    if not best_err <= tol:
         notes.append(f"bisection stalled near t={best_t!r} (residual {best_err!r})")
     return best_t, best_err
 
@@ -226,7 +250,7 @@ def _roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
     """
     later: list[str] = []
     band = 10 * tol
-    section = None        # the point function, for bisection only
+    h = None              # the point function, for bisection only
     best = last = None    # the open group's (residual, root) and its last member
     scan = zip(ts, lowered_scan(f, i)(ts, target, notes, *fixed))
     ta, a = next(scan)
@@ -241,12 +265,8 @@ def _roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
                 found = (abs(b), t)
         elif abs(a) > tol and abs(b) > tol:
             if (a < 0) != (b < 0):
-                if section is None:
-                    section = _section(f, i, fixed)
-
-                    def h(m: float) -> float:
-                        return section(m) - target
-
+                if h is None:
+                    h = _section(f, i, fixed, target)
                 m, err = _bisect(h, ta, t, a, b, tol, later)
                 if err <= tol:
                     found = (err, m)
@@ -281,32 +301,46 @@ def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
                      tol: float = DEFAULT_TOL) -> InvertVerdict:
     """Probe whether `f` is invertible about slot `i` over the box `d`.
 
-    Every sampled fiber's section must be strictly monotone.  On the first
-    violation a reproducible witness (two axis values with equal section
-    values, |v1-v2| <= tol) is constructed by bisection and returned.
+    Every sampled fiber's section must be strictly monotone on each run of
+    probe points where it evaluates; points where it does not are skipped,
+    and no values are compared across them, so the verdict holds run by
+    run.  On the first violation a reproducible witness (two axis values
+    with equal section values, |v1-v2| <= tol) is constructed by bisection
+    and returned.  A turning point whose witness bisection meets a point
+    that does not evaluate spans a gap and gives no witness.
     """
     _check_slot(f, i, d, grid)
+    return _probe(f, i, d, grid, tol)[0]
+
+
+def _probe(f: Expr, i: int, d: BoxDomain, grid: int,
+           tol: float = DEFAULT_TOL) -> tuple[InvertVerdict, int]:
+    """check_invertible without the argument check, and the direction of the
+    first step between two finite values it computed, +1 if there is none."""
     ts = _axis_points(*d.axis(i), grid)
+    sign = None
     for fixed in _fibers(d, i, grid):
         section = _section(f, i, fixed)
         vals, flat, turns = _scan_fiber(section, ts)
         if flat is not None:
             witness = Witness(tuple(fixed), ts[flat], ts[flat + 1], vals[flat], vals[flat + 1])
-            return InvertVerdict(False, witness)
-        if turns:
+            return InvertVerdict(False, witness), 1
+        for k in turns:
             # vals[k] is a local extremum; any level strictly between it and
             # the nearer neighbour value is crossed on both sides.
-            k = turns[0]
             va, vb, vc = vals[k - 1], vals[k], vals[k + 1]
             level = (vb + (max(va, vc) if vb > va else min(va, vc))) / 2.0
-
-            def h(t: float) -> float:
-                return section(t) - level
-
-            t1, _ = _bisect(h, ts[k - 1], ts[k], va - level, vb - level, tol / 2.0)
-            t2, _ = _bisect(h, ts[k], ts[k + 1], vb - level, vc - level, tol / 2.0)
-            return InvertVerdict(False, Witness(tuple(fixed), t1, t2, section(t1), section(t2)))
-    return InvertVerdict(True, None)
+            h = _section(f, i, fixed, level)
+            t1, err1 = _bisect(h, ts[k - 1], ts[k], va - level, vb - level, tol / 2.0, [])
+            t2, err2 = _bisect(h, ts[k], ts[k + 1], vb - level, vc - level, tol / 2.0, [])
+            if max(err1, err2) < math.inf:
+                witness = Witness(tuple(fixed), t1, t2, section(t1), section(t2))
+                return InvertVerdict(False, witness), 1
+        if sign is None:
+            sign = next((1 if b > a else -1 for a, b in zip(vals, vals[1:])
+                         if a is not None and b is not None
+                         and math.isfinite(a) and math.isfinite(b)), None)
+    return InvertVerdict(True, None), sign or 1
 
 
 # Closed-form partial inverses.  Convention: the result has the primitive's
@@ -373,10 +407,15 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
     """Split axis `i` into monotone branches.
 
     Section extrema are detected as sign changes of the discrete slope on
-    every probed fiber and localized by ternary refinement; cut points from
-    all fibers are merged within one grid cell.  Each resulting branch must
-    pass check_invertible at the same resolution.  More than `max_branches`
-    branches (or a flat section segment) is a degenerate input.
+    every probed fiber and localized by ternary refinement, which stops at
+    its current bracket where the section does not evaluate; cut points
+    from all fibers are merged within one grid cell.  Each resulting branch
+    must pass check_invertible at the same resolution, and its sign is the
+    direction of the first finite step that probe computed.  Stretches
+    where the section does not evaluate are skipped, never cut at and never
+    an error: a branch may hold several runs separated by such gaps, and
+    the root scan searches all of them.  More than `max_branches` branches
+    (or a flat section segment) is a degenerate input.
     """
     _check_slot(f, i, d, grid)
     lo, hi = d.axis(i)
@@ -406,17 +445,13 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
             f"{len(merged) + 1} branches exceed the budget of {max_branches}")
 
     edges = [lo, *merged, hi]
-    first_section = _section(f, i, next(_fibers(d, i, grid)))
     branches = []
     for bid, (a, b) in enumerate(zip(edges, edges[1:]), start=1):
-        sub = d.with_axis(i, (a, b))
-        verdict = check_invertible(f, i, sub, grid)
+        verdict, sign = _probe(f, i, d.with_axis(i, (a, b)), grid)
         if not verdict.invertible:
             raise DegenerateInputError(
                 f"branch {bid} [{a!r}, {b!r}] is not monotone at grid {grid}")
-        qa = first_section(a + 0.25 * (b - a))
-        qb = first_section(a + 0.75 * (b - a))
-        branches.append(Branch((a, b), 1 if qb > qa else -1, bid))
+        branches.append(Branch((a, b), sign, bid))
     return PiecewiseInverse(axis=i, branches=tuple(branches), source=f, domain=d)
 
 
@@ -426,8 +461,11 @@ def _refine_extremum(section, a, b, peak: bool, tol: float) -> float:
             break
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
-        v1 = section(m1)
-        v2 = section(m2)
+        try:
+            v1 = section(m1)
+            v2 = section(m2)
+        except EvalError:
+            break  # a gap: the extremum is cut at the current bracket
         if (v1 < v2) == peak:
             a = m1
         else:

@@ -18,7 +18,9 @@ from mvfa.expr_core import (
 )
 from mvfa.frontend import parse, to_structural
 from mvfa.inverse import (
+    Branch,
     DegenerateInputError,
+    InvertVerdict,
     UnsupportedInverseError,
     check_invertible,
     inverse_fn,
@@ -304,6 +306,51 @@ def test_inverse_fn_multivalued():
     assert roots[0] == pytest.approx(-0.5, abs=1e-8)
     assert roots[1] == pytest.approx(0.5, abs=1e-8)
     assert len(fn.pieces.branches) == 2
+
+
+# --- undefined stretches: a gap in every scan, never an error ---
+
+RECIP, _ = normalize(Compose(Lift(Prim(DIV), 2, (1, 2)), 1, Const(1.0)))    # 1/x1
+
+
+def unary(text: str, lo: float, hi: float):
+    form = to_structural(parse(text))
+    f, _, _ = collapse_unknowns(Equation(form.expr, form.binding, rhs=0.0, params={},
+                                         domain=BoxDomain(((lo, hi),))))
+    return f
+
+
+def test_witness_bisection_into_a_pole_gives_no_witness():
+    # on the grid -3, -1, 1, 3 the values -1/3, -1, 1, 1/3 turn twice, and
+    # one witness bisection of each turn lands on the pole at 0
+    verdict = check_invertible(RECIP, 1, BoxDomain(((-3.0, 3.0),)), grid=4)
+    assert verdict == InvertVerdict(True, None)
+
+
+@pytest.mark.parametrize("text, lo, hi, sign", [
+    ("log(x,2)", -4.0, 16.0, 1),
+    ("log(x,0.5)", -4.0, 16.0, -1),
+    # falls on [0, 1), undefined on [1, 3], rises on (3, 4]: no values are
+    # compared across the gap, so the two runs make one branch
+    ("log(mul(add(x,-1),add(x,-3)),2)", 0.0, 4.0, -1),
+], ids=["log2", "log-half", "two-runs"])
+def test_undefined_stretch_is_skipped_not_cut(text, lo, hi, sign):
+    f = unary(text, lo, hi)
+    box = BoxDomain(((lo, hi),))
+    assert check_invertible(f, 1, box, grid=65).invertible
+    # the sign is the first finite step of the branch's probe, past the gap
+    assert piecewise_split(f, 1, box, grid=65).branches == (Branch((lo, hi), sign, 1),)
+
+
+def test_extremum_refinement_stops_at_a_gap():
+    # sqrt((x-0.3)(x-0.4)) is undefined on (0.3, 0.4), between grid points;
+    # the ternary search around the grid turn at 0.5 meets it at once
+    f = unary("root(mul(add(x,-0.3),add(x,-0.4)),2)", -1.0, 1.0)
+    box = BoxDomain(((-1.0, 1.0),))
+    assert piecewise_split(f, 1, box, grid=5).branches == (
+        Branch((-1.0, 0.5), -1, 1), Branch((0.5, 1.0), 1, 2))
+    roots = inverse_fn(f, 1, box, split_grid=5)(0.2)
+    assert roots == pytest.approx([0.35 - math.sqrt(0.0425), 0.35 + math.sqrt(0.0425)], abs=1e-8)
 
 
 # --- golden values: exact results of the scan/bisection core ---

@@ -3,7 +3,9 @@
 The structural compiler and the structural operators must reproduce the
 pointful value exactly, not just within a tolerance: they route
 coordinates, and routing changes no float operation.  Likewise an Inverse
-formula, whose scan stops early, must give invert_at's first root exactly.
+formula, whose scan stops early, must give invert_at's first root exactly,
+and the inverse core must treat every point where a function is undefined
+as a gap, never as an error.
 """
 
 import math
@@ -12,12 +14,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mvfa.expr_core import BoxDomain, EvalError, Inverse, NoSolutionError, evaluate
+from mvfa.expr_core import (
+    DEFAULT_TOL,
+    BoxDomain,
+    EvalError,
+    Inverse,
+    NoSolutionError,
+    evaluate,
+)
 from mvfa.frontend import AstCall, AstConst, AstSymbol, to_structural
-from mvfa.inverse import invert_at
+from mvfa.inverse import DegenerateInputError, check_invertible, inverse_fn, invert_at
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
 
-from util import ADD, DIV, MUL, POW, ast_eval
+from util import ADD, DIV, LOG, MUL, POW, ROOT, ast_eval
 
 # Seeded, so tier-1 runs are reproducible, and without a deadline, so a
 # slow shared host does not turn timing into a failure.
@@ -42,6 +51,11 @@ def rounded(lo, hi):
 # overflow and complex results happen and are filtered out.
 MIXED = asts((ADD, MUL, POW, DIV), st.one_of(rounded(-3.0, 3.0), st.integers(-3, 3).map(float)), 8)
 MIXED_VALUE = st.one_of(st.floats(0.25, 3.0), st.integers(-3, 3).map(float))
+
+# log/root/div towers over mixed-sign constants: each is undefined somewhere
+# on a box whose every axis crosses zero.
+PARTIAL = asts((LOG, ROOT, DIV, ADD),
+               st.one_of(rounded(-3.0, 3.0), st.integers(-3, 3).map(float)), 6)
 
 # add/mul/pow over [0.5, 2]: no domain errors (towers may still overflow).
 TAME = asts((ADD, MUL, POW), rounded(0.5, 2.0), 6)
@@ -182,3 +196,39 @@ def test_inverse_formula_is_first_root_of_invert_at(ast, data):
     else:
         with pytest.raises(NoSolutionError):
             evaluate(formula, point)
+
+
+@PROPERTY
+@given(ast=PARTIAL, data=st.data())
+def test_inverse_core_skips_undefined_points(ast, data):
+    # check_invertible, piecewise_split and inverse_fn raise no EvalError
+    # (or TypeError) where the function is undefined: only a flat stretch
+    # or the branch budget is a degenerate input
+    f = structural(ast)
+    assume(f.arity >= 1)
+    n = f.arity
+    i = data.draw(st.integers(1, n))
+    box = BoxDomain(tuple(data.draw(st.tuples(rounded(-3.0, -0.25), rounded(0.25, 3.0)))
+                          for _ in range(n)))
+    check_invertible(f, i, box, grid=9)
+    try:
+        fn = inverse_fn(f, i, box, grid=257, split_grid=9)
+    except DegenerateInputError:
+        return
+    lo, hi = box.axis(i)
+    edges = [b.interval for b in fn.pieces.branches]
+    assert edges[0][0] == lo and edges[-1][1] == hi
+    assert all(a < b for a, b in edges)
+    assert all(left[1] == right[0] for left, right in zip(edges, edges[1:]))
+    fixed = [data.draw(st.floats(*box.axis(k))) for k in range(1, n + 1) if k != i]
+    # mostly a planted root: the value at a drawn point of the axis
+    t = data.draw(st.floats(lo, hi))
+    try:
+        target = evaluate(f, fixed[: i - 1] + [t] + fixed[i - 1:])
+    except EvalError:
+        target = math.inf
+    if not abs(target) < 1e6:
+        target = data.draw(rounded(-4.0, 4.0))
+    for root in fn(*fixed[: i - 1], target, *fixed[i - 1:]):
+        assert lo <= root <= hi
+        assert abs(evaluate(f, fixed[: i - 1] + [root] + fixed[i - 1:]) - target) <= DEFAULT_TOL

@@ -1,5 +1,6 @@
 """Unknown collapse, parameter binding, end-to-end solving, trace replay."""
 
+import math
 import random
 
 import pytest
@@ -245,6 +246,21 @@ def test_solve_other_primitives(text, params, rhs, domain, expected):
     report = solve(make_eq(text, rhs, params, domain))
     assert len(report.roots) == 1
     assert report.roots[0] == pytest.approx(expected, abs=1e-6)
+
+
+@pytest.mark.parametrize("text,rhs,domain,expected", [
+    # undefined below 2; a quarter point of the interval lies there
+    ("root(add(x,-2),2)", 0.5, (0.0, 2.5), [2.25]),
+    # log2((x-1)(x-3)): undefined on [1, 3], one root in each defined run
+    ("log(mul(add(x,-1),add(x,-3)),2)", 0.5, (0.0, 4.0),
+     [2.0 - math.sqrt(1.0 + math.sqrt(2.0)), 2.0 + math.sqrt(1.0 + math.sqrt(2.0))]),
+    # the pole at 0 is a grid point of the branch split
+    ("div(1,x)", 4.0, (-1.0, 1.0), [0.25]),
+], ids=["root", "log", "div"])
+def test_solve_skips_undefined_stretch(text, rhs, domain, expected):
+    report = solve(make_eq(text, rhs, {}, domain))
+    assert report.roots == pytest.approx(expected, abs=1e-8)
+    assert all(resid <= report.tolerance for resid in report.residuals)
 
 
 def test_solve_multivalued():
