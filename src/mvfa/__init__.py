@@ -22,7 +22,6 @@ from .expr_core import (
     Prim,
     Primitive,
     StructureError,
-    Var,
     equivalent_on,
     evaluate,
 )
@@ -49,7 +48,7 @@ from .inverse import (
     invert_primitive,
     piecewise_split,
 )
-from .kst import ClampCounter, FormatError, KstRep, decompose, inner_psi, reconstruct, rescale
+from .kst import FormatError, KstRep, decompose, inner_psi, reconstruct, rescale
 from .solver import Equation, SolveReport, bind_params, collapse_unknowns, solve, unknown_slots
 from .structure_ops import compose_at, diagonal, lift, lift_count, normalize, substitute_const
 
@@ -58,14 +57,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxDomain", "Compose", "ConfigError", "Const", "Diagonal",
     "EvalDomainError", "EvalError", "Expr", "Inverse", "Lift", "MvfaError",
-    "NoSolutionError", "Prim", "Primitive", "StructureError", "Var",
+    "NoSolutionError", "Prim", "Primitive", "StructureError",
     "equivalent_on", "evaluate",
     "ParseError", "StructuralForm", "ast_to_text", "format_expr", "parse",
     "parse_equation", "parse_structural", "to_structural",
     "Branch", "DegenerateInputError", "InvertVerdict", "PiecewiseInverse",
     "UnsupportedInverseError", "Witness", "check_invertible", "inverse_fn",
     "invert_at", "invert_primitive", "piecewise_split",
-    "ClampCounter", "FormatError", "KstRep", "decompose", "inner_psi",
+    "FormatError", "KstRep", "decompose", "inner_psi",
     "reconstruct", "rescale",
     "Equation", "SolveReport", "bind_params", "collapse_unknowns", "solve",
     "unknown_slots",

@@ -47,7 +47,7 @@ from .inverse import (
     UnsupportedInverseError,
     invert_at,
 )
-from .kst import ClampCounter, FormatError, KstRep, decompose, reconstruct
+from .kst import FormatError, KstRep, decompose, reconstruct
 from .solver import Equation, solve
 from .structure_ops import compose_at, diagonal, lift
 
@@ -134,12 +134,6 @@ def _parse_positions(text: str) -> tuple[int, ...]:
         raise UsageError(f"positions are a comma-separated integer list, got {text!r}") from None
 
 
-def _maybe_seed(out: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    return out
-
-
 def _cmd_eval(args) -> int:
     form: StructuralForm = to_structural(parse(args.expr))
     values = _parse_assignments(args.at, "--at") if args.at else {}
@@ -149,7 +143,7 @@ def _cmd_eval(args) -> int:
         if name not in values:
             raise UsageError(f"no --at value for symbol {name!r}")
         point.append(values[name])
-    _emit(_maybe_seed({"value": evaluate(form.expr, point)}, args), args.pretty)
+    _emit({"value": evaluate(form.expr, point)}, args.pretty)
     return 0
 
 
@@ -180,7 +174,7 @@ def _cmd_solve(args) -> int:
     out = report.to_json_dict()
     out["compile_trace"] = form.trace
     out["domain"] = list(eq.domain.axis(1))
-    _emit(_maybe_seed(out, args), args.pretty)
+    _emit(out, args.pretty)
     return 0
 
 
@@ -241,14 +235,14 @@ def _cmd_kst_decompose(args) -> int:
         raise UsageError("decompose needs -o PATH for the representation file")
     rep = decompose(form.expr, grid=args.grid, iters=args.iters)
     rep.save(args.output)
-    _emit(_maybe_seed({
+    _emit({
         "dimension": rep.dimension,
         "grid": rep.grid,
         "iterations": rep.iterations,
         "final_residual": rep.residual,
         "history_tail": rep.history[-5:],
         "output": args.output,
-    }, args), args.pretty)
+    }, args.pretty)
     return 0
 
 
@@ -257,16 +251,13 @@ def _cmd_kst_reconstruct(args) -> int:
     if args.at is None:
         raise UsageError("reconstruct needs --at with comma-separated coordinates")
     point = [_number(v, f"bad point: {args.at!r}") for v in args.at.split(",")]
-    counter = ClampCounter()
-    value = reconstruct(rep, point, counter)
-    _emit({"value": value, "clamps": counter.count}, args.pretty)
+    warnings: list[str] = []
+    value = reconstruct(rep, point, warnings)
+    _emit({"value": value, "clamps": len(warnings)}, args.pretty)
     return 0
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance (default 1e-9, or MVFA_TOL)")
-    p.add_argument("--seed", type=int, default=None, help="echoed in the output")
     p.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
 
@@ -284,6 +275,7 @@ def build_parser() -> _Parser:
     p.add_argument("equation")
     p.add_argument("--param", action="append", help="name=value (repeatable)")
     p.add_argument("--domain", help="search interval lo:hi for the unknown")
+    p.add_argument("--tol", type=float, help="tolerance (default 1e-9, or MVFA_TOL)")
     _add_common(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -315,6 +307,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--fixed", help="slot=value pairs, e.g. 2=3")
     p.add_argument("--domain", help="one lo:hi per axis, comma separated")
+    p.add_argument("--tol", type=float, help="tolerance (default 1e-9, or MVFA_TOL)")
     _add_common(p)
     p.set_defaults(func=_cmd_invert)
 

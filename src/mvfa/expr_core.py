@@ -129,22 +129,6 @@ class Prim(Expr):
 
 
 @dataclass(frozen=True)
-class Var(Expr):
-    """Pointful reference to one slot; only frontend-built trees carry it.
-
-    Structural (point-free) compilation output never contains Var nodes:
-    slot routing is expressed through Lift positions instead.
-    """
-
-    slot: int
-
-    def __post_init__(self):
-        if not isinstance(self.slot, int) or self.slot < 1:
-            raise StructureError(f"variable slot must be a positive integer, got {self.slot!r}")
-        self._derive(self.slot, (self.slot,))
-
-
-@dataclass(frozen=True)
 class Lift(Expr):
     """Embed an m-ary function at arity n, routing variable k to slot positions[k-1]."""
 
@@ -340,15 +324,17 @@ def _lower(e: Expr, slot: int | None = None):
     """Compile `e` once into a flat Python function of its coordinates, or,
     given a `slot`, into the scan kernel that loops along it.
 
-    Slot routing (Var, Lift, Diagonal, and a Compose whose slot f ignores)
+    Slot routing (Lift, Diagonal, and a Compose whose slot f ignores)
     only renames arguments and emits no code.  Each arithmetic primitive
-    emits one line, a Compose computes g before f, and an Inverse calls
+    emits one line (DIV, POW, ROOT and LOG a call of their `_checked_*`
+    function), a Compose computes g before f, and an Inverse calls
     `_eval_inverse`: the same float operations in the same order as a walk
     of the tree, so results and errors (node and local point) are unchanged.
     The kernel inlines the same lines in its loop.  Constants and nodes
     reach the code through its namespace, never through its text.
     """
-    namespace = {"_apply_primitive": _apply_primitive, "_checked_pow": _checked_pow,
+    namespace = {"_checked_div": _checked_div, "_checked_pow": _checked_pow,
+                 "_checked_root": _checked_root, "_checked_log": _checked_log,
                  "_eval_inverse": _eval_inverse, "EvalError": EvalError}
     lines: list[str] = []
 
@@ -361,8 +347,6 @@ def _lower(e: Expr, slot: int | None = None):
         """Emit the code for `node` over argument names; return its value's name."""
         if isinstance(node, Const):
             return bind(node.value)
-        if isinstance(node, Var):
-            return args[node.slot - 1]
         if isinstance(node, Lift):
             return emit(node.inner, [args[p - 1] for p in node.positions])
         if isinstance(node, Diagonal):
@@ -387,11 +371,8 @@ def _lower(e: Expr, slot: int | None = None):
                 lines.append(f"{out} = {a} + {b}")
             elif node.op is Primitive.MUL:
                 lines.append(f"{out} = {a} * {b}")
-            elif node.op is Primitive.POW:
-                lines.append(f"{out} = _checked_pow({a}, {b}, {bind(node)}, ({a}, {b}))")
             else:
-                lines.append(f"{out} = _apply_primitive({bind(node.op)}, ({a}, {b}), "
-                             f"{bind(node)}, ({a}, {b}))")
+                lines.append(f"{out} = _checked_{node.op.value}({a}, {b}, {bind(node)})")
             return out
         if isinstance(node, Inverse):
             point = "".join(f"{a}, " for a in args)
@@ -441,38 +422,44 @@ def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
     return root
 
 
-def _apply_primitive(op: Primitive, args, node, point) -> float:
-    """DIV, ROOT and LOG with their domain checks; `_lower` emits the other
-    primitives inline or through `_checked_pow`."""
-    a, b = args
-    if op is Primitive.DIV:
-        if b == 0:
-            raise EvalDomainError("division by zero", node, point)
-        return a / b
-    if op is Primitive.ROOT:
-        if b == 0:
-            raise EvalDomainError("zeroth root", node, point)
-        if a < 0:
-            raise EvalDomainError("root of a negative base", node, point)
-        return _checked_pow(a, 1.0 / b, node, point)
-    if op is Primitive.LOG:
-        if a <= 0:
-            raise EvalDomainError("logarithm of a non-positive value", node, point)
-        if b <= 0 or b == 1:
-            raise EvalDomainError("logarithm base must be positive and not 1", node, point)
-        return math.log(a, b)
-    raise StructureError(f"unknown primitive {op!r}")  # pragma: no cover
+# The primitives with domain checks, as `_lower` emits them: each takes its
+# two arguments and its node, and an error names the node at the point (a, b).
+
+def _checked_div(a: float, b: float, node) -> float:
+    if b == 0:
+        raise EvalDomainError("division by zero", node, (a, b))
+    return a / b
 
 
-def _checked_pow(base: float, exp: float, node, point) -> float:
-    if base < 0 and not float(exp).is_integer():
-        raise EvalDomainError("fractional power of a negative base", node, point)
-    if base == 0 and exp < 0:
-        raise EvalDomainError("zero base with a negative exponent", node, point)
+def _checked_pow(a: float, b: float, node) -> float:
+    if a < 0 and not float(b).is_integer():
+        raise EvalDomainError("fractional power of a negative base", node, (a, b))
+    if a == 0 and b < 0:
+        raise EvalDomainError("zero base with a negative exponent", node, (a, b))
     try:
-        return base ** exp
+        return a ** b
     except OverflowError as exc:
-        raise EvalError(f"overflow in power {base} ** {exp}", node, point) from exc
+        raise EvalError(f"overflow in power {a} ** {b}", node, (a, b)) from exc
+
+
+def _checked_root(a: float, b: float, node) -> float:
+    if b == 0:
+        raise EvalDomainError("zeroth root", node, (a, b))
+    if a < 0:
+        raise EvalDomainError("root of a negative base", node, (a, b))
+    try:
+        return _checked_pow(a, 1.0 / b, node)
+    except EvalError as exc:
+        exc.point = (a, b)   # the root's own point, not the power's
+        raise
+
+
+def _checked_log(a: float, b: float, node) -> float:
+    if a <= 0:
+        raise EvalDomainError("logarithm of a non-positive value", node, (a, b))
+    if b <= 0 or b == 1:
+        raise EvalDomainError("logarithm base must be positive and not 1", node, (a, b))
+    return math.log(a, b)
 
 
 def equivalent_on(e1: Expr, e2: Expr, domain: BoxDomain, samples: int = 100,

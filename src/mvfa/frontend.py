@@ -37,7 +37,6 @@ from .expr_core import (
     Prim,
     Primitive,
     StructureError,
-    Var,
 )
 from .structure_ops import normalize
 
@@ -285,8 +284,6 @@ def format_expr(e: Expr) -> str:
         return _format_number(e.value)
     if isinstance(e, Prim):
         return e.op.value
-    if isinstance(e, Var):
-        return f"x{e.slot}"
     if isinstance(e, Lift):
         subs = ",".join(str(p) for p in e.positions)
         return f"A{e.target_arity}_{{{subs}}}({format_expr(e.inner)})"
@@ -300,7 +297,6 @@ def format_expr(e: Expr) -> str:
 
 
 _OP_RE = re.compile(r"(?:([AC])(\d+)_\{(\d+(?:,\d+)*)\})|(?:I_\{(\d+)\})")
-_VAR_RE = re.compile(r"x(\d+)$")
 
 
 class _StructuralReader:
@@ -360,9 +356,6 @@ class _StructuralReader:
         if m:
             name = m.group()
             self.pos = m.end()
-            vm = _VAR_RE.match(name)
-            if vm:
-                return Var(int(vm.group(1)))
             if name == "e":
                 return Prim(Primitive.IDENTITY)
             if name in PRIM_NAMES:

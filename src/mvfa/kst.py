@@ -2,7 +2,7 @@
 
 A bivariate continuous function on the unit square is approximated as
 
-    f(x1, x2)  ~=  sum over q = 0..2n of  Phi_q( sum over p of psi_{q,p}(x_p) )
+    f(x1, x2)  ~=  sum over q = 0..4 of  Phi_q( psi_{q,1}(x1) + psi_{q,2}(x2) )
 
 with a fixed, function-independent family of strictly monotone inner maps
 psi_{q,p} and numerically fitted outer functions Phi_q stored on uniform
@@ -16,16 +16,18 @@ Inner family (the package's own documented choice): a truncated series
     psi(t) = sum for k = 1..K of 2**-k * t**(k/(k+1))
 
 which is strictly increasing and continuous for t >= 0, evaluated at
-t = x + q*eps with shift eps = 1/(2n+2), and scaled per coordinate by
-rationally independent weights (1, sqrt(2), sqrt(3), ...).  The parameters
-are recorded in every representation and never depend on the target
-function.
+t = x + q*eps with shift eps = 1/(2n+2) = 1/6, and scaled per coordinate by
+the rationally independent weights (1, sqrt(2)).  The parameters are
+recorded in every representation and never depend on the target function.
+The family, its depth K = 10, the 4096 storage knots, the 64 correction
+bins and the damping 0.5 are fixed: no caller chooses them, and the loader
+refuses a document with other inner parameters.
 
 Fitting is iterative residual correction: per iteration the current
 residual is binned by inner-sum value for each q and a damped per-bin mean
 correction is added to Phi_q.  The correction is shared equally across the
-2n+1 outer functions (factor 2*damping/(2n+1), which is 1/(2n+1) at the
-default damping of 0.5), so a constant function is absorbed exactly in one
+2n+1 = 5 outer functions (factor 2*damping/(2n+1), which is 1/5 at the
+damping of 0.5), so a constant function is absorbed exactly in one
 iteration.  Corrections are fitted on a coarse bin grid and resampled onto
 the storage knots to keep held-out reconstruction smooth.  A step that
 would raise the max-norm training residual is halved until it does not
@@ -75,52 +77,46 @@ DEFAULT_KNOTS = 2 ** 12  # storage grid per outer function
 DEFAULT_BINS = 64        # correction-fit nodes per iteration
 DEFAULT_DAMPING = 0.5
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_WEIGHTS = (1.0, math.sqrt(2))  # per-coordinate scales of the inner maps
+_SHIFT = 1.0 / 6                # eps = 1/(2n+2) at n = 2
 
 
 class FormatError(MvfaError):
     """Unreadable or version-mismatched representation document."""
 
 
-def _psi_base(t: float, depth: int = DEFAULT_DEPTH) -> float:
-    return sum(2.0 ** -k * t ** (k / (k + 1)) for k in range(1, depth + 1))
+def _psi_base(t: float) -> float:
+    return sum(2.0 ** -k * t ** (k / (k + 1)) for k in range(1, DEFAULT_DEPTH + 1))
 
 
-def inner_weight(p: int) -> float:
-    if p == 1:
-        return 1.0
-    return math.sqrt(_PRIMES[p - 2])
+def inner_params() -> dict:
+    """The inner-family parameters; identical for every decomposed function.
 
-
-def inner_shift(n: int) -> float:
-    return 1.0 / (2 * n + 2)
-
-
-def inner_params(n: int, depth: int = DEFAULT_DEPTH) -> dict:
-    """The inner-family parameters; identical for every decomposed function."""
+    A new dict on each call: a representation's `inner` is its own.
+    """
     return {
         "family": "dyadic-rational-series",
-        "depth": depth,
-        "shift": inner_shift(n),
-        "weights": [inner_weight(p) for p in range(1, n + 1)],
-        "dimension": n,
+        "depth": DEFAULT_DEPTH,
+        "shift": _SHIFT,
+        "weights": list(_WEIGHTS),
+        "dimension": 2,
     }
 
 
-def inner_psi(q: int, p: int, x: float, n: int = 2, depth: int = DEFAULT_DEPTH) -> float:
+def inner_psi(q: int, p: int, x: float) -> float:
     """Value of the inner map psi_{q,p} at x in [0, 1].
 
     Strictly increasing in x, continuous, and independent of any target
     function.  Arguments outside the unit interval are a domain error:
     rescale the target first.
     """
-    if not 0 <= q <= 2 * n:
-        raise StructureError(f"q must lie in 0..{2 * n}, got {q}")
-    if not 1 <= p <= n:
-        raise StructureError(f"p must lie in 1..{n}, got {p}")
+    if not 0 <= q <= 4:
+        raise StructureError(f"q must lie in 0..4, got {q}")
+    if not 1 <= p <= 2:
+        raise StructureError(f"p must lie in 1..2, got {p}")
     if not 0.0 <= x <= 1.0:
         raise EvalDomainError(f"inner maps take arguments in [0, 1], got {x}; rescale first")
-    return inner_weight(p) * _psi_base(x + q * inner_shift(n), depth)
+    return _WEIGHTS[p - 1] * _psi_base(x + q * _SHIFT)
 
 
 @dataclass
@@ -141,21 +137,11 @@ class OuterFunction:
         return float(np.interp(s, self.knots, self.values))
 
 
-class ClampCounter:
-    """Counts inner sums that fell outside an outer function's knot range."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self):
-        self.count += 1
-
-
 @dataclass
 class KstRep:
     """A fitted superposition representation.
 
-    Exactly 2n+1 outer functions; `history[k]` is the max-norm training
+    Exactly 2n+1 = 5 outer functions; `history[k]` is the max-norm training
     residual after k iterations (history[0] is the pre-fit residual).
     Treat instances as immutable once `decompose` has returned them.
     """
@@ -200,7 +186,7 @@ class KstRep:
                 outer=[_outer_from_doc(o) for o in doc["outer"]],
                 iterations=int(doc["iterations"]),
                 history=[float(h) for h in doc["history"]],
-                grid=int(doc.get("grid", 0)),
+                grid=int(doc["grid"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed representation document: {exc}") from exc
@@ -208,10 +194,11 @@ class KstRep:
             raise FormatError("residual history holds a value that is not finite")
         if len(rep.history) != rep.iterations + 1:
             raise FormatError("residual history needs one entry per iteration, plus one")
-        if len(rep.outer) != 2 * rep.dimension + 1:
+        if rep.dimension != 2:
+            raise FormatError(f"representation has dimension {rep.dimension}, not 2")
+        if len(rep.outer) != 5:
             raise FormatError("document does not carry 2n+1 outer functions")
-        expected = inner_params(rep.dimension, int(rep.inner.get("depth", DEFAULT_DEPTH)))
-        if rep.inner != expected:
+        if rep.inner != inner_params():
             raise FormatError("inner parameters do not match the fixed family")
         return rep
 
@@ -260,8 +247,8 @@ def _refuse_constant(name: str):
     raise FormatError(f"representation file holds {name}, which is not strict JSON")
 
 
-def _inner_sum(q: int, point, n: int, depth: int) -> float:
-    return sum(inner_psi(q, p, point[p - 1], n, depth) for p in range(1, n + 1))
+def _inner_sum(q: int, point) -> float:
+    return sum((inner_psi(q, 1, point[0]), inner_psi(q, 2, point[1])))
 
 
 def _interp_plan(s: np.ndarray, xp: np.ndarray):
@@ -296,10 +283,7 @@ def _interp_cells(left, right, dx, h, ends):
     return right
 
 
-def decompose(f: Expr, grid: int = 33, iters: int = 50, *,
-              knots: int = DEFAULT_KNOTS, bins: int = DEFAULT_BINS,
-              damping: float = DEFAULT_DAMPING,
-              depth: int = DEFAULT_DEPTH) -> KstRep:
+def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
     """Fit outer functions for `f` on the unit square.
 
     `f` must be a bivariate expression evaluable on [0, 1]^2.  Training uses
@@ -317,8 +301,6 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50, *,
         raise StructureError("training grid needs at least 2 points per axis")
     if iters < 0:
         raise StructureError("iteration count must be nonnegative")
-    if bins < 2 or knots < 2:
-        raise StructureError("bin and knot counts must be at least 2")
 
     q_count = 2 * n + 1
     axis = np.linspace(0.0, 1.0, grid).tolist()
@@ -334,17 +316,18 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50, *,
     # (2n+1)*n*grid**2.  The sums are the floats _inner_sum adds, in its order.
     S = np.empty((q_count, F.size))
     for q in range(q_count):
-        psi1, psi2 = ([inner_psi(q, p, x, n, depth) for x in axis] for p in (1, 2))
+        psi1, psi2 = ([inner_psi(q, p, x) for x in axis] for p in (1, 2))
         S[q] = np.add.outer(psi1, psi2).ravel()
     # Exact inner-sum range over the unit box: the maps are increasing, so
     # the extremes sit at the all-zero and all-one corners, which are the
     # first and the last training point.
     los, his = S[:, 0].copy(), S[:, -1].copy()
 
+    knots, bins = DEFAULT_KNOTS, DEFAULT_BINS
     knot_xs = np.array([np.linspace(los[q], his[q], knots) for q in range(q_count)])
     node_xs = [np.linspace(los[q], his[q], bins) for q in range(q_count)]
     phi = np.zeros((q_count, knots))
-    share = 2.0 * damping / q_count
+    share = 2.0 * DEFAULT_DAMPING / q_count
 
     # Everything that depends only on S is computed once: the interpolation
     # plan, and the binning: each sample's bin (flat index `b` into the bin
@@ -414,32 +397,30 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50, *,
         history.append(accepted)
 
     outer = [OuterFunction(float(los[q]), float(his[q]), phi[q]) for q in range(q_count)]
-    return KstRep(dimension=n, inner=inner_params(n, depth), outer=outer,
+    return KstRep(dimension=n, inner=inner_params(), outer=outer,
                   iterations=iters, history=history, grid=grid)
 
 
-def reconstruct(rep: KstRep, point, warnings: ClampCounter | None = None) -> float:
-    """Evaluate the superposition at a point of the unit box.
+def reconstruct(rep: KstRep, point, warnings: list[str] | None = None) -> float:
+    """Evaluate the superposition at a point of the unit square.
 
     Inner sums falling outside an outer function's knot range are clamped to
-    the nearest knot; each clamp is counted on `warnings` when supplied.
+    the nearest knot; each clamp appends one note to `warnings` when supplied.
     """
-    n = rep.dimension
-    if len(point) != n:
-        raise StructureError(f"point has {len(point)} coordinates, expected {n}")
+    if len(point) != 2:
+        raise StructureError(f"point has {len(point)} coordinates, expected 2")
     pt = [float(v) for v in point]
     for v in pt:
         if not 0.0 <= v <= 1.0:
             raise EvalDomainError(f"reconstruction point must lie in the unit box, got {pt}")
-    depth = int(rep.inner["depth"])
     total = 0.0
-    for q in range(2 * n + 1):
-        s = _inner_sum(q, pt, n, depth)
-        fn = rep.outer[q]
+    for q, fn in enumerate(rep.outer):
+        s = _inner_sum(q, pt)
         if s < fn.lo or s > fn.hi:
-            s = min(max(s, fn.lo), fn.hi)
             if warnings is not None:
-                warnings.add()
+                warnings.append(f"inner sum {s!r} of outer function {q} clamped "
+                                f"to [{fn.lo!r}, {fn.hi!r}]")
+            s = min(max(s, fn.lo), fn.hi)
         total += fn(s)
     return total
 

@@ -178,6 +178,41 @@ def test_non_positive_tolerance_is_usage_error(tol, env, monkeypatch, capsys):
     assert strict_json(capsys.readouterr().out)["error"]["kind"] == "usage"
 
 
+# One valid invocation of each command; "rep.json" is the file the
+# kst-decompose line writes.
+COMMANDS = {
+    "eval": ["eval", "mul(x,y)", "--at", "x=2,y=3"],
+    "solve": ["solve", "add(x,a) = c", "--param", "a=2", "--param", "c=5", "--domain", "0:10"],
+    "lift": ["lift", "add", "4", "--positions", "1,2"],
+    "compose": ["compose", "A4_{1,3}(pow)", "1", "A4_{1,2}(add)"],
+    "diag": ["diag", "pow", "1", "2"],
+    "invert": ["invert", "pow", "1", "--target", "9", "--fixed", "2=2", "--domain", "0:5,2:2"],
+    "kst-decompose": ["kst", "decompose", "add(x,y)", "--grid", "5", "--iters", "1",
+                      "-o", "rep.json"],
+    "kst-reconstruct": ["kst", "reconstruct", "rep.json", "--at", "0.5,0.5"],
+}
+
+
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--tol", "1e-9"]], ids=["seed", "tol"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_option_a_command_does_not_read_is_usage_error(command, option, tmp_path,
+                                                       monkeypatch, capsys):
+    # --tol belongs to solve and invert; no command takes --seed
+    from mvfa import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MVFA_TOL", raising=False)
+    assert cli.main(COMMANDS["kst-decompose"]) == 0
+    assert cli.main(COMMANDS[command]) == 0
+    capsys.readouterr()
+    code = cli.main(COMMANDS[command] + option)
+    out = strict_json(capsys.readouterr().out)
+    if option[0] == "--tol" and command in ("solve", "invert"):
+        assert code == 0 and "error" not in out
+    else:
+        assert code == 2 and out["error"]["kind"] == "usage"
+
+
 # --- structural plumbing commands ---
 
 def test_lift_command():

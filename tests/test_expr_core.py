@@ -18,7 +18,6 @@ from mvfa.expr_core import (
     Prim,
     Primitive,
     StructureError,
-    Var,
     equivalent_on,
     evaluate,
 )
@@ -77,12 +76,6 @@ def test_used_slots_constant_composition_consumes_slot():
     base = evaluate(e, [1, 0, 0])
     for v in (-3.0, 0.5, 11.0):
         assert evaluate(e, [1, v, 123.0]) == base
-
-
-def test_used_slots_var():
-    v = Var(3)
-    assert v.arity == 3 and v.used_slots == {3}
-    assert evaluate(v, [9, 8, 7]) == 7
 
 
 # --- evaluation semantics ---
@@ -292,8 +285,8 @@ def test_inverse_formula_stops_at_its_first_root(monkeypatch):
     from mvfa.inverse import DEFAULT_GRID, invert_at
 
     calls = []
-    apply = expr_core._apply_primitive
-    monkeypatch.setattr(expr_core, "_apply_primitive",
+    apply = expr_core._checked_div
+    monkeypatch.setattr(expr_core, "_checked_div",
                         lambda *a: calls.append(a) or apply(*a))
     half = Diagonal(Compose(Lift(Prim(DIV), 2, (1, 2)), 2, Const(2.0)), 2, 1)
     value = evaluate(Inverse(half, 1, axis=(0.0, 10.0)), [0.25])

@@ -12,7 +12,6 @@ from mvfa.expr_core import (
     Lift,
     Prim,
     Primitive,
-    Var,
     evaluate,
 )
 from mvfa.frontend import (
@@ -181,7 +180,6 @@ def test_format_examples():
     assert format_expr(Const(3)) == "3"
     assert format_expr(Const(0.5)) == "0.5"
     assert format_expr(Prim(E)) == "e"
-    assert format_expr(Var(2)) == "x2"
     assert format_expr(Inverse(Prim(ADD), 1)) == "I_{1}(add)"
 
 
@@ -193,7 +191,6 @@ def test_structural_reader_round_trip():
         Const(3.0),
         Prim(E),
         Inverse(Diagonal(Prim(POW), 1, 2), 1),
-        Var(3),
     ]
     for _ in range(40):
         ast = random_ast(rng, 3, ["x", "y", "z"], const_prob=0.2)
@@ -204,6 +201,12 @@ def test_structural_reader_round_trip():
         back = parse_structural(text)
         assert back == e, text
         assert format_expr(back) == text
+
+
+def test_structural_reader_has_no_variables():
+    # slots are routed by lift positions; a pointful name is not notation
+    with pytest.raises(ParseError, match="unknown name 'x2'"):
+        parse_structural("x2")
 
 
 def test_structural_reader_rejects_garbage():

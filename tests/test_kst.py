@@ -13,7 +13,6 @@ from mvfa import cli, kst
 from mvfa.expr_core import BoxDomain, EvalDomainError, EvalError, StructureError, evaluate
 from mvfa.frontend import parse, to_structural
 from mvfa.kst import (
-    ClampCounter,
     FormatError,
     KstRep,
     decompose,
@@ -82,7 +81,7 @@ def test_outer_count_is_2n_plus_1():
 def test_inner_params_function_independent():
     rep1 = decompose(ADD_XY, grid=9, iters=2)
     rep2 = decompose(MUL_XY, grid=17, iters=3)
-    assert rep1.inner == rep2.inner == inner_params(2)
+    assert rep1.inner == rep2.inner == inner_params()
     # bytewise: identical serialized form
     assert json.dumps(rep1.inner) == json.dumps(rep2.inner)
 
@@ -231,9 +230,9 @@ def test_reconstruct_clamp_warning():
     rep.outer[0].hi = rep.outer[0].lo + 1e-9
     rep.outer[0].knots = np.linspace(rep.outer[0].lo, rep.outer[0].hi,
                                      len(rep.outer[0].values))
-    counter = ClampCounter()
-    reconstruct(rep, [0.9, 0.9], counter)
-    assert counter.count >= 1
+    warnings = []
+    reconstruct(rep, [0.9, 0.9], warnings)
+    assert len(warnings) >= 1
 
 
 def test_reconstruct_point_validation():
@@ -378,6 +377,36 @@ BAD_DOCUMENTS = [
     ("lo", "1e3", "knot range .* is empty"),   # above hi: every sum would clamp
     ("iterations", "7", "one entry per iteration"),
 ]
+
+
+def three_dimensional(doc):
+    doc["dimension"] = doc["inner_params"]["dimension"] = 3
+    doc["inner_params"].update(shift=1.0 / 8, weights=[1.0, math.sqrt(2), math.sqrt(3)])
+    doc["outer"] += doc["outer"][:2]   # 2n+1 = 7 outer functions
+
+
+# Well-formed documents that `decompose` cannot write, as (edit, expected
+# message): it fits bivariate functions with one inner family and records
+# its training grid.
+FOREIGN_DOCUMENTS = [
+    (three_dimensional, "dimension 3, not 2"),
+    (lambda doc: doc["inner_params"].update(depth=3), "do not match the fixed family"),
+    (lambda doc: doc.pop("grid"), "malformed .*'grid'"),
+]
+
+
+@pytest.mark.parametrize("edit,message", FOREIGN_DOCUMENTS,
+                         ids=["dimension-3", "depth-3", "no-grid"])
+def test_rep_refuses_documents_decompose_cannot_write(tmp_path, capsys, edit, message):
+    doc = decompose(ADD_XY, grid=9, iters=1).to_dict()
+    edit(doc)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=message):
+        KstRep.load(path)
+    point = ",".join(["0.5"] * doc["dimension"])   # a point the document would take
+    assert cli.main(["kst", "reconstruct", str(path), "--at", point]) == 1
+    assert strict_json(capsys.readouterr().out)["error"]["kind"] == "format"
 
 
 @pytest.mark.parametrize("where,value,message", BAD_DOCUMENTS)
