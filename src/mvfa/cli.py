@@ -251,6 +251,8 @@ def _cmd_kst_reconstruct(args) -> int:
     if args.at is None:
         raise UsageError("reconstruct needs --at with comma-separated coordinates")
     point = [_number(v, f"bad point: {args.at!r}") for v in args.at.split(",")]
+    if len(point) != rep.dimension:
+        raise UsageError(f"--at takes {rep.dimension} coordinates, got {len(point)}")
     warnings: list[str] = []
     value = reconstruct(rep, point, warnings)
     _emit({"value": value, "clamps": len(warnings)}, args.pretty)

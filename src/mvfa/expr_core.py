@@ -222,7 +222,7 @@ class Inverse(Expr):
 
     inner: Expr
     slot: int
-    axis: tuple[float, float] | None = None
+    axis: tuple[float, float]
 
     def __post_init__(self):
         n = self.inner.arity
@@ -230,11 +230,10 @@ class Inverse(Expr):
             raise StructureError("cannot invert a nullary expression")
         if not isinstance(self.slot, int) or not 1 <= self.slot <= n:
             raise StructureError(f"inverse slot {self.slot!r} out of range 1..{n}")
-        if self.axis is not None:
-            lo, hi = self.axis
-            object.__setattr__(self, "axis", (float(lo), float(hi)))
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-                raise StructureError(f"bad inverse search interval {self.axis}")
+        lo, hi = self.axis
+        object.__setattr__(self, "axis", (float(lo), float(hi)))
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+            raise StructureError(f"bad inverse search interval {self.axis}")
         self._derive(n, self.inner.used_slots | {self.slot})
 
 
@@ -403,8 +402,6 @@ def _lower(e: Expr, slot: int | None = None):
 def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
     from .inverse import DEFAULT_GRID, _axis_points, _roots  # deferred: that module builds on this one
 
-    if e.axis is None:
-        raise ConfigError("inverse node has no search interval attached")
     for k, v in enumerate(pt, start=1):
         if k != e.slot and not math.isfinite(v):
             raise StructureError(f"axis {k} bounds must be finite, got [{v}, {v}]")

@@ -5,7 +5,7 @@ Grammar (whitespace insignificant)::
     expr  := IDENT | NUMBER | PRIM "(" expr "," expr ")"
     PRIM  := "add" | "mul" | "div" | "pow" | "root" | "log"
     IDENT := letter (letter | digit | "_")*
-    NUMBER: decimal literal, optional sign and exponent
+    NUMBER: finite decimal literal, optional sign and exponent
 
 Equations are ``expr "=" expr`` where the right side must be a NUMBER or an
 IDENT supplied as a parameter.
@@ -18,13 +18,23 @@ nodes; repeated symbols simply occupy several slots (the solver collapses
 them by oblique projection).
 
 The module also owns the canonical operator notation for expressions and a
-reader for it, so formatted text round-trips.
+reader for it, so every node's formatted text reads back as that node::
+
+    node := NUMBER | PRIM | "e"
+          | "A" n "_{" p1 "," ... "," pm "}(" node ")"       lift
+          | "C" n "_{" k "}(" node "," node ")"               composition
+          | "C" n "_{" i "," j "}(" node ")"                  projection
+          | "I_{" k "}(" node "," NUMBER ":" NUMBER ")"       inverse on lo:hi
+
+Both grammars are read by one parser over one token stream.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from .expr_core import (
     Compose,
@@ -69,133 +79,144 @@ class AstCall:
 
 PointfulAst = AstConst | AstSymbol | AstCall
 
-PRIM_NAMES = {
-    "add": Primitive.ADD,
-    "mul": Primitive.MUL,
-    "div": Primitive.DIV,
-    "pow": Primitive.POW,
-    "root": Primitive.ROOT,
-    "log": Primitive.LOG,
-}
+# the binary primitives, by name; IDENTITY ("e") is no DSL call
+PRIM_NAMES = {p.value: p for p in Primitive if p.arity == 2}
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str          # "ident" | "number" | "punct" | "end"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            col += 1
-            pos += 1
-            continue
-        if ch in "(),=":
-            tokens.append(_Token("punct", ch, line, col))
-            pos += 1
-            col += 1
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += len(m.group())
-            pos = m.end()
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("number", m.group(), line, col))
-            col += len(m.group())
-            pos = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+_NUMBER_RE = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_IDENT_RE = r"[A-Za-z_][A-Za-z0-9_]*"
+# an operator symbol with its subscripts, matched whole: A4_{1,3}, C2_{1,2}, I_{1}
+_OP_RE = r"[AC]\d+_\{\d+(?:,\d+)*\}|I_\{\d+\}"
+# A token is one match: exactly one of its four groups (operator symbol,
+# name, number, single character) is non-empty.
+_TOKEN_RE = re.compile(rf"({_OP_RE})|({_IDENT_RE})|({_NUMBER_RE})|(\S)")
+_END = ("", "", "", "")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over one token stream, for the DSL and the operator
+    notation alike.  A token is (op, name, number, char), as `_TOKEN_RE`
+    finds it; the stream ends with `_END`.  Token offsets are looked up only
+    to raise an error."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text) + [_END]
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, index: int) -> NoReturn:
+        """Raise a ParseError at the line and column of token `index`."""
+        offsets = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        offset = offsets[index]
+        line = self.text.count("\n", 0, offset) + 1
+        raise ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def shown(self, index: int) -> str:
+        token = self.tokens[index]
+        return "end of input" if token == _END else repr("".join(token))
+
+    def expect(self, char: str) -> None:
+        if self.tokens[self.pos][3] != char:
+            self.fail(f"expected {char!r}, got {self.shown(self.pos)}", self.pos)
         self.pos += 1
-        return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.advance()
-        if tok.text != text:
-            got = repr(tok.text) if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected {text!r}, got {got}", tok.line, tok.col)
-        return tok
+    def end(self, result):
+        """`result`, read from the whole text: trailing input is an error."""
+        if self.tokens[self.pos] != _END:
+            self.fail(f"unexpected trailing input {self.shown(self.pos)}", self.pos)
+        return result
 
-    def expr(self) -> PointfulAst:
-        tok = self.advance()
-        if tok.kind == "number":
-            return AstConst(float(tok.text))
-        if tok.kind == "ident":
-            if self.peek().text == "(":
-                if tok.text not in PRIM_NAMES:
-                    raise ParseError(f"unknown primitive name {tok.text!r}", tok.line, tok.col)
-                self.expect("(")
-                left = self.expr()
-                sep = self.advance()
-                if sep.text == ")":
-                    raise ParseError(
-                        f"primitive {tok.text!r} takes two arguments", sep.line, sep.col)
-                if sep.text != ",":
-                    raise ParseError(f"expected ',', got {sep.text!r}", sep.line, sep.col)
-                right = self.expr()
-                self.expect(")")
-                return AstCall(PRIM_NAMES[tok.text], left, right)
-            return AstSymbol(tok.text)
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.line, tok.col)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+    def number(self, what: str = "an expression") -> float:
+        text = self.tokens[self.pos][2]
+        if not text:
+            self.fail(f"expected {what}, got {self.shown(self.pos)}", self.pos)
+        value = float(text)
+        if not math.isfinite(value):
+            self.fail(f"number literal {text!r} is not finite", self.pos)
+        self.pos += 1
+        return value
+
+    def pointful(self) -> PointfulAst:
+        """expr := IDENT | NUMBER | PRIM "(" expr "," expr ")" """
+        name = self.tokens[self.pos][1]
+        if not name:
+            return AstConst(self.number())
+        self.pos += 1
+        if self.tokens[self.pos][3] != "(":
+            return AstSymbol(name)
+        if name not in PRIM_NAMES:
+            self.fail(f"unknown primitive name {name!r}", self.pos - 1)
+        self.pos += 1
+        left = self.pointful()
+        if self.tokens[self.pos][3] == ")":
+            self.fail(f"primitive {name!r} takes two arguments", self.pos)
+        self.expect(",")
+        right = self.pointful()
+        self.expect(")")
+        return AstCall(PRIM_NAMES[name], left, right)
+
+    def structural(self) -> Expr:
+        """The operator notation that `format_expr` writes."""
+        op, name, _, _ = self.tokens[self.pos]
+        if name:
+            prim = Primitive.IDENTITY if name == "e" else PRIM_NAMES.get(name)
+            if prim is None:
+                self.fail(f"unknown name {name!r} in operator notation", self.pos)
+            self.pos += 1
+            return Prim(prim)
+        if not op:
+            return Const(self.number())
+        at = self.pos
+        self.pos += 1
+        head, subs = op[:-1].split("_{")
+        slots = [int(s) for s in subs.split(",")]
+        self.expect("(")
+        first = self.structural()
+        if head == "I":
+            self.expect(",")
+            lo = self.number("a number")
+            self.expect(":")
+            hi = self.number("a number")
+            self.expect(")")
+            return Inverse(first, slots[0], (lo, hi))
+        n = int(head[1:])
+        if head[0] == "A":
+            self.expect(")")
+            return Lift(first, n, tuple(slots))
+        if len(slots) == 1:
+            self.expect(",")
+            node = Compose(first, slots[0], self.structural())
+        elif len(slots) == 2:
+            node = Diagonal(first, *slots)
+        else:
+            self.fail("projection takes exactly two subscripts", at)
+        self.expect(")")
+        if node.arity != (n if isinstance(node, Compose) else n - 1):
+            self.fail(f"stated arity {n} does not match operands", at)
+        return node
 
 
 def parse(text: str) -> PointfulAst:
     """Parse DSL text into a pointful AST; raises ParseError with location."""
-    parser = _Parser(_tokenize(text))
-    ast = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.line, tail.col)
-    return ast
+    parser = _Parser(text)
+    return parser.end(parser.pointful())
 
 
 def parse_equation(text: str) -> tuple[PointfulAst, PointfulAst]:
     """Parse ``lhs = rhs``; the right side must be a NUMBER or an IDENT."""
-    parser = _Parser(_tokenize(text))
-    lhs = parser.expr()
+    parser = _Parser(text)
+    lhs = parser.pointful()
     parser.expect("=")
-    rhs_tok = parser.peek()
-    rhs = parser.expr()
+    at = parser.pos
+    rhs = parser.pointful()
     if not isinstance(rhs, (AstConst, AstSymbol)):
-        raise ParseError("right side of an equation must be a number or a name",
-                         rhs_tok.line, rhs_tok.col)
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.line, tail.col)
-    return lhs, rhs
+        parser.fail("right side of an equation must be a number or a name", at)
+    return parser.end((lhs, rhs))
+
+
+def parse_structural(text: str) -> Expr:
+    """Read the canonical operator notation back into an expression."""
+    parser = _Parser(text)
+    return parser.end(parser.structural())
 
 
 @dataclass
@@ -204,13 +225,11 @@ class StructuralForm:
 
     `expr` has one slot per symbol occurrence (constants are pinned and
     compacted away); `binding` maps slots to symbol names, repeats allowed;
-    `slot_order` lists the names in slot order; `trace` records the emitted
-    operators in reading order.
+    `trace` records the emitted operators in reading order.
     """
 
     expr: Expr
     binding: dict[int, str]
-    slot_order: list[str] = field(default_factory=list)
     trace: list[str] = field(default_factory=list)
 
 
@@ -223,19 +242,17 @@ def _leaf_count(node: PointfulAst) -> int:
 def to_structural(ast: PointfulAst) -> StructuralForm:
     """Compile a pointful AST to the structural (point-free) form."""
     if isinstance(ast, AstSymbol):
-        return StructuralForm(Prim(Primitive.IDENTITY), {1: ast.name}, [ast.name], [])
+        return StructuralForm(Prim(Primitive.IDENTITY), {1: ast.name})
     if isinstance(ast, AstConst):
-        return StructuralForm(Const(ast.value), {}, [], [])
+        return StructuralForm(Const(ast.value), {})
 
     n = _leaf_count(ast)
     binding: dict[int, str] = {}
-    order: list[str] = []
 
     def compile_node(node, start):
         """Returns (kind, expr-or-value, representative slot, next free slot, trace)."""
         if isinstance(node, AstSymbol):
             binding[start] = node.name
-            order.append(node.name)
             return "sym", None, start, start + 1, []
         if isinstance(node, AstConst):
             return "const", node.value, start, start + 1, []
@@ -260,7 +277,7 @@ def to_structural(ast: PointfulAst) -> StructuralForm:
         expr, mapping = normalize(expr)
         binding = {mapping[s]: name for s, name in binding.items()}
         trace.append("normalize")
-    return StructuralForm(expr, binding, order, trace)
+    return StructuralForm(expr, binding, trace)
 
 
 def ast_to_text(ast: PointfulAst) -> str:
@@ -273,9 +290,12 @@ def ast_to_text(ast: PointfulAst) -> str:
 
 
 def _format_number(v: float) -> str:
-    if float(v).is_integer() and abs(v) < 1e16:
+    """The shortest text that reads back as `v` bitwise: an integer below
+    1e16 without its ".0", anything else, -0.0 included, by `repr`."""
+    v = float(v)
+    if v.is_integer() and abs(v) < 1e16 and (v or math.copysign(1.0, v) > 0):
         return str(int(v))
-    return repr(float(v))
+    return repr(v)
 
 
 def format_expr(e: Expr) -> str:
@@ -292,83 +312,6 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Diagonal):
         return f"C{e.inner.arity}_{{{e.i},{e.j}}}({format_expr(e.inner)})"
     if isinstance(e, Inverse):
-        return f"I_{{{e.slot}}}({format_expr(e.inner)})"
+        lo, hi = e.axis
+        return f"I_{{{e.slot}}}({format_expr(e.inner)},{_format_number(lo)}:{_format_number(hi)})"
     raise StructureError(f"unknown node type: {type(e).__name__}")
-
-
-_OP_RE = re.compile(r"(?:([AC])(\d+)_\{(\d+(?:,\d+)*)\})|(?:I_\{(\d+)\})")
-
-
-class _StructuralReader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _fail(self, message: str):
-        raise ParseError(message, 1, self.pos + 1)
-
-    def _eat(self, ch: str):
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self._fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def expr(self) -> Expr:
-        self._skip_ws()
-        m = _OP_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            if m.group(4) is not None:
-                self._eat("(")
-                inner = self.expr()
-                self._eat(")")
-                return Inverse(inner, int(m.group(4)))
-            kind, n = m.group(1), int(m.group(2))
-            subs = [int(s) for s in m.group(3).split(",")]
-            self._eat("(")
-            first = self.expr()
-            self._skip_ws()
-            if kind == "A":
-                self._eat(")")
-                return Lift(first, n, tuple(subs))
-            if len(subs) == 1:
-                self._eat(",")
-                second = self.expr()
-                self._eat(")")
-                node = Compose(first, subs[0], second)
-            else:
-                if len(subs) != 2:
-                    self._fail("projection takes exactly two subscripts")
-                self._eat(")")
-                node = Diagonal(first, subs[0], subs[1])
-            if node.arity != (n if isinstance(node, Compose) else n - 1):
-                self._fail(f"stated arity {n} does not match operands")
-            return node
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return Const(float(m.group()))
-        m = _IDENT_RE.match(self.text, self.pos)
-        if m:
-            name = m.group()
-            self.pos = m.end()
-            if name == "e":
-                return Prim(Primitive.IDENTITY)
-            if name in PRIM_NAMES:
-                return Prim(PRIM_NAMES[name])
-            self._fail(f"unknown name {name!r} in operator notation")
-        self._fail("expected an expression")
-
-
-def parse_structural(text: str) -> Expr:
-    """Read the canonical operator notation back into an expression."""
-    reader = _StructuralReader(text)
-    e = reader.expr()
-    reader._skip_ws()
-    if reader.pos != len(text):
-        reader._fail("unexpected trailing input")
-    return e

@@ -181,12 +181,12 @@ class KstRep:
                 f"expected {KST_FORMAT_VERSION}")
         try:
             rep = cls(
-                dimension=int(doc["dimension"]),
+                dimension=_count(doc, "dimension", 1),
                 inner=dict(doc["inner_params"]),
                 outer=[_outer_from_doc(o) for o in doc["outer"]],
-                iterations=int(doc["iterations"]),
+                iterations=_count(doc, "iterations", 0),
                 history=[float(h) for h in doc["history"]],
-                grid=int(doc["grid"]),
+                grid=_count(doc, "grid", 2),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed representation document: {exc}") from exc
@@ -234,12 +234,22 @@ def _unpack(text: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
+def _count(doc: dict, key: str, least: int) -> int:
+    """doc[key], a JSON integer (no float, no boolean) of at least `least`."""
+    value = doc[key]
+    if type(value) is not int or value < least:
+        raise FormatError(f"{key} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 def _outer_from_doc(o: dict) -> OuterFunction:
     lo, hi, values = o["lo"], o["hi"], _unpack(o["values"])
     if not (math.isfinite(lo) and math.isfinite(hi) and np.isfinite(values).all()):
         raise FormatError("outer function holds a value that is not finite")
     if not lo < hi:
         raise FormatError(f"outer function knot range [{lo!r}, {hi!r}] is empty")
+    if len(values) != DEFAULT_KNOTS:
+        raise FormatError(f"outer function has {len(values)} knots, not {DEFAULT_KNOTS}")
     return OuterFunction(lo, hi, values)
 
 

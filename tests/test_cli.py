@@ -280,6 +280,19 @@ def test_kst_reconstruct_non_finite_point_is_usage_error(tmp_path, capsys):
     assert strict_json(capsys.readouterr().out)["error"]["kind"] == "usage"
 
 
+@pytest.mark.parametrize("at", ["0.5", "0.5,0.5,0.5"])
+def test_kst_reconstruct_wrong_coordinate_count_is_usage_error(at, tmp_path, capsys):
+    from mvfa import cli
+
+    rep = tmp_path / "rep.json"
+    assert cli.main(["kst", "decompose", "add(x,y)", "--grid", "9", "--iters", "0",
+                     "-o", str(rep)]) == 0
+    capsys.readouterr()
+    assert cli.main(["kst", "reconstruct", str(rep), "--at", at]) == 2
+    error = strict_json(capsys.readouterr().out)["error"]
+    assert error["kind"] == "usage" and "takes 2 coordinates" in error["message"]
+
+
 def test_kst_decompose_non_finite_target_writes_nothing(tmp_path, capsys):
     from mvfa import cli
 

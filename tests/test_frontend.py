@@ -6,12 +6,15 @@ import pytest
 
 from mvfa.expr_core import (
     BoxDomain,
+    Compose,
     Const,
     Diagonal,
+    Expr,
     Inverse,
     Lift,
     Prim,
     Primitive,
+    StructureError,
     evaluate,
 )
 from mvfa.frontend import (
@@ -93,7 +96,6 @@ def test_structural_trace_and_binding():
     form = to_structural(parse("pow(add(x,a),mul(x,b))"))
     assert form.expr.arity == 4
     assert form.binding == {1: "x", 2: "a", 3: "x", 4: "b"}
-    assert form.slot_order == ["x", "a", "x", "b"]
     assert form.trace == [
         "A4_{1,3}(pow)", "C4_{1}", "A4_{1,2}(add)", "C4_{3}", "A4_{3,4}(mul)"]
     assert evaluate(form.expr, [2, 1, 2, 1]) == pytest.approx(9.0, abs=1e-12)
@@ -180,7 +182,7 @@ def test_format_examples():
     assert format_expr(Const(3)) == "3"
     assert format_expr(Const(0.5)) == "0.5"
     assert format_expr(Prim(E)) == "e"
-    assert format_expr(Inverse(Prim(ADD), 1)) == "I_{1}(add)"
+    assert format_expr(Inverse(Prim(ADD), 1, (-0.5, 3))) == "I_{1}(add,-0.5:3)"
 
 
 def test_structural_reader_round_trip():
@@ -190,7 +192,7 @@ def test_structural_reader_round_trip():
         Lift(Prim(ADD), 4, (1, 4)),
         Const(3.0),
         Prim(E),
-        Inverse(Diagonal(Prim(POW), 1, 2), 1),
+        Inverse(Diagonal(Prim(POW), 1, 2), 1, (0.5, 5.0)),
     ]
     for _ in range(40):
         ast = random_ast(rng, 3, ["x", "y", "z"], const_prob=0.2)
@@ -216,3 +218,66 @@ def test_structural_reader_rejects_garbage():
         parse_structural("B4_{1}(add)")
     with pytest.raises(ParseError):
         parse_structural("C2_{1,2,3}(pow)")
+
+
+def test_structural_reader_error_location():
+    with pytest.raises(ParseError) as err:
+        parse_structural("C2_{1}(add,\n  ?)")
+    assert (err.value.line, err.value.col) == (2, 3)
+
+
+@pytest.mark.parametrize("read, text, line, col", [
+    (parse, "add(x,1e999)", 1, 7),
+    (parse_structural, "C2_{2}(A2_{1,2}(add),-1e999)", 1, 22),
+    (parse_structural, "I_{1}(add,0:\n 1e400)", 2, 2),
+])
+def test_overflowing_literal_is_parse_error_at_its_location(read, text, line, col):
+    with pytest.raises(ParseError, match="not finite") as err:
+        read(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_negative_zero_keeps_its_sign_in_text():
+    f = to_structural(parse("mul(x,-0.0)")).expr
+    text = format_expr(f)
+    assert "-0.0" in text
+    assert evaluate(parse_structural(text), [1.0]).hex() == evaluate(f, [1.0]).hex() == "-0x0.0p+0"
+    assert ast_to_text(parse("mul(x,-0.0)")) == "mul(x,-0.0)"
+    assert format_expr(Const(-1.0)) == "-1"
+
+
+@pytest.mark.parametrize("text", ["I_{1}(add)", "I_{1}(add,0)", "I_{1}(add,0:x)", "I_{1}(add,0:1"])
+def test_inverse_notation_needs_its_interval(text):
+    with pytest.raises(ParseError):
+        parse_structural(text)
+
+
+def test_inverse_notation_refuses_an_empty_interval():
+    with pytest.raises(StructureError, match="search interval"):
+        parse_structural("I_{1}(add,2:1)")
+
+
+# One sample of each node kind, every one of which has a text form.
+NODE_SAMPLES = {
+    Const: Const(-2.5e-320),
+    Prim: Prim(E),
+    Lift: Lift(Prim(ADD), 3, (3, 1)),
+    Compose: Compose(Lift(Prim(MUL), 2, (1, 2)), 2, Const(1e16)),
+    Diagonal: Diagonal(Prim(POW), 2, 1),
+    Inverse: Inverse(Lift(Prim(POW), 2, (1, 2)), 1, (-0.0, 3.25)),
+}
+
+
+def _node_kinds(cls=Expr):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_kinds(sub)
+
+
+def test_every_node_kind_reads_back():
+    # a new node kind must get a text form, and a sample here
+    assert set(_node_kinds()) == set(NODE_SAMPLES)
+    for e in NODE_SAMPLES.values():
+        text = format_expr(e)
+        back = parse_structural(text)
+        assert back == e and format_expr(back) == text, text

@@ -376,6 +376,11 @@ BAD_DOCUMENTS = [
     ("values", '""', "0 bytes"),
     ("lo", "1e3", "knot range .* is empty"),   # above hi: every sum would clamp
     ("iterations", "7", "one entry per iteration"),
+    ("iterations", "true", "iterations must be an integer of at least 0, got True"),
+    ("iterations", "-1", "iterations must be an integer of at least 0"),
+    ("grid", "3.7", "grid must be an integer of at least 2, got 3.7"),
+    ("grid", "-4", "grid must be an integer of at least 2, got -4"),
+    ("dimension", "2.5", "dimension must be an integer of at least 1, got 2.5"),
 ]
 
 
@@ -385,6 +390,11 @@ def three_dimensional(doc):
     doc["outer"] += doc["outer"][:2]   # 2n+1 = 7 outer functions
 
 
+def two_knots(doc):
+    for o in doc["outer"]:
+        o["values"] = packed(0.0, 1.0)
+
+
 # Well-formed documents that `decompose` cannot write, as (edit, expected
 # message): it fits bivariate functions with one inner family and records
 # its training grid.
@@ -392,11 +402,12 @@ FOREIGN_DOCUMENTS = [
     (three_dimensional, "dimension 3, not 2"),
     (lambda doc: doc["inner_params"].update(depth=3), "do not match the fixed family"),
     (lambda doc: doc.pop("grid"), "malformed .*'grid'"),
+    (two_knots, "has 2 knots, not 4096"),
 ]
 
 
 @pytest.mark.parametrize("edit,message", FOREIGN_DOCUMENTS,
-                         ids=["dimension-3", "depth-3", "no-grid"])
+                         ids=["dimension-3", "depth-3", "no-grid", "two-knots"])
 def test_rep_refuses_documents_decompose_cannot_write(tmp_path, capsys, edit, message):
     doc = decompose(ADD_XY, grid=9, iters=1).to_dict()
     edit(doc)

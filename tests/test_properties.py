@@ -5,10 +5,12 @@ pointful value exactly, not just within a tolerance: they route
 coordinates, and routing changes no float operation.  Likewise an Inverse
 formula, whose scan stops early, must give invert_at's first root exactly,
 and the inverse core must treat every point where a function is undefined
-as a gap, never as an error.
+as a gap, never as an error.  The operator notation must read back every
+expression, Inverse nodes included, as one that evaluates bitwise alike.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +24,9 @@ from mvfa.expr_core import (
     NoSolutionError,
     evaluate,
 )
-from mvfa.frontend import AstCall, AstConst, AstSymbol, to_structural
+from mvfa.frontend import (
+    AstCall, AstConst, AstSymbol, format_expr, parse_structural, to_structural,
+)
 from mvfa.inverse import DegenerateInputError, check_invertible, inverse_fn, invert_at
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
 
@@ -51,6 +55,13 @@ def rounded(lo, hi):
 # overflow and complex results happen and are filtered out.
 MIXED = asts((ADD, MUL, POW, DIV), st.one_of(rounded(-3.0, 3.0), st.integers(-3, 3).map(float)), 8)
 MIXED_VALUE = st.one_of(st.floats(0.25, 3.0), st.integers(-3, 3).map(float))
+
+# MIXED with the constants whose text is hardest to get back bitwise:
+# -0.0, subnormals, and magnitudes of 1e16 and above (no longer integer text).
+TINY = sys.float_info.min   # the smallest normal float: nearer zero, all are subnormal
+EDGE_CONSTANTS = st.one_of(rounded(-3.0, 3.0), st.just(-0.0), st.floats(-TINY, TINY),
+                           st.floats(1e16, 1e300), st.floats(-1e300, -1e16))
+EDGE = asts((ADD, MUL, POW, DIV), EDGE_CONSTANTS, 8)
 
 # log/root/div towers over mixed-sign constants: each is undefined somewhere
 # on a box whose every axis crosses zero.
@@ -196,6 +207,24 @@ def test_inverse_formula_is_first_root_of_invert_at(ast, data):
     else:
         with pytest.raises(NoSolutionError):
             evaluate(formula, point)
+    # and so does the formula read back from its text
+    assert outcome(parse_structural(format_expr(formula)), point) == outcome(formula, point)
+
+
+@PROPERTY
+@given(ast=EDGE, invert=st.booleans(), data=st.data())
+def test_notation_reads_back_every_expression(ast, invert, data):
+    e = structural(ast)
+    # a constant tower folded to inf or nan has no text: literals are finite,
+    # and the rule for overflow is still open
+    assume(e.arity or math.isfinite(e.value))
+    if invert and e.arity:
+        lo, hi = sorted(data.draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
+        e = Inverse(e, data.draw(st.integers(1, e.arity)), axis=(lo, hi))
+    back = parse_structural(format_expr(e))
+    assert back == e
+    point = data.draw(st.lists(MIXED_VALUE, min_size=e.arity, max_size=e.arity))
+    assert outcome(back, point) == outcome(e, point)
 
 
 @PROPERTY
