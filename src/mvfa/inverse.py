@@ -8,13 +8,18 @@ functions are split into monotone branches along the inverted axis so that
 every preimage is reported (the multivalued reading).
 
 Every entry point runs on one small core: `_check_slot` validates the
-arguments, `_scan_fiber` finds a fiber's flat steps and turning points,
-`_bisect` is the one bisection (roots, and the equal-value witnesses of a
-turning point), and `_roots` is the sign-change scan, bracketing and root
-grouping shared by `invert_at`, `inverse_fn` and the evaluation of Inverse
-nodes: one lazy pass over the expression's compiled scan kernel, so the
-evaluation of an Inverse node stops at its first root.  The default
-tolerance is the package's `DEFAULT_TOL` (1e-9).
+arguments, `_values` evaluates a section along a scan with None where it
+does not evaluate, `_scan_fiber` finds a fiber's flat steps and turning
+points, `_bisect` is the one bisection (roots, and the equal-value
+witnesses of a turning point), and `_roots` is the sign-change scan,
+bracketing and root grouping shared by `invert_at`, `inverse_fn` and the
+evaluation of Inverse nodes: one lazy pass over a stream of scan values, so
+the evaluation of an Inverse node stops at its first root.  `inverse_fn`
+scans each branch at the resolution its monotonicity probe used, through
+the point function the split already lowered; `invert_at` and Inverse
+nodes, which have no split, scan 1 024 points through the expression's
+compiled scan kernel.  The default tolerance is the package's
+`DEFAULT_TOL` (1e-9).
 
 The core has one failure rule.  A point where the section does not
 evaluate (log, root or division outside its domain, overflow in a power)
@@ -27,7 +32,7 @@ function is undefined are skipped, and the defined runs are searched.
 No values are compared across a gap, so a verdict holds run by run: on
 0:4, log2((x-1)(x-3)) falls on [0, 1) and rises on (3, 4], and it is
 reported invertible as one branch.  A solve still finds both of its
-preimages of 0.5, because every branch is scanned whole.
+preimages of 0.5, because a branch's scan searches every one of its runs.
 
 Primitives also carry closed-form partial inverses; the symbolic table and
 the numeric path agree within tolerance (tested, not assumed).
@@ -55,8 +60,9 @@ from .expr_core import (
     lowered_scan,
 )
 
-DEFAULT_GRID = 1024        # scan points along the inverted axis
-DEFAULT_SPLIT_GRID = 65    # probe points per axis when isolating branches
+DEFAULT_GRID = 1024        # scan points of invert_at and Inverse nodes, which have no split
+DEFAULT_SPLIT_GRID = 65    # probe points per axis when isolating branches, and
+                           # scan points per branch of inverse_fn
 MAX_BISECT_STEPS = 200
 MAX_BRANCHES = 64
 
@@ -166,6 +172,16 @@ def _check_slot(f: Expr, i: int, d: BoxDomain, grid: int | None = None,
     return fixed
 
 
+def _values(section, ts):
+    """Yield the section's value at each t of `ts`, or None where it does
+    not evaluate."""
+    for t in ts:
+        try:
+            yield section(t)
+        except EvalError:
+            yield None
+
+
 def _scan_fiber(section, ts):
     """The section's values at `ts`, the index k of its first flat step
     (vals[k] == vals[k+1]) or None, and the indices of its turning points
@@ -176,12 +192,7 @@ def _scan_fiber(section, ts):
     a step or a turn that involves one is passed over, so every reported
     value is finite.
     """
-    vals = []
-    for t in ts:
-        try:
-            vals.append(section(t))
-        except EvalError:
-            vals.append(None)
+    vals = list(_values(section, ts))
     turns = []
     rising = prev = None
     for k, v in enumerate(vals):
@@ -235,24 +246,26 @@ def _bisect(h, a, b, ha, hb, tol, notes: list) -> tuple[float, float]:
     return best_t, best_err
 
 
-def _roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
+def _roots(f: Expr, i: int, fixed, ts: list[float], vals, target: float, tol: float,
            notes: list):
     """Yield, ascending, the t in [ts[0], ts[-1]] with
     |f(..., t, ...) - target| <= tol that the ascending scan points `ts`
     isolate (t at slot i of f, the other slots at `fixed`).
 
-    One pass of f's scan kernel brackets sign changes, bisection refines
-    each bracket, and roots closer than 10*tol keep the one of least
-    residual.  A group's root is yielded once the scan is past it by more
-    than 10*tol, so a caller that needs the first root stops there.  Points
-    and brackets where evaluation fails are skipped and noted; the notes on
-    intervals and bisections follow the scan's own.
+    `vals` yields f(..., t, ...) - target at each t of `ts`, or None where
+    it does not evaluate.  One pass over it brackets sign changes,
+    bisection refines each bracket, and roots closer than 10*tol keep the
+    one of least residual.  A group's root is yielded once the scan is
+    past it by more than 10*tol, so a caller that needs the first root
+    stops there.  Points and brackets where evaluation fails are skipped
+    and noted; the notes on intervals and bisections follow any that the
+    value stream itself appends.
     """
     later: list[str] = []
     band = 10 * tol
     h = None              # the point function, for bisection only
     best = last = None    # the open group's (residual, root) and its last member
-    scan = zip(ts, lowered_scan(f, i)(ts, target, notes, *fixed))
+    scan = zip(ts, vals)
     ta, a = next(scan)
     if a is not None and abs(a) <= tol:
         best, last = (abs(a), ta), ta
@@ -397,8 +410,11 @@ def invert_at(f: Expr, i: int, target: float, fixed, d: BoxDomain,
     result is not an error.
     """
     fixed = _check_slot(f, i, d, fixed=fixed)
-    return list(_roots(f, i, fixed, _axis_points(*d.axis(i), grid), float(target), tol,
-                       [] if warnings is None else warnings))
+    target = float(target)
+    notes = [] if warnings is None else warnings
+    ts = _axis_points(*d.axis(i), grid)
+    vals = lowered_scan(f, i)(ts, target, notes, *fixed)
+    return list(_roots(f, i, fixed, ts, vals, target, tol, notes))
 
 
 def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
@@ -474,13 +490,16 @@ def _refine_extremum(section, a, b, peak: bool, tol: float) -> float:
 
 
 def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
-               grid: int = DEFAULT_GRID, split_grid: int = DEFAULT_SPLIT_GRID):
+               grid: int = DEFAULT_SPLIT_GRID, split_grid: int = DEFAULT_SPLIT_GRID):
     """Callable partial inverse of `f` about slot `i` over the box `d`.
 
     The domain is decomposed into monotone branches up front; each call
     takes the full argument tuple (output value at position `i`, the other
     coordinates in place) and returns every preimage found across all
-    branches, ascending.  The branch decomposition is exposed on the
+    branches, ascending.  Each branch is scanned at `grid` points through
+    f's point function, the one the split lowered: by default at the
+    resolution its monotonicity probe used, where each run of a branch
+    holds at most one root.  The branch decomposition is exposed on the
     returned callable as `.pieces`.
     """
     pieces = piecewise_split(f, i, d, split_grid, tol=tol)
@@ -493,7 +512,8 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
         target = float(args[i - 1])
         found: list[float] = []
         for ts in scans:
-            found.extend(_roots(f, i, fixed, ts, target, tol, []))
+            vals = _values(_section(f, i, fixed, target), ts)
+            found.extend(_roots(f, i, fixed, ts, vals, target, tol, []))
         found.sort()
         roots: list[float] = []
         for t in found:

@@ -21,7 +21,7 @@ from .expr_core import (
     Lift,
     evaluate,
 )
-from .inverse import DEFAULT_GRID, DEFAULT_SPLIT_GRID, inverse_fn
+from .inverse import DEFAULT_SPLIT_GRID, inverse_fn
 from .structure_ops import diagonal, normalize, substitute_const
 
 
@@ -176,7 +176,7 @@ def bind_params(e: Expr, binding: dict[int, str], params: dict[str, float]) -> E
 
 
 def solve(eq: Equation, tol: float = DEFAULT_TOL,
-          grid: int = DEFAULT_GRID, split_grid: int = DEFAULT_SPLIT_GRID) -> SolveReport:
+          grid: int = DEFAULT_SPLIT_GRID, split_grid: int = DEFAULT_SPLIT_GRID) -> SolveReport:
     """Solve `eq` for its unknown.
 
     The formula is the partial inverse (about slot 1) of the collapsed

@@ -336,6 +336,31 @@ def test_inverse_formula_lowers_inner_once(monkeypatch):
     assert _once_each(lowered, (inv, None), (sq, 1), (sq, None))
 
 
+def test_solve_lowers_its_bound_expression_once(monkeypatch):
+    # the branch scans run through the point function the split lowered;
+    # invert_at and Inverse nodes, which have no split, build the scan kernel
+    from mvfa.frontend import parse, to_structural
+    from mvfa.inverse import invert_at
+    from mvfa.solver import Equation, solve
+
+    lowered = _count_lowerings(monkeypatch)
+    form = to_structural(parse("pow(add(x,a),mul(x,b))"))
+    eq = Equation(form.expr, form.binding, 9.0, {"a": 1.0, "b": 1.0}, BoxDomain(((0.5, 5.0),)))
+    report = solve(eq)
+    assert report.roots == pytest.approx([2.0], abs=1e-6)
+    assert len(lowered) == 1
+    bound, slot = lowered[0]
+    assert slot is None and bound.arity == 1
+    assert invert_at(bound, 1, 9.0, [], eq.domain) == pytest.approx([2.0], abs=1e-6)
+    assert _once_each(lowered, (bound, None), (bound, 1))
+    lowered.clear()
+    formula = report.formula
+    assert evaluate(formula, [9.0, 1.0, 1.0]) == pytest.approx(2.0, abs=1e-6)
+    # 2.0 is one of the formula's scan points, so no bisection lowers the
+    # inner point function
+    assert _once_each(lowered, (formula, None), (formula.inner, 1))
+
+
 def test_evaluated_expression_still_pickles():
     import pickle
 

@@ -7,13 +7,15 @@ formula, whose scan stops early, must give invert_at's first root exactly,
 and the inverse core must treat every point where a function is undefined
 as a gap, never as an error.  The operator notation must read back every
 expression, Inverse nodes included, as one that evaluates bitwise alike.
+A solve, which scans each monotone branch only at its split's resolution,
+must find the roots an independent dense scan finds.
 """
 
 import math
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mvfa.expr_core import (
@@ -22,15 +24,17 @@ from mvfa.expr_core import (
     EvalError,
     Inverse,
     NoSolutionError,
+    Prim,
     evaluate,
 )
 from mvfa.frontend import (
     AstCall, AstConst, AstSymbol, format_expr, parse_structural, to_structural,
 )
 from mvfa.inverse import DegenerateInputError, check_invertible, inverse_fn, invert_at
+from mvfa.solver import Equation, solve
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
 
-from util import ADD, DIV, LOG, MUL, POW, ROOT, ast_eval
+from util import ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, scan_roots
 
 # Seeded, so tier-1 runs are reproducible, and without a deadline, so a
 # slow shared host does not turn timing into a failure.
@@ -131,6 +135,22 @@ def test_diagonal_feeds_coordinate_j_to_slot_i(ast, data):
 
     x = [y[renumbered(j) - 1] if k == i else y[renumbered(k) - 1] for k in range(1, n + 1)]
     assert outcome(diagonal(f, i, j), y) == outcome(f, x)
+
+
+@PROPERTY
+@given(ast=TAME, data=st.data())
+def test_diagonal_factors_through_compose_and_lift(ast, data):
+    # diagonal(f, i, j) = normalize(compose_at(f, i, lift(e, n, (j,)))): both
+    # sides only route coordinates, so they agree bitwise
+    f = structural(ast)
+    n = f.arity
+    assume(n >= 2)
+    i, j = data.draw(st.permutations(range(1, n + 1)))[:2]
+    left = diagonal(f, i, j)
+    right, mapping = normalize(compose_at(f, i, lift(Prim(E), n, (j,))))
+    assert mapping == {k: k - 1 if k > i else k for k in range(1, n + 1) if k != i}
+    y = data.draw(tame_point(n - 1))
+    assert outcome(right, y) == outcome(left, y)
 
 
 @PROPERTY
@@ -261,3 +281,61 @@ def test_inverse_core_skips_undefined_points(ast, data):
     for root in fn(*fixed[: i - 1], target, *fixed[i - 1:]):
         assert lo <= root <= hi
         assert abs(evaluate(f, fixed[: i - 1] + [root] + fixed[i - 1:]) - target) <= DEFAULT_TOL
+
+
+def tower(draw, leaves):
+    """A random binary add/mul/pow tree over the leaves, in order."""
+    if len(leaves) == 1:
+        return leaves[0]
+    k = draw(st.integers(1, len(leaves) - 1))
+    return AstCall(draw(st.sampled_from((ADD, MUL, POW))),
+                   tower(draw, leaves[:k]), tower(draw, leaves[k:]))
+
+
+def solve_request(ast, params, planted, domain):
+    """The equation ast = (its value at x = planted) over the domain."""
+    rhs = ast_eval(ast, dict(params, x=planted))
+    return ast, to_structural(ast), params, rhs, domain
+
+
+@st.composite
+def solve_requests(draw):
+    """An equation of the benchmark's solve stream, with a planted root:
+    an add/mul/pow tower with x at two or more of its 3-5 leaves and each
+    parameter once, over 0.5:2.5, or p3(p1(x,a), p2(x,b)) over 0.5:3."""
+    x = AstSymbol("x")
+    if draw(st.booleans()):
+        leaves = draw(st.integers(3, 5))
+        x_count = draw(st.integers(2, leaves - 1))
+        x_at = draw(st.permutations(range(leaves)))[:x_count]
+        names = iter("abdg")
+        values = [x if pos in x_at else AstSymbol(next(names)) for pos in range(leaves)]
+        ast, domain, planted = tower(draw, values), (0.5, 2.5), (0.6, 2.4)
+    else:
+        p1, p2, p3 = (draw(st.sampled_from((ADD, MUL, POW))) for _ in range(3))
+        ast = AstCall(p3, AstCall(p1, x, AstSymbol("a")), AstCall(p2, x, AstSymbol("b")))
+        domain, planted = (0.5, 3.0), (0.6, 2.8)
+    params = {name: draw(rounded(0.5, 2.0))
+              for name in sorted(set(to_structural(ast).binding.values()) - {"x"})}
+    return solve_request(ast, params, draw(st.floats(*planted)), domain)
+
+
+# (0.5209x)^(1.3454x) falls to its minimum near x = 0.706 and then rises, so
+# this right side has a root on each of its two branches; drawn two-branch
+# equations seldom have two roots
+TWO_ROOTS = solve_request(
+    AstCall(POW, AstCall(MUL, AstSymbol("x"), AstSymbol("a")),
+            AstCall(MUL, AstSymbol("x"), AstSymbol("b"))),
+    {"a": 0.5209, "b": 1.3454}, 0.9, (0.5, 3.0))
+
+
+@settings(PROPERTY, max_examples=60)
+@example(request=TWO_ROOTS)
+@given(request=solve_requests())
+def test_solve_finds_the_roots_of_a_dense_scan(request):
+    ast, form, params, rhs, (lo, hi) = request
+    report = solve(Equation(form.expr, form.binding, rhs, params, BoxDomain(((lo, hi),))))
+    want = scan_roots(lambda x: ast_eval(ast, dict(params, x=x)) - rhs, lo, hi,
+                      points=20_000, tol=DEFAULT_TOL)
+    assert len(report.roots) == len(want)
+    assert all(abs(got - r) <= 1e-6 for got, r in zip(report.roots, want))
