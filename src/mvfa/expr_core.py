@@ -400,7 +400,7 @@ def _lower(e: Expr, slot: int | None = None):
 
 
 def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
-    from .inverse import DEFAULT_GRID, _axis_points, _roots  # deferred: that module builds on this one
+    from .inverse import DEFAULT_GRID, _axis_points, _kernel_roots  # deferred: that module builds on this one
 
     for k, v in enumerate(pt, start=1):
         if k != e.slot and not math.isfinite(v):
@@ -411,13 +411,11 @@ def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
         ts = _axis_points(*e.axis, DEFAULT_GRID)
         object.__setattr__(e, "_grid", ts)
     fixed = pt[: e.slot - 1] + pt[e.slot:]
-    target, notes = pt[e.slot - 1], []
-    vals = lowered_scan(e.inner, e.slot)(ts, target, notes, *fixed)
     # the smallest root: the scan stops once it is past that root's group
-    root = next(_roots(e.inner, e.slot, fixed, ts, vals, target, DEFAULT_TOL, notes), None)
+    root = next(_kernel_roots(e.inner, e.slot, fixed, ts, pt[e.slot - 1], DEFAULT_TOL, []), None)
     if root is None:
         raise NoSolutionError(
-            f"no preimage of {target} on {list(e.axis)}", node=e, point=pt)
+            f"no preimage of {pt[e.slot - 1]} on {list(e.axis)}", node=e, point=pt)
     return root
 
 

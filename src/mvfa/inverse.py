@@ -11,15 +11,16 @@ Every entry point runs on one small core: `_check_slot` validates the
 arguments, `_values` evaluates a section along a scan with None where it
 does not evaluate, `_scan_fiber` finds a fiber's flat steps and turning
 points, `_bisect` is the one bisection (roots, and the equal-value
-witnesses of a turning point), and `_roots` is the sign-change scan,
-bracketing and root grouping shared by `invert_at`, `inverse_fn` and the
-evaluation of Inverse nodes: one lazy pass over a stream of scan values, so
-the evaluation of an Inverse node stops at its first root.  `inverse_fn`
-scans each branch at the resolution its monotonicity probe used, through
-the point function the split already lowered; `invert_at` and Inverse
-nodes, which have no split, scan 1 024 points through the expression's
-compiled scan kernel.  The default tolerance is the package's
-`DEFAULT_TOL` (1e-9).
+witnesses of a turning point), `_edge_root` searches a scan interval with
+one undefined end up to the gap edge, and `_roots` is the sign-change
+scan, bracketing and root grouping shared by `invert_at`, `inverse_fn` and
+the evaluation of Inverse nodes: one lazy pass over a stream of scan
+values, so the evaluation of an Inverse node stops at its first root.
+`inverse_fn` scans each branch at 65 points by default, the split's probe
+count, through the point function the split already lowered; `invert_at`
+and Inverse nodes, which have no split, scan 1 024 points through the
+expression's compiled scan kernel (`_kernel_roots`).  The default
+tolerance is the package's `DEFAULT_TOL` (1e-9).
 
 The core has one failure rule.  A point where the section does not
 evaluate (log, root or division outside its domain, overflow in a power)
@@ -32,7 +33,8 @@ function is undefined are skipped, and the defined runs are searched.
 No values are compared across a gap, so a verdict holds run by run: on
 0:4, log2((x-1)(x-3)) falls on [0, 1) and rises on (3, 4], and it is
 reported invertible as one branch.  A solve still finds both of its
-preimages of 0.5, because a branch's scan searches every one of its runs.
+preimages of 0.5, because a branch's scan searches every one of its runs,
+each up to its gap edge.
 
 Primitives also carry closed-form partial inverses; the symbolic table and
 the numeric path agree within tolerance (tested, not assumed).
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .expr_core import (
@@ -246,20 +249,53 @@ def _bisect(h, a, b, ha, hb, tol, notes: list) -> tuple[float, float]:
     return best_t, best_err
 
 
-def _roots(f: Expr, i: int, fixed, ts: list[float], vals, target: float, tol: float,
-           notes: list):
-    """Yield, ascending, the t in [ts[0], ts[-1]] with
-    |f(..., t, ...) - target| <= tol that the ascending scan points `ts`
-    isolate (t at slot i of f, the other slots at `fixed`).
+def _edge_root(h, t, v, gap, tol, notes: list) -> tuple[float, float]:
+    """Search from t, where h(t) = v lies beyond tol, toward `gap`, a point
+    where h does not evaluate, for a root before the gap edge; return
+    (t, |h(t)|) as `_bisect` does, for the root or for the last defined
+    point of the walk.
 
-    `vals` yields f(..., t, ...) - target at each t of `ts`, or None where
-    it does not evaluate.  One pass over it brackets sign changes,
-    bisection refines each bracket, and roots closer than 10*tol keep the
-    one of least residual.  A group's root is yielded once the scan is
-    past it by more than 10*tol, so a caller that needs the first root
-    stops there.  Points and brackets where evaluation fails are skipped
-    and noted; the notes on intervals and bisections follow any that the
-    value stream itself appends.
+    The defined end walks toward the gap by bisection until h is within
+    tol there, or changes sign, which brackets a root for `_bisect`; the
+    walk ends when the two ends are within tol of each other.  A NaN value
+    counts as a gap.
+    """
+    for _ in range(MAX_BISECT_STEPS):
+        if abs(gap - t) <= tol:
+            break
+        m = 0.5 * (t + gap)
+        try:
+            hm = h(m)
+        except EvalError:
+            hm = math.nan
+        if hm != hm:
+            gap = m
+        elif abs(hm) <= tol:
+            return m, abs(hm)
+        elif (hm < 0) != (v < 0):
+            return _bisect(h, t, m, v, hm, tol, notes)
+        else:
+            t, v = m, hm
+    return t, abs(v)
+
+
+def _roots(section, ts: list[float], vals, tol: float, notes: list):
+    """Yield, ascending, the t in [ts[0], ts[-1]] with |h(t)| <= tol that
+    the ascending scan points `ts` isolate, where h = section() is the
+    point function t -> f(..., t, ...) - target of one fiber.
+
+    `vals` yields h(t) at each t of `ts`, or None where it does not
+    evaluate; `section` is called once, when the first bisection needs a
+    point.  One pass over the values brackets sign changes, bisection
+    refines each bracket, and roots closer than 10*tol keep the one of
+    least residual.  An interval with one end undefined is searched from
+    its defined end to the gap edge (`_edge_root`), so a root between the
+    last scan point of a run and the end of the run is found too.  A
+    group's root is yielded once the scan is past it by more than 10*tol,
+    so a caller that needs the first root stops there.  Points and
+    brackets where evaluation fails are skipped and noted; the notes on
+    intervals and bisections follow any that the value stream itself
+    appends.
     """
     later: list[str] = []
     band = 10 * tol
@@ -274,12 +310,20 @@ def _roots(f: Expr, i: int, fixed, ts: list[float], vals, target: float, tol: fl
         if a is None or b is None:
             if a is not b:
                 later.append(f"skipped interval [{ta!r}, {t!r}]")
-            if b is not None and abs(b) <= tol:
-                found = (abs(b), t)
+                end, v, gap = (ta, a, t) if b is None else (t, b, ta)
+                if abs(v) <= tol:
+                    # a root already counted at ta, or one to count at t
+                    found = (abs(v), t) if end == t else None
+                elif v == v:
+                    if h is None:
+                        h = section()
+                    m, err = _edge_root(h, end, v, gap, tol, later)
+                    if err <= tol:
+                        found = (err, m)
         elif abs(a) > tol and abs(b) > tol:
             if (a < 0) != (b < 0):
                 if h is None:
-                    h = _section(f, i, fixed, target)
+                    h = section()
                 m, err = _bisect(h, ta, t, a, b, tol, later)
                 if err <= tol:
                     found = (err, m)
@@ -308,6 +352,15 @@ def _roots(f: Expr, i: int, fixed, ts: list[float], vals, target: float, tol: fl
     notes.extend(later)
     if best is not None:
         yield best[1]
+
+
+def _kernel_roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
+                  notes: list):
+    """`_roots` of f - target along slot i (the other slots at `fixed`)
+    over f's compiled scan kernel: the scan of `invert_at` and of Inverse
+    nodes, which have no branch split."""
+    vals = lowered_scan(f, i)(ts, target, notes, *fixed)
+    return _roots(partial(_section, f, i, fixed, target), ts, vals, tol, notes)
 
 
 def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
@@ -410,11 +463,8 @@ def invert_at(f: Expr, i: int, target: float, fixed, d: BoxDomain,
     result is not an error.
     """
     fixed = _check_slot(f, i, d, fixed=fixed)
-    target = float(target)
-    notes = [] if warnings is None else warnings
-    ts = _axis_points(*d.axis(i), grid)
-    vals = lowered_scan(f, i)(ts, target, notes, *fixed)
-    return list(_roots(f, i, fixed, ts, vals, target, tol, notes))
+    return list(_kernel_roots(f, i, fixed, _axis_points(*d.axis(i), grid), float(target), tol,
+                              [] if warnings is None else warnings))
 
 
 def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
@@ -497,10 +547,14 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
     takes the full argument tuple (output value at position `i`, the other
     coordinates in place) and returns every preimage found across all
     branches, ascending.  Each branch is scanned at `grid` points through
-    f's point function, the one the split lowered: by default at the
-    resolution its monotonicity probe used, where each run of a branch
-    holds at most one root.  The branch decomposition is exposed on the
-    returned callable as `.pieces`.
+    f's point function, the one the split lowered; the default, 65, is the
+    split's default probe count.  A sign change between scan points is
+    bisected, and an interval with one undefined end is searched up to the
+    gap edge.  Two roots in one scan cell, where the ends show no sign
+    change, are missed: the split saw each branch monotone only at its own
+    probe points, and for arity > 1 only on its grid fibers, so pass a
+    larger `grid` where a branch may turn between them.  The branch
+    decomposition is exposed on the returned callable as `.pieces`.
     """
     pieces = piecewise_split(f, i, d, split_grid, tol=tol)
     scans = [_axis_points(*branch.interval, grid) for branch in pieces.branches]
@@ -510,10 +564,10 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
             raise StructureError(f"expected {f.arity} arguments, got {len(args)}")
         fixed = _check_slot(f, i, d, fixed=args[: i - 1] + args[i:])
         target = float(args[i - 1])
+        h = _section(f, i, fixed, target)
         found: list[float] = []
         for ts in scans:
-            vals = _values(_section(f, i, fixed, target), ts)
-            found.extend(_roots(f, i, fixed, ts, vals, target, tol, []))
+            found.extend(_roots(lambda: h, ts, _values(h, ts), tol, []))
         found.sort()
         roots: list[float] = []
         for t in found:

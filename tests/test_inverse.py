@@ -320,6 +320,18 @@ def unary(text: str, lo: float, hi: float):
     return f
 
 
+def test_invert_at_searches_up_to_the_gap_edge():
+    # log2((x-1)(x-3)) = -6 at 0.99222 and 3.00778: at 65 points each root
+    # lies in a scan cell with one undefined end, 1.0 or 3.0
+    f = unary("log(mul(add(x,-1),add(x,-3)),2)", 0.0, 4.0)
+    warnings = []
+    roots = invert_at(f, 1, -6.0, [], BoxDomain(((0.0, 4.0),)), grid=65, warnings=warnings)
+    half_width = math.sqrt(1 + 2 ** -6)
+    assert roots == pytest.approx([2 - half_width, 2 + half_width], abs=1e-8)
+    assert "skipped interval [0.9375, 1.0]" in warnings
+    assert "skipped interval [3.0, 3.0625]" in warnings
+
+
 def test_witness_bisection_into_a_pole_gives_no_witness():
     # on the grid -3, -1, 1, 3 the values -1/3, -1, 1, 1/3 turn twice, and
     # one witness bisection of each turn lands on the pole at 0

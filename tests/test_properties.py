@@ -8,7 +8,8 @@ and the inverse core must treat every point where a function is undefined
 as a gap, never as an error.  The operator notation must read back every
 expression, Inverse nodes included, as one that evaluates bitwise alike.
 A solve, which scans each monotone branch only at its split's resolution,
-must find the roots an independent dense scan finds.
+must find the roots an independent dense scan finds, next to the stretches
+where a function is undefined too.
 """
 
 import math
@@ -298,13 +299,36 @@ def solve_request(ast, params, planted, domain):
     return ast, to_structural(ast), params, rhs, domain
 
 
+def real_value(ast, env):
+    """ast_eval, with the complex result of an even root of a negative
+    value read as undefined, as the expression's own evaluation reads it."""
+    value = ast_eval(ast, env)
+    if isinstance(value, complex):
+        raise ValueError("root of a negative value")
+    return value
+
+
 @st.composite
 def solve_requests(draw):
-    """An equation of the benchmark's solve stream, with a planted root:
-    an add/mul/pow tower with x at two or more of its 3-5 leaves and each
-    parameter once, over 0.5:2.5, or p3(p1(x,a), p2(x,b)) over 0.5:3."""
+    """An equation with a planted root: one of the benchmark's solve stream
+    (an add/mul/pow tower with x at two or more of its 3-5 leaves and each
+    parameter once, over 0.5:2.5, or p3(p1(x,a), p2(x,b)) over 0.5:3), or
+    one whose roots lie 1e-3 to 0.5 from the edge of a stretch where it is
+    undefined (log2((x+a)(x+b)) over 0:4, with a root on each side of its
+    gap, or sqrt(x+a) over -1:1)."""
     x = AstSymbol("x")
-    if draw(st.booleans()):
+    family = draw(st.sampled_from(("tower", "two-branch", "gap")))
+    if family == "gap":
+        near = 10 ** draw(st.floats(-3.0, -0.31))
+        if draw(st.booleans()):
+            ast = AstCall(LOG, AstCall(MUL, AstCall(ADD, x, AstSymbol("a")),
+                                       AstCall(ADD, x, AstSymbol("b"))), AstConst(2.0))
+            params = {"a": draw(rounded(-1.5, -0.5)), "b": draw(rounded(-3.5, -2.5))}
+            return solve_request(ast, params, -params["a"] - near, (0.0, 4.0))
+        ast = AstCall(ROOT, AstCall(ADD, x, AstSymbol("a")), AstConst(2.0))
+        params = {"a": draw(rounded(-0.8, 0.8))}
+        return solve_request(ast, params, -params["a"] + near, (-1.0, 1.0))
+    if family == "tower":
         leaves = draw(st.integers(3, 5))
         x_count = draw(st.integers(2, leaves - 1))
         x_at = draw(st.permutations(range(leaves)))[:x_count]
@@ -329,13 +353,13 @@ TWO_ROOTS = solve_request(
     {"a": 0.5209, "b": 1.3454}, 0.9, (0.5, 3.0))
 
 
-@settings(PROPERTY, max_examples=60)
+@settings(PROPERTY, max_examples=90)
 @example(request=TWO_ROOTS)
 @given(request=solve_requests())
 def test_solve_finds_the_roots_of_a_dense_scan(request):
     ast, form, params, rhs, (lo, hi) = request
     report = solve(Equation(form.expr, form.binding, rhs, params, BoxDomain(((lo, hi),))))
-    want = scan_roots(lambda x: ast_eval(ast, dict(params, x=x)) - rhs, lo, hi,
+    want = scan_roots(lambda x: real_value(ast, dict(params, x=x)) - rhs, lo, hi,
                       points=20_000, tol=DEFAULT_TOL)
     assert len(report.roots) == len(want)
     assert all(abs(got - r) <= 1e-6 for got, r in zip(report.roots, want))

@@ -177,6 +177,22 @@ def test_solve_x_to_x():
     assert len(oracle) == len(report.roots) == 1
 
 
+@pytest.mark.parametrize("text, rhs, domain, fn", [
+    # roots in [0.9375, 1) and (3, 3.0625], the last probe cells before and
+    # after the gap [1, 3] of the 65-point branch scan
+    ("log(mul(add(x,-1),add(x,-3)),2)", -6.0, (0.0, 4.0),
+     lambda x: math.log2((x - 1) * (x - 3)) + 6.0),
+    # the root 0.3025 lies in (0.28125, 0.3125), whose left end is undefined
+    ("root(add(x,-0.3),2)", 0.05, (-1.0, 1.0), lambda x: math.sqrt(x - 0.3) - 0.05),
+], ids=["log-both-edges", "root-left-edge"])
+def test_solve_finds_roots_next_to_a_gap(text, rhs, domain, fn):
+    report = solve(make_eq(text, rhs, {}, domain))
+    oracle = scan_roots(fn, *domain)
+    assert len(oracle) == len(report.roots) >= 1
+    assert all(abs(got - want) < 1e-6 for got, want in zip(report.roots, oracle))
+    assert all(r <= report.tolerance for r in report.residuals)
+
+
 def test_solve_linear():
     eq = make_eq("add(x,a)", 5.0, {"a": 2.0}, (0.0, 10.0))
     report = solve(eq)
