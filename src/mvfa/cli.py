@@ -374,6 +374,9 @@ def main(argv=None) -> int:
         kind = next(kind for klass, kind in _ERROR_KINDS if isinstance(exc, klass))
         _emit(_error_obj(kind, str(exc)), args.pretty)
         return 1
+    except RecursionError:   # the parser, lowering and structure ops recurse per level
+        _emit(_error_obj("structure", "expression nests too deeply"), args.pretty)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

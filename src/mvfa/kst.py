@@ -28,21 +28,19 @@ residual is binned by inner-sum value for each q and a damped per-bin mean
 correction is added to Phi_q.  The correction is shared equally across the
 2n+1 = 5 outer functions (factor 2*damping/(2n+1), which is 1/5 at the
 damping of 0.5), so a constant function is absorbed exactly in one
-iteration.  Corrections are fitted on a coarse bin grid and resampled onto
-the storage knots to keep held-out reconstruction smooth.  A step that
-would raise the max-norm training residual is halved until it does not
-(kept unchanged in the worst case), so the recorded residual history is
-non-increasing by construction.
+iteration.  The outer functions are fitted as values on the 64 bin nodes,
+where a correction's value at a sample is its hat expansion through the
+sample's bin and bin weight; the nodes are storage knots (4095 = 63*65),
+so the fitted functions are resampled onto the knots once, at the end.  A
+step that would raise the max-norm training residual is halved until it
+does not (kept unchanged in the worst case), so the recorded residual
+history is non-increasing by construction.
 
-The fit runs on a plan built once per call.  The training grid is a
-product grid, so each inner sum adds one precomputed psi value per
-coordinate: (2n+1)*n*grid inner-map calls, not (2n+1)*n*grid**2.  The
-inner sums never change during the fit, so each sample's knot cell,
-offset and cell width, and its bin and bin weight, are found once; an
-iteration then gathers the outer functions and the correction at those
-cells, and every step-halving trial is elementwise arithmetic.  That
-arithmetic is np.interp's own, so the fit is bitwise the one that calls
-np.interp on every trial.
+The training grid is a product grid, so each inner sum adds one
+precomputed psi value per coordinate: (2n+1)*n*grid inner-map calls, not
+(2n+1)*n*grid**2.  The inner sums never change during the fit, so each
+sample's bin and bin weight are found once, and a step-halving trial is
+one vector: the residual minus the scaled step.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ _SHIFT = 1.0 / 6                # eps = 1/(2n+2) at n = 2
 
 
 class FormatError(MvfaError):
-    """Unreadable or version-mismatched representation document."""
+    """Unreadable, unwritable or version-mismatched representation document."""
 
 
 def _psi_base(t: float) -> float:
@@ -204,8 +202,11 @@ class KstRep:
 
     def save(self, path) -> None:
         text = json.dumps(self.to_dict())  # one write, not json.dump's many small ones
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write representation file: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "KstRep":
@@ -261,38 +262,6 @@ def _inner_sum(q: int, point) -> float:
     return sum((inner_psi(q, 1, point[0]), inner_psi(q, 2, point[1])))
 
 
-def _interp_plan(s: np.ndarray, xp: np.ndarray):
-    """np.interp(s[q], xp[q], fp[q]) for every row q, split into the search,
-    done here once, and the arithmetic, left to the caller.
-
-    Returns the flat index `cell` of each sample's left knot xp[j] (the j
-    with xp[j] <= s < xp[j+1]), the offset dx = s - xp[j], the cell width
-    h = xp[j+1] - xp[j], and the flat indices `ends` of the samples on the
-    last knot.  (fp[j+1] - fp[j]) / h * dx + fp[j], set to fp[j+1] at the
-    ends, is np.interp's own arithmetic: for finite fp it gives np.interp's
-    floats, except that a -0.0 knot value hit exactly may come out as 0.0.
-    """
-    rows, knots = xp.shape
-    s = np.clip(s, xp[:, :1], xp[:, -1:])  # np.interp holds the end values
-    j = np.array([np.searchsorted(x, v, side="right") for x, v in zip(xp, s)])
-    cell = np.minimum(j - 1, knots - 2) + knots * np.arange(rows)[:, None]
-    left = xp.take(cell)
-    return cell, s - left, xp.take(cell + 1) - left, np.flatnonzero(s == xp[:, -1:])
-
-
-def _interp_cells(left, right, dx, h, ends):
-    """np.interp's values at the samples of an `_interp_plan`, from the knot
-    values fp[j] (`left`) and fp[j+1] (`right`) of each sample's cell;
-    computed in `right`'s buffer, which is returned."""
-    at_ends = right.take(ends)
-    right -= left
-    right /= h
-    right *= dx
-    right += left
-    right.put(ends, at_ends)
-    return right
-
-
 def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
     """Fit outer functions for `f` on the unit square.
 
@@ -333,80 +302,65 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
     # first and the last training point.
     los, his = S[:, 0].copy(), S[:, -1].copy()
 
-    knots, bins = DEFAULT_KNOTS, DEFAULT_BINS
-    knot_xs = np.array([np.linspace(los[q], his[q], knots) for q in range(q_count)])
+    bins = DEFAULT_BINS
     node_xs = [np.linspace(los[q], his[q], bins) for q in range(q_count)]
-    phi = np.zeros((q_count, knots))
     share = 2.0 * DEFAULT_DAMPING / q_count
 
-    # Everything that depends only on S is computed once: the interpolation
-    # plan, and the binning: each sample's bin (flat index `b` into the bin
-    # rows), its linear weight `w` (in S's buffer, which the plan no longer
-    # needs) and the per-bin weight totals `den`.  Only the weighted
-    # residual sums depend on the iteration.
-    cell, dx, h, ends = _interp_plan(S, knot_xs)
+    # The inner sums never change, so the binning is computed once: each
+    # sample's bin (flat index `b` into the bin rows) and its linear weight
+    # `w` toward the bin's right node.  A function of node values v reads
+    # (1 - w)*v[b] + w*v[b + 1] at the samples, its hat expansion, and
+    # `to_nodes` spreads sample values back onto the nodes by the same weights.
     w = np.subtract(S, los[:, None], out=S)
     w /= (his - los)[:, None]
     w *= bins - 1
     b = np.clip(np.floor(w).astype(int), 0, bins - 2)
     w -= b
-    b = (b + bins * np.arange(q_count)[:, None]).ravel()
+    b += bins * np.arange(q_count)[:, None]
     size = q_count * bins
-    den = (np.bincount(b, weights=(1.0 - w).ravel(), minlength=size)
-           + np.bincount(b + 1, weights=w.ravel(), minlength=size))
+
+    def to_nodes(v):
+        return (np.bincount(b.ravel(), weights=((1.0 - w) * v).ravel(), minlength=size)
+                + np.bincount(b.ravel() + 1, weights=(w * v).ravel(), minlength=size)
+                ).reshape(q_count, bins)
+
+    den = to_nodes(1.0)
     hit = den > 1e-12
 
-    # history[-1] is always the max-norm residual of `fit`, the training
-    # reconstruction, so the accepted trial becomes the next `fit` as is.
-    fit = np.zeros(F.size)
-    delta = np.empty((q_count, knots))
-    phi_l, phi_r, delta_l, delta_r, left, vals = (np.empty(w.shape) for _ in range(6))
-    err = np.empty(F.size)
+    # The outer functions are fitted as node values; R is the training
+    # residual F minus their summed hat expansions, so history[-1] is
+    # always max|R|.
+    phi = np.zeros((q_count, bins))
+    R = F
     history = [float(np.max(np.abs(F)))]
     for _ in range(iters):
-        R = F - fit
-        current = history[-1]
-        np.subtract(1.0, w, out=left)   # the trial buffers hold the weighted residuals
-        left *= R
-        np.multiply(R, w, out=vals)
-        num = (np.bincount(b, weights=left.ravel(), minlength=size)
-               + np.bincount(b + 1, weights=vals.ravel(), minlength=size))
-        corr = np.zeros(size)
-        corr[hit] = num[hit] / den[hit]
-        for q, c, on in zip(range(q_count), corr.reshape(q_count, bins),
-                            hit.reshape(q_count, bins)):
+        num = to_nodes(R)
+        delta = np.zeros((q_count, bins))
+        delta[hit] = num[hit] / den[hit]
+        for q, on in enumerate(hit):
             if not on.all():
-                c = np.interp(node_xs[q], node_xs[q][on], c[on])
-            delta[q] = share * np.interp(knot_xs[q], node_xs[q], c)
+                delta[q] = np.interp(node_xs[q], node_xs[q][on], delta[q][on])
+        delta *= share
+        step = ((1.0 - w) * delta.take(b) + w * delta.take(b + 1)).sum(axis=0)
         # accept the largest halving of the step that does not raise the
-        # max-norm residual; keep Phi unchanged if none does.  A trial
-        # interpolates phi + scale*delta through the plan: gathers once per
-        # iteration, elementwise arithmetic in two buffers per trial.
-        # (the cells are in range; mode="clip" writes `out` without a bounce buffer)
-        phi.take(cell, out=phi_l, mode="clip")
-        phi.take(cell + 1, out=phi_r, mode="clip")
-        delta.take(cell, out=delta_l, mode="clip")
-        delta.take(cell + 1, out=delta_r, mode="clip")
+        # max-norm residual; keep Phi unchanged if none does
         scale = 1.0
-        accepted = current
+        accepted = history[-1]
         while scale > 2.0 ** -24:
-            np.multiply(delta_l, scale, out=left)   # fp[j]
-            left += phi_l
-            np.multiply(delta_r, scale, out=vals)   # fp[j+1]
-            vals += phi_r
-            trial = np.zeros(F.size)   # q by q from zero, not numpy's reduction order
-            for row in _interp_cells(left, vals, dx, h, ends):
-                trial += row
-            np.subtract(F, trial, out=err)
-            trial_max = float(np.abs(err, out=err).max())
-            if trial_max <= current:
+            trial = R - scale * step
+            trial_max = float(np.max(np.abs(trial)))
+            if trial_max <= history[-1]:
                 phi += scale * delta
-                fit, accepted = trial, trial_max
+                R, accepted = trial, trial_max
                 break
             scale *= 0.5
         history.append(accepted)
 
-    outer = [OuterFunction(float(los[q]), float(his[q]), phi[q]) for q in range(q_count)]
+    # the bin nodes are storage knots, so this keeps each fitted function
+    outer = [OuterFunction(float(los[q]), float(his[q]),
+                           np.interp(np.linspace(los[q], his[q], DEFAULT_KNOTS),
+                                     node_xs[q], phi[q]))
+             for q in range(q_count)]
     return KstRep(dimension=n, inner=inner_params(), outer=outer,
                   iterations=iters, history=history, grid=grid)
 

@@ -320,9 +320,34 @@ def test_kst_reconstruct_bad_file(tmp_path):
     assert code == 1 and out["error"]["kind"] == "format"
 
 
+def test_kst_decompose_unwritable_output_is_format_error(tmp_path):
+    path = tmp_path / "no-such-dir" / "rep.json"
+    proc = run("kst", "decompose", "add(x,y)", "--grid", "9", "--iters", "1", "-o", str(path))
+    assert proc.returncode == 1
+    error = strict_json(proc.stdout)["error"]
+    assert error["kind"] == "format"
+    assert error["message"].startswith("cannot write representation file: ")
+    assert not path.exists()
+
+
 def test_kst_decompose_needs_output(tmp_path):
     proc = run("kst", "decompose", "add(x,y)")
     assert proc.returncode == 2
+
+
+DEEP = 1200  # nesting levels, past the interpreter's default recursion limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "add(" * DEEP + "x" + ",1)" * DEEP, "--at", "x=1"],
+    ["solve", "add(" * DEEP + "x" + ",1)" * DEEP + " = 3", "--domain", "0:2"],
+    ["lift", "A2_{1,2}(" * DEEP + "add" + ")" * DEEP, "3", "--positions", "1,2"],
+], ids=["eval", "solve", "lift"])
+def test_deep_nesting_is_structure_error(argv):
+    proc = run(*argv)
+    assert proc.returncode == 1
+    assert strict_json(proc.stdout) == {"error": {
+        "kind": "structure", "message": "expression nests too deeply", "location": None}}
 
 
 def test_unknown_flag_is_json_usage_error():

@@ -143,27 +143,28 @@ def v1_text(rep):
         {"lo": fn.lo, "hi": fn.hi, "values": fn.values.tolist()} for fn in rep.outer]))
 
 
-# SHA-256 of v1_text(decompose(f, grid, iters)), recorded with the fit that
-# called np.interp on every step-halving trial; the planned fit must
-# reproduce it bit for bit.  The first five are the benchmark's kst-fit
-# families with one fixed coefficient each.
+# SHA-256 of v1_text(decompose(f, grid, iters)), recorded with the fit on
+# the correction nodes; any change to the fit's floats shows here.
+# GOLDEN_PINS below ties these fits to the earlier one on the storage knots
+# up to rounding.  The first five are the benchmark's kst-fit families with
+# one fixed coefficient each.
 GOLDEN_FITS = [
     ("add(pow(x,1.37),y)", 33, 50,
-     "e705fa8207f8867c04b1724aaa87f11a6d2f8adee4a794719652681e547d1b64"),
+     "2800a10aa3ed2535c418be9ec4afeab256ba84ea2feafaf13f22cf67373169f0"),
     ("add(mul(x,0.62),mul(y,0.62))", 33, 50,
-     "5e22a5a7012d1c40d760b140ca0c03a0e5e762188262f05fa10978e12d06d357"),
+     "fdb20d57925785c91ed51e489adf20471e3631afe01b98f74a082a3c8c213427"),
     ("mul(mul(x,1.25),y)", 33, 50,
-     "528316cabbbf047f6bfe7a8abe5ff4b254c7d028df1782ffec05848ba1ae7fd2"),
+     "e108ca0aa44a44ebb2a28c37674892d525b9cc921b15f07bc3b4bc8d9765a8ad"),
     ("mul(x,add(y,1.9))", 33, 50,
-     "193f709767a040e000f793461be0f32d3334da19330cdb268115ecb43cfeefc0"),
+     "43af6edd74fb8dd746ee6f0ed84c412bfa88c7bda1284d8d30caab60a11a841d"),
     ("add(mul(x,y),0.85)", 65, 100,
-     "bd6e2ff41c8e0bfb3d67100f75c551ccf82c045452ed4b6e7880f7f79b19ef77"),
+     "49eda7a47c2f52a8c5c876a680df2aac642148a9f3bdc166988fa90730d4bd20"),
     ("add(x,y)", 9, 0,
      "ab5e4f3afca38ff236adf82b32aa584e0707d929b73e20fbac1c07c9cedaf177"),
     ("add(x,y)", 17, 25,
-     "824399590acf3e8b957c1980c62ea53bd80b1c57628e0bd7c58596c9353187e4"),
+     "f4b36255941409f3fddf0cc60f561284f34eb102ac95a47eb3fc3644ce18e344"),
     ("mul(x,y)", 65, 100,
-     "7270d254d690e5913851fa94249e56e1756a726e548322c5074cdccc4a0909dc"),
+     "772bf1b7c7b300bf720ec396dacbe23f97345d0e193bcfa5af983e88f81b012c"),
 ]
 
 
@@ -173,16 +174,58 @@ def test_golden_fit(text, grid, iters, digest):
     assert hashlib.sha256(v1_text(rep).encode()).hexdigest() == digest
 
 
-def test_interp_plan_reproduces_np_interp():
-    rng = np.random.default_rng(5)
-    xp = np.sort(rng.uniform(0.0, 3.0, (3, 17)), axis=1)
-    s = rng.uniform(-0.5, 3.5, (3, 200))
-    s[:, :3] = xp[:, [0, 5, -1]]  # samples on a knot, the last knot included
-    fp = rng.normal(size=(3, 17))
-    cell, dx, h, ends = kst._interp_plan(s, xp)
-    got = kst._interp_cells(fp.take(cell), fp.take(cell + 1), dx, h, ends)
-    want = [np.interp(s[q], xp[q], fp[q]) for q in range(3)]
-    assert np.array_equal(got, want)
+# history[-1], sum(history) and each outer function's values.sum() of every
+# GOLDEN_FITS case, recorded with the fit that resampled each correction onto
+# the storage knots and interpolated every step-halving trial from them.
+# The fit on the correction nodes takes the same halving decisions, so it
+# reproduces these up to rounding.
+GOLDEN_PINS = [
+    (0.2797635924182881, 16.754591441998723,
+     (696.747841913637, 686.6146777840715, 692.4204831654727, 696.6265710600263,
+      699.8003662929509)),
+    (0.13363733747362017, 8.268708852965412,
+     (465.7869999534677, 460.0453984964882, 464.4340890348821, 467.5141273492249,
+      469.81502052398343)),
+    (0.22952319494141332, 12.894875687841441,
+     (201.75152245320396, 266.7461878302994, 279.3394974174036, 285.7746879241922,
+      289.8252620496143)),
+    (1.0252785746139927, 54.35241849396696,
+     (867.8389700815239, 927.9931193638288, 945.3251676957462, 955.0801787218796,
+      961.7212228945784)),
+    (0.1785496418789303, 20.27397193961989,
+     (820.6907025101232, 914.2495596879913, 927.7708406439681, 933.6129532248756,
+      936.8116447232485)),
+    (2.0, 2.0, (0.0, 0.0, 0.0, 0.0, 0.0)),
+    (0.20517584010710288, 7.227720741002941,
+     (673.5593099954672, 750.7852008240346, 767.2455445445994, 775.3709864886754,
+      782.0682115656912)),
+    (0.17854964187893047, 19.42397193961988,
+     (124.37070251012314, 217.92955968799131, 231.45084064396792, 237.2929532248756,
+      240.49164472324856)),
+]
+
+
+@pytest.mark.parametrize("case,pins", zip(GOLDEN_FITS, GOLDEN_PINS),
+                         ids=[f"{t}-{g}-{i}" for t, g, i, _ in GOLDEN_FITS])
+def test_golden_fit_matches_recorded_fit(case, pins):
+    text, grid, iters, _ = case
+    last, total, sums = pins
+    rep = decompose(expr_of(text), grid=grid, iters=iters)
+    assert rep.history[-1] == pytest.approx(last, rel=1e-12, abs=0.0)
+    assert sum(rep.history) == pytest.approx(total, rel=1e-12, abs=0.0)
+    assert [float(fn.values.sum()) for fn in rep.outer] == pytest.approx(sums, rel=1e-12,
+                                                                         abs=0.0)
+
+
+@pytest.mark.parametrize("text,grid,iters,digest", GOLDEN_FITS[:5])
+def test_fit_holds_off_the_training_grid(text, grid, iters, digest):
+    # the 64 x 64 cell centres (k + 0.5)/64 lie on no 17-, 33- or 65-point grid
+    f = expr_of(text)
+    rep = decompose(f, grid=grid, iters=iters)
+    off = ((np.arange(64) + 0.5) / 64.0).tolist()
+    errs = [reconstruct(rep, [a, b]) - evaluate(f, [a, b]) for a in off for b in off]
+    rmse = math.sqrt(sum(e * e for e in errs) / len(errs))
+    assert rmse <= rep.residual
 
 
 def test_inner_maps_evaluated_per_axis_not_per_point(monkeypatch):
@@ -202,8 +245,9 @@ def test_decompose_requires_bivariate():
 
 def test_decompose_rejects_non_finite_target(monkeypatch):
     # 0.125e300 * 0.25e10 overflows: the first infinite training value
+    # the fit starts from the inner sums: no inner map may be evaluated
     fitted = []
-    monkeypatch.setattr(kst, "_interp_plan", lambda *a: fitted.append(a))
+    monkeypatch.setattr(kst, "inner_psi", lambda *a: fitted.append(a))
     with pytest.raises(EvalError, match=r"not finite at \(0.125, 0.25\): inf") as info:
         decompose(expr_of("mul(mul(x,1e300),mul(y,1e10))"), grid=9, iters=3)
     assert info.value.point == (0.125, 0.25) and not fitted
