@@ -12,6 +12,7 @@ Slot indices are 1-based everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -20,6 +21,10 @@ from typing import Sequence
 
 # Absolute comparison tolerance used when nothing tighter is requested.
 DEFAULT_TOL = 1e-9
+
+# How many lowered source texts keep their compiled code (least recently
+# used dropped first): one per expression shape in use.
+_CODE_CACHE_SIZE = 256
 
 
 class MvfaError(Exception):
@@ -294,6 +299,8 @@ def lowered(e: Expr):
 
     It takes the arity's worth of coordinates as positional floats and does
     no conversion or arity check of its own; `evaluate` is the checked entry.
+    Building it compiles nothing when an expression of the same shape was
+    lowered recently: see `_lower`.
     """
     try:
         return e.__dict__["_lowered"]
@@ -331,6 +338,12 @@ def _lower(e: Expr, slot: int | None = None):
     of the tree, so results and errors (node and local point) are unchanged.
     The kernel inlines the same lines in its loop.  Constants and nodes
     reach the code through its namespace, never through its text.
+
+    So the source text depends only on the shape of `e`, and it is compiled
+    once per text: the code objects of the last `_CODE_CACHE_SIZE` (256)
+    texts are kept and run in each lowering's own fresh namespace.  Sharing
+    a code object is safe because it holds no constant and no node; the
+    function, which binds them, is never shared.
     """
     namespace = {"_checked_div": _checked_div, "_checked_pow": _checked_pow,
                  "_checked_root": _checked_root, "_checked_log": _checked_log,
@@ -395,8 +408,14 @@ def _lower(e: Expr, slot: int | None = None):
                   "            yield None\n"
                   "        else:\n"
                   f"            yield {result} - target\n")
-    exec(compile(source, "<lowered expression>", "exec"), namespace)
+    exec(_compile(source), namespace)
     return namespace["lowered" if slot is None else "scan"]
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _compile(source: str):
+    """The code object of a lowered source text, compiled once per text."""
+    return compile(source, "<lowered expression>", "exec")
 
 
 def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:

@@ -318,10 +318,18 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
     w -= b
     b += bins * np.arange(q_count)[:, None]
     size = q_count * bins
+    # The left weights, the right nodes and two scratch arrays are made once:
+    # at grid 65 each array of this shape is 169 KB, and a fresh temporary of
+    # that size per operation cost more in page faults than the fit's
+    # arithmetic whenever the allocator handed it back to the system.
+    rest, b_right = 1.0 - w, b + 1
+    left, right = np.empty_like(w), np.empty_like(w)
 
     def to_nodes(v):
-        return (np.bincount(b.ravel(), weights=((1.0 - w) * v).ravel(), minlength=size)
-                + np.bincount(b.ravel() + 1, weights=(w * v).ravel(), minlength=size)
+        np.multiply(rest, v, out=left)
+        np.multiply(w, v, out=right)
+        return (np.bincount(b.ravel(), weights=left.ravel(), minlength=size)
+                + np.bincount(b_right.ravel(), weights=right.ravel(), minlength=size)
                 ).reshape(q_count, bins)
 
     den = to_nodes(1.0)
@@ -341,7 +349,14 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
             if not on.all():
                 delta[q] = np.interp(node_xs[q], node_xs[q][on], delta[q][on])
         delta *= share
-        step = ((1.0 - w) * delta.take(b) + w * delta.take(b + 1)).sum(axis=0)
+        # (1 - w)*delta[b] + w*delta[b + 1], summed over q; every index is in
+        # range, so mode="clip" only spares take a buffered copy
+        delta.take(b, out=left, mode="clip")
+        left *= rest
+        delta.take(b_right, out=right, mode="clip")
+        right *= w
+        left += right
+        step = left.sum(axis=0)
         # accept the largest halving of the step that does not raise the
         # max-norm residual; keep Phi unchanged if none does
         scale = 1.0

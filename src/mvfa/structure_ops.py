@@ -13,6 +13,7 @@ from .expr_core import (
     Compose,
     Const,
     Diagonal,
+    EvalError,
     Expr,
     Lift,
     StructureError,
@@ -72,14 +73,20 @@ def normalize(e: Expr) -> tuple[Expr, dict[int, int]]:
     mapping each originally used slot to its new index.  Unused slots are
     removed one at a time by projecting them onto an arbitrary surviving
     slot, which cannot change any value.  A fully-unused expression is
-    constant and collapses to the constant it evaluates to.
+    constant and collapses to the constant it evaluates to; one whose value
+    is inf or nan raises :class:`EvalError` naming it, because a constant
+    node holds only a finite value that its notation can write.
     """
     used = sorted(e.used_slots)
     mapping = {s: k + 1 for k, s in enumerate(used)}
     if used == list(range(1, e.arity + 1)):
         return e, mapping
     if not used:
-        return Const(evaluate(e, (0.0,) * e.arity)), {}
+        point = (0.0,) * e.arity
+        value = evaluate(e, point)
+        if not math.isfinite(value):
+            raise EvalError(f"constant expression is not finite: {value}", e, point)
+        return Const(value), {}
     out = e
     while len(out.used_slots) < out.arity:
         unused = max(set(range(1, out.arity + 1)) - out.used_slots)

@@ -50,6 +50,14 @@ def test_eval_overflow_is_evaluation_error():
     assert strict_json(proc.stdout)["error"]["kind"] == "evaluation"
 
 
+@pytest.mark.parametrize("text", ["mul(1e300,1e300)", "mul(mul(1e300,1e300),0)"])
+def test_eval_non_finite_constant_is_evaluation_error(text):
+    # the tower folds to inf or nan, which a constant node cannot hold
+    proc = run("eval", text)
+    assert proc.returncode == 1
+    assert strict_json(proc.stdout)["error"]["kind"] == "evaluation"
+
+
 def test_eval_parse_error_has_location():
     code, out = run_json("eval", "pow(x")
     assert code == 1

@@ -361,6 +361,75 @@ def test_solve_lowers_its_bound_expression_once(monkeypatch):
     assert _once_each(lowered, (formula, None), (formula.inner, 1))
 
 
+# --- code shared by expressions of one shape ---
+
+def _count_compiles(monkeypatch):
+    """Empty the code cache, then record the source of every lowering's
+    call of the builtin compile."""
+    import builtins
+
+    from mvfa import expr_core
+
+    sources = []
+    compile_ = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        if filename == "<lowered expression>":
+            sources.append(source)
+        return compile_(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    expr_core._compile.cache_clear()
+    return sources
+
+
+def _log_base(c):
+    """log(x1, c) at arity 2, and its LOG node: one shape for every c."""
+    log = Prim(LOG)
+    return Compose(Lift(log, 2, (1, 2)), 2, Const(c)), log
+
+
+def test_one_compile_per_shape(monkeypatch):
+    from mvfa.expr_core import lowered, lowered_scan
+    from mvfa.frontend import format_expr, parse_structural
+
+    sources = _count_compiles(monkeypatch)
+    f, _ = _log_base(2.0)
+    same = [f, parse_structural(format_expr(f)), _log_base(4.0)[0]]
+    fns = [lowered(e) for e in same]
+    assert len(sources) == 1 and len({id(fn) for fn in fns}) == 3
+    assert [fn(8.0, 0.0).hex() for fn in fns] == [
+        math.log(8.0, 2.0).hex(), math.log(8.0, 2.0).hex(), math.log(8.0, 4.0).hex()]
+    # the scan kernel is another text, compiled once for the same shape too
+    scans = [list(lowered_scan(e, 1)([8.0], 1.0, [], 0.0)) for e in same]
+    assert len(sources) == 2
+    assert scans == [[math.log(8.0, 2.0) - 1.0]] * 2 + [[math.log(8.0, 4.0) - 1.0]]
+
+
+def test_shared_code_keeps_each_expression_its_constants_and_nodes(monkeypatch):
+    sources = _count_compiles(monkeypatch)
+    (f, f_log), (g, g_log) = _log_base(2.0), _log_base(4.0)
+    assert f != g and f_log == g_log and f_log is not g_log
+    assert evaluate(f, [8.0, 0.0]).hex() == math.log(8.0, 2.0).hex()
+    assert evaluate(g, [8.0, 0.0]).hex() == math.log(8.0, 4.0).hex()
+    for e, log, c in ((f, f_log, 2.0), (g, g_log, 4.0)):
+        with pytest.raises(EvalDomainError) as info:
+            evaluate(e, [-1.0, 0.0])
+        assert info.value.node is log and info.value.point == (-1.0, c)
+    assert len(sources) == 1
+
+
+def test_code_cache_is_bounded():
+    from mvfa import expr_core
+
+    bound = expr_core._CODE_CACHE_SIZE
+    expr_core._compile.cache_clear()
+    for n in range(2, bound + 12):   # bound + 10 shapes: x1 + xn at arity n
+        assert evaluate(Lift(Prim(ADD), n, (1, n)), [1.0] * n) == 2.0
+    info = expr_core._compile.cache_info()
+    assert info.misses == bound + 10 and info.currsize <= bound
+
+
 def test_evaluated_expression_still_pickles():
     import pickle
 

@@ -7,11 +7,15 @@ formula, whose scan stops early, must give invert_at's first root exactly,
 and the inverse core must treat every point where a function is undefined
 as a gap, never as an error.  The operator notation must read back every
 expression, Inverse nodes included, as one that evaluates bitwise alike.
+Expressions of one shape share their compiled code, and each must still
+evaluate as its own fresh compile does, constants, error node and point
+included.
 A solve, which scans each monotone branch only at its split's resolution,
 must find the roots an independent dense scan finds, next to the stretches
 where a function is undefined too.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -19,10 +23,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mvfa import expr_core
 from mvfa.expr_core import (
     DEFAULT_TOL,
     BoxDomain,
+    Const,
     EvalError,
+    Expr,
     Inverse,
     NoSolutionError,
     Prim,
@@ -35,7 +42,7 @@ from mvfa.inverse import DegenerateInputError, check_invertible, inverse_fn, inv
 from mvfa.solver import Equation, solve
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
 
-from util import ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, scan_roots
+from util import ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, count_symbols, scan_roots
 
 # Seeded, so tier-1 runs are reproducible, and without a deadline, so a
 # slow shared host does not turn timing into a failure.
@@ -235,10 +242,18 @@ def test_inverse_formula_is_first_root_of_invert_at(ast, data):
 @PROPERTY
 @given(ast=EDGE, invert=st.booleans(), data=st.data())
 def test_notation_reads_back_every_expression(ast, invert, data):
+    if not count_symbols(ast):
+        try:
+            value = ast_eval(ast, {})
+        except (ZeroDivisionError, OverflowError):
+            value = None
+        if isinstance(value, float) and not math.isfinite(value):
+            # a constant tower that folds to inf or nan has no structural
+            # form: a constant node holds a finite value, which has a text
+            with pytest.raises(EvalError):
+                to_structural(ast)
+            return
     e = structural(ast)
-    # a constant tower folded to inf or nan has no text: literals are finite,
-    # and the rule for overflow is still open
-    assume(e.arity or math.isfinite(e.value))
     if invert and e.arity:
         lo, hi = sorted(data.draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
         e = Inverse(e, data.draw(st.integers(1, e.arity)), axis=(lo, hi))
@@ -246,6 +261,54 @@ def test_notation_reads_back_every_expression(ast, invert, data):
     assert back == e
     point = data.draw(st.lists(MIXED_VALUE, min_size=e.arity, max_size=e.arity))
     assert outcome(back, point) == outcome(e, point)
+
+
+def subexpressions(e):
+    """The fields of e that hold expressions, by name."""
+    return {field.name: getattr(e, field.name) for field in dataclasses.fields(e)
+            if isinstance(getattr(e, field.name), Expr)}
+
+
+def count_constants(e):
+    return 1 if isinstance(e, Const) else sum(map(count_constants, subexpressions(e).values()))
+
+
+def with_constants(e, values):
+    """A copy of e, every node new, its constants taken in turn from values:
+    the same shape, so the same lowered source text."""
+    if isinstance(e, Const):
+        return Const(next(values))
+    return dataclasses.replace(e, **{name: with_constants(sub, values)
+                                     for name, sub in subexpressions(e).items()})
+
+
+def lowered_outcome(e, point):
+    """The bitwise value of a fresh lowering of e at point, or the error it
+    raises with the identity of the node it names."""
+    try:
+        return expr_core._lower(e)(*point).hex()
+    except EvalError as exc:
+        return (type(exc).__name__, str(exc), id(exc.node), exc.point)
+
+
+@PROPERTY
+@given(ast=st.one_of(MIXED, EDGE, PARTIAL), data=st.data())
+def test_shared_code_evaluates_as_fresh_code(ast, data):
+    # twin differs from e only in its constants; whichever is lowered second
+    # runs the code compiled for the first, and must do what a cold compile does
+    e = structural(ast)
+    n = count_constants(e)
+    twin = with_constants(e, iter(data.draw(st.lists(EDGE_CONSTANTS, min_size=n, max_size=n))))
+    point = [float(v) for v in data.draw(st.lists(MIXED_VALUE, min_size=e.arity, max_size=e.arity))]
+    cold = []
+    for x in (e, twin):
+        expr_core._compile.cache_clear()
+        cold.append(lowered_outcome(x, point))
+    for order in ((e, twin), (twin, e)):
+        expr_core._compile.cache_clear()
+        warm = [lowered_outcome(x, point) for x in order]
+        assert expr_core._compile.cache_info().hits == 1
+        assert warm == (cold if order[0] is e else cold[::-1])
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Lift, composition, substitution, projection and compaction laws."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from mvfa.expr_core import (
     Compose,
     Const,
     Diagonal,
+    EvalError,
     Lift,
     Prim,
     StructureError,
@@ -239,3 +241,12 @@ def test_normalize_fully_unused_collapses_to_const():
     e = substitute_const(substitute_const(Prim(ADD), 1, 2.0), 2, 3.0)
     out, mapping = normalize(e)
     assert out == Const(5.0) and mapping == {}
+
+
+@pytest.mark.parametrize("a,b,value", [(1e300, 1e300, "inf"), (math.inf, 0.0, "nan")])
+def test_normalize_refuses_a_non_finite_constant(a, b, value):
+    # a constant node holds a finite value, the only kind its notation writes
+    e = substitute_const(substitute_const(Prim(MUL), 1, a), 2, b)
+    with pytest.raises(EvalError, match=f"not finite: {value}") as info:
+        normalize(e)
+    assert info.value.node is e and info.value.point == (0.0, 0.0)
