@@ -5,11 +5,11 @@ A bivariate continuous function on the unit square is approximated as
     f(x1, x2)  ~=  sum over q = 0..4 of  Phi_q( psi_{q,1}(x1) + psi_{q,2}(x2) )
 
 with a fixed, function-independent family of strictly monotone inner maps
-psi_{q,p} and numerically fitted outer functions Phi_q stored on uniform
-knot grids with linear interpolation.  Exact continuous outer functions are
-not computable from finite data; this module realizes the decomposition
-operator numerically and its guarantees are the tested properties, not
-proof-grade accuracy.
+psi_{q,p} and numerically fitted outer functions Phi_q stored as their
+values on uniform 64-knot grids, linearly interpolated.  Exact continuous
+outer functions are not computable from finite data; this module realizes
+the decomposition operator numerically and its guarantees are the tested
+properties, not proof-grade accuracy.
 
 Inner family (the package's own documented choice): a truncated series
 
@@ -19,9 +19,9 @@ which is strictly increasing and continuous for t >= 0, evaluated at
 t = x + q*eps with shift eps = 1/(2n+2) = 1/6, and scaled per coordinate by
 the rationally independent weights (1, sqrt(2)).  The parameters are
 recorded in every representation and never depend on the target function.
-The family, its depth K = 10, the 4096 storage knots, the 64 correction
-bins and the damping 0.5 are fixed: no caller chooses them, and the loader
-refuses a document with other inner parameters.
+The family, its depth K = 10, the 64 knots per outer function and the
+damping 0.5 are fixed: no caller chooses them, and the loader refuses a
+document with other inner parameters or another knot count.
 
 Fitting is iterative residual correction: per iteration the current
 residual is binned by inner-sum value for each q and a damped per-bin mean
@@ -30,8 +30,7 @@ correction is added to Phi_q.  The correction is shared equally across the
 damping of 0.5), so a constant function is absorbed exactly in one
 iteration.  The outer functions are fitted as values on the 64 bin nodes,
 where a correction's value at a sample is its hat expansion through the
-sample's bin and bin weight; the nodes are storage knots (4095 = 63*65),
-so the fitted functions are resampled onto the knots once, at the end.  A
+sample's bin and bin weight, and the node values are what is stored.  A
 step that would raise the max-norm training residual is halved until it
 does not (kept unchanged in the worst case), so the recorded residual
 history is non-increasing by construction.
@@ -66,13 +65,12 @@ from .expr_core import (
 )
 from .structure_ops import compose_at, lift, normalize
 
-# Since version 2, each outer function's values are one base64 string of
-# their little-endian IEEE-754 float64 bytes (`_pack`).
-KST_FORMAT_VERSION = 2
+# Version 3: each outer function's values are its DEFAULT_BINS knot values,
+# one base64 string of their little-endian IEEE-754 float64 bytes (`_pack`).
+KST_FORMAT_VERSION = 3
 
 DEFAULT_DEPTH = 10       # series truncation K
-DEFAULT_KNOTS = 2 ** 12  # storage grid per outer function
-DEFAULT_BINS = 64        # correction-fit nodes per iteration
+DEFAULT_BINS = 64        # knots per outer function: the fit's correction nodes
 DEFAULT_DAMPING = 0.5
 
 _WEIGHTS = (1.0, math.sqrt(2))  # per-coordinate scales of the inner maps
@@ -178,12 +176,15 @@ class KstRep:
                 f"unsupported representation version {doc['version']!r}, "
                 f"expected {KST_FORMAT_VERSION}")
         try:
+            inner = doc["inner_params"]
+            if type(inner) is not dict:
+                raise FormatError(f"inner_params must be a JSON object, got {inner!r}")
             rep = cls(
                 dimension=_count(doc, "dimension", 1),
-                inner=dict(doc["inner_params"]),
+                inner=dict(inner),
                 outer=[_outer_from_doc(o) for o in doc["outer"]],
                 iterations=_count(doc, "iterations", 0),
-                history=[float(h) for h in doc["history"]],
+                history=[_number(h, "history entry") for h in doc["history"]],
                 grid=_count(doc, "grid", 2),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -224,14 +225,13 @@ def _pack(values: np.ndarray) -> str:
 
 
 def _unpack(text: str) -> np.ndarray:
-    """The float64 values of a `_pack` string, two knots at least."""
+    """The float64 values of a `_pack` string."""
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:   # binascii.Error, or a str that is not ASCII
         raise FormatError(f"outer values are not valid base64: {exc}") from exc
-    if len(raw) % 8 or len(raw) < 16:
-        raise FormatError(f"outer values take {len(raw)} bytes, "
-                          "not 8 per knot for two knots or more")
+    if len(raw) % 8:
+        raise FormatError(f"outer values take {len(raw)} bytes, not 8 per knot")
     return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
@@ -243,14 +243,22 @@ def _count(doc: dict, key: str, least: int) -> int:
     return value
 
 
+def _number(value, what: str) -> float:
+    """`value`, a JSON number (no string, no boolean), as a float."""
+    if type(value) not in (int, float):
+        raise FormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _outer_from_doc(o: dict) -> OuterFunction:
-    lo, hi, values = o["lo"], o["hi"], _unpack(o["values"])
+    lo, hi, values = _number(o["lo"], "lo"), _number(o["hi"], "hi"), _unpack(o["values"])
     if not (math.isfinite(lo) and math.isfinite(hi) and np.isfinite(values).all()):
         raise FormatError("outer function holds a value that is not finite")
     if not lo < hi:
         raise FormatError(f"outer function knot range [{lo!r}, {hi!r}] is empty")
-    if len(values) != DEFAULT_KNOTS:
-        raise FormatError(f"outer function has {len(values)} knots, not {DEFAULT_KNOTS}")
+    if len(values) != DEFAULT_BINS:
+        raise FormatError(f"outer values take {8 * len(values)} bytes, so the outer "
+                          f"function has {len(values)} knots, not {DEFAULT_BINS}")
     return OuterFunction(lo, hi, values)
 
 
@@ -371,11 +379,7 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
             scale *= 0.5
         history.append(accepted)
 
-    # the bin nodes are storage knots, so this keeps each fitted function
-    outer = [OuterFunction(float(los[q]), float(his[q]),
-                           np.interp(np.linspace(los[q], his[q], DEFAULT_KNOTS),
-                                     node_xs[q], phi[q]))
-             for q in range(q_count)]
+    outer = [OuterFunction(float(los[q]), float(his[q]), phi[q]) for q in range(q_count)]
     return KstRep(dimension=n, inner=inner_params(), outer=outer,
                   iterations=iters, history=history, grid=grid)
 

@@ -1,6 +1,7 @@
 """Inner-map family, decomposition fitting, reconstruction, rescaling, IO."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 import math
@@ -137,14 +138,28 @@ def test_training_reconstruction_consistency():
     assert worst <= rep.residual + 1e-6
 
 
+def storage_knots(fn):
+    """`fn`'s values resampled onto the 4096 knots that versions 1 and 2 stored."""
+    return np.interp(np.linspace(fn.lo, fn.hi, 4096), fn.knots, fn.values)
+
+
 def v1_text(rep):
-    """The version-1 document of `rep`: outer values as decimal lists."""
+    """The version-1 document of `rep`: 4096 knot values as decimal lists."""
     return json.dumps(dict(rep.to_dict(), version=1, outer=[
-        {"lo": fn.lo, "hi": fn.hi, "values": fn.values.tolist()} for fn in rep.outer]))
+        {"lo": fn.lo, "hi": fn.hi, "values": storage_knots(fn).tolist()}
+        for fn in rep.outer]))
+
+
+def v2_text(rep):
+    """The version-2 document of `rep`: 4096 knot values, packed."""
+    return json.dumps(dict(rep.to_dict(), version=2, outer=[
+        {"lo": fn.lo, "hi": fn.hi, "values": kst._pack(storage_knots(fn))}
+        for fn in rep.outer]))
 
 
 # SHA-256 of v1_text(decompose(f, grid, iters)), recorded with the fit on
-# the correction nodes; any change to the fit's floats shows here.
+# the correction nodes when it stored their resample onto 4096 knots; any
+# change to the fit's floats shows here.
 # GOLDEN_PINS below ties these fits to the earlier one on the storage knots
 # up to rounding.  The first five are the benchmark's kst-fit families with
 # one fixed coefficient each.
@@ -174,9 +189,10 @@ def test_golden_fit(text, grid, iters, digest):
     assert hashlib.sha256(v1_text(rep).encode()).hexdigest() == digest
 
 
-# history[-1], sum(history) and each outer function's values.sum() of every
-# GOLDEN_FITS case, recorded with the fit that resampled each correction onto
-# the storage knots and interpolated every step-halving trial from them.
+# history[-1], sum(history) and each outer function's storage_knots(fn).sum()
+# of every GOLDEN_FITS case, recorded with the fit that resampled each
+# correction onto the storage knots and interpolated every step-halving
+# trial from them.
 # The fit on the correction nodes takes the same halving decisions, so it
 # reproduces these up to rounding.
 GOLDEN_PINS = [
@@ -213,8 +229,22 @@ def test_golden_fit_matches_recorded_fit(case, pins):
     rep = decompose(expr_of(text), grid=grid, iters=iters)
     assert rep.history[-1] == pytest.approx(last, rel=1e-12, abs=0.0)
     assert sum(rep.history) == pytest.approx(total, rel=1e-12, abs=0.0)
-    assert [float(fn.values.sum()) for fn in rep.outer] == pytest.approx(sums, rel=1e-12,
-                                                                         abs=0.0)
+    assert [float(storage_knots(fn).sum()) for fn in rep.outer] == pytest.approx(
+        sums, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("text,grid,iters,digest", GOLDEN_FITS[:5])
+def test_nodes_reconstruct_as_their_storage_knots(text, grid, iters, digest):
+    # the 64 stored nodes and their 4096-knot resample are one piecewise-
+    # linear function, so reconstruction differs only by rounding: a few ulps
+    # of the target's largest value, history[0]
+    rep = decompose(expr_of(text), grid=grid, iters=iters)
+    resampled = dataclasses.replace(rep, outer=[
+        kst.OuterFunction(fn.lo, fn.hi, storage_knots(fn)) for fn in rep.outer])
+    off = ((np.arange(64) + 0.5) / 64.0).tolist()
+    worst = max(abs(reconstruct(rep, [a, b]) - reconstruct(resampled, [a, b]))
+                for a in off for b in off)
+    assert worst <= 4 * math.ulp(rep.history[0])
 
 
 @pytest.mark.parametrize("text,grid,iters,digest", GOLDEN_FITS[:5])
@@ -345,14 +375,14 @@ def test_rep_file_is_the_json_document(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps(rep.to_dict())
     doc = strict_json(text)
-    assert doc["version"] == kst.KST_FORMAT_VERSION == 2
+    assert doc["version"] == kst.KST_FORMAT_VERSION == 3
     assert doc["history"] == rep.history
     for entry, fn in zip(doc["outer"], rep.outer):
         assert (entry["lo"], entry["hi"]) == (fn.lo, fn.hi)
         # one base64 string of little-endian float64s, 8 bytes per knot
         raw = base64.b64decode(entry["values"], validate=True)
         assert raw == fn.values.astype("<f8").tobytes()
-        assert len(raw) == 8 * kst.DEFAULT_KNOTS
+        assert len(raw) == 8 * kst.DEFAULT_BINS
 
 
 def test_rep_version_guard(tmp_path, capsys):
@@ -363,13 +393,15 @@ def test_rep_version_guard(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         KstRep.load(path)
-    # a version-1 file (decimal value lists) is refused by name, not read
-    path.write_text(v1_text(rep))
-    with pytest.raises(FormatError, match="version 1, expected 2"):
-        KstRep.load(path)
-    assert cli.main(["kst", "reconstruct", str(path), "--at", "0.5,0.5"]) == 1
-    error = strict_json(capsys.readouterr().out)["error"]
-    assert error["kind"] == "format" and "version 1" in error["message"]
+    # a version-1 file (decimal value lists) or a version-2 file (4096 knots)
+    # is refused by name, not read
+    for version, text in ((1, v1_text(rep)), (2, v2_text(rep))):
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"version {version}, expected 3"):
+            KstRep.load(path)
+        assert cli.main(["kst", "reconstruct", str(path), "--at", "0.5,0.5"]) == 1
+        error = strict_json(capsys.readouterr().out)["error"]
+        assert error["kind"] == "format" and f"version {version}" in error["message"]
 
 
 def test_rep_rejects_foreign_inner_family(tmp_path):
@@ -425,6 +457,11 @@ BAD_DOCUMENTS = [
     ("grid", "3.7", "grid must be an integer of at least 2, got 3.7"),
     ("grid", "-4", "grid must be an integer of at least 2, got -4"),
     ("dimension", "2.5", "dimension must be an integer of at least 1, got 2.5"),
+    ("history", '"2.0"', "history entry must be a number, got '2.0'"),
+    ("history", "true", "history entry must be a number, got True"),
+    ("lo", "false", "lo must be a number, got False"),
+    ("inner_params", json.dumps(list(inner_params().items())),
+     "inner_params must be a JSON object"),
 ]
 
 
@@ -446,7 +483,7 @@ FOREIGN_DOCUMENTS = [
     (three_dimensional, "dimension 3, not 2"),
     (lambda doc: doc["inner_params"].update(depth=3), "do not match the fixed family"),
     (lambda doc: doc.pop("grid"), "malformed .*'grid'"),
-    (two_knots, "has 2 knots, not 4096"),
+    (two_knots, "has 2 knots, not 64"),
 ]
 
 
