@@ -49,7 +49,7 @@ from .inverse import (
     piecewise_split,
 )
 from .kst import FormatError, KstRep, decompose, inner_psi, reconstruct, rescale
-from .solver import Equation, SolveReport, bind_params, collapse_unknowns, solve, unknown_slots
+from .solver import Equation, SolveReport, bind_params, collapse_unknowns, solve
 from .structure_ops import compose_at, diagonal, lift, lift_count, normalize, substitute_const
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "FormatError", "KstRep", "decompose", "inner_psi",
     "reconstruct", "rescale",
     "Equation", "SolveReport", "bind_params", "collapse_unknowns", "solve",
-    "unknown_slots",
     "compose_at", "diagonal", "lift", "lift_count", "normalize",
     "substitute_const",
 ]

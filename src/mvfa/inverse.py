@@ -17,10 +17,14 @@ scan, bracketing and root grouping shared by `invert_at`, `inverse_fn` and
 the evaluation of Inverse nodes: one lazy pass over a stream of scan
 values, so the evaluation of an Inverse node stops at its first root.
 `inverse_fn` scans each branch at 65 points by default, the split's probe
-count, through the point function the split already lowered; `invert_at`
-and Inverse nodes, which have no split, scan 1 024 points through the
-expression's compiled scan kernel (`_kernel_roots`).  The default
-tolerance is the package's `DEFAULT_TOL` (1e-9).
+count, through the point function the split already lowered.  Each of
+those points is evaluated once per solve: a split whose fibers have no
+turning point is its one branch's probe, so it is not probed again, and
+for a unary function the branch scans at the split's resolution take the
+values of the scan that checked the branch, minus the target.
+`invert_at` and Inverse nodes, which have no split, scan 1 024 points
+through the expression's compiled scan kernel (`_kernel_roots`).  The
+default tolerance is the package's `DEFAULT_TOL` (1e-9).
 
 The core has one failure rule.  A point where the section does not
 evaluate (log, root or division outside its domain, overflow in a power)
@@ -379,10 +383,11 @@ def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
     return _probe(f, i, d, grid, tol)[0]
 
 
-def _probe(f: Expr, i: int, d: BoxDomain, grid: int,
-           tol: float = DEFAULT_TOL) -> tuple[InvertVerdict, int]:
-    """check_invertible without the argument check, and the direction of the
-    first step between two finite values it computed, +1 if there is none."""
+def _probe(f: Expr, i: int, d: BoxDomain, grid: int, tol: float = DEFAULT_TOL):
+    """check_invertible without the argument check; also the direction of the
+    first step between two finite values it computed (+1 if there is none),
+    its scan points along axis i, and the values of the last fiber it
+    scanned (for a unary f, its only one)."""
     ts = _axis_points(*d.axis(i), grid)
     sign = None
     for fixed in _fibers(d, i, grid):
@@ -390,7 +395,7 @@ def _probe(f: Expr, i: int, d: BoxDomain, grid: int,
         vals, flat, turns = _scan_fiber(section, ts)
         if flat is not None:
             witness = Witness(tuple(fixed), ts[flat], ts[flat + 1], vals[flat], vals[flat + 1])
-            return InvertVerdict(False, witness), 1
+            return InvertVerdict(False, witness), 1, ts, vals
         for k in turns:
             # vals[k] is a local extremum; any level strictly between it and
             # the nearer neighbour value is crossed on both sides.
@@ -401,12 +406,18 @@ def _probe(f: Expr, i: int, d: BoxDomain, grid: int,
             t2, err2 = _bisect(h, ts[k], ts[k + 1], vb - level, vc - level, tol / 2.0, [])
             if max(err1, err2) < math.inf:
                 witness = Witness(tuple(fixed), t1, t2, section(t1), section(t2))
-                return InvertVerdict(False, witness), 1
+                return InvertVerdict(False, witness), 1, ts, vals
         if sign is None:
-            sign = next((1 if b > a else -1 for a, b in zip(vals, vals[1:])
-                         if a is not None and b is not None
-                         and math.isfinite(a) and math.isfinite(b)), None)
-    return InvertVerdict(True, None), sign or 1
+            sign = _first_step(vals)
+    return InvertVerdict(True, None), sign or 1, ts, vals
+
+
+def _first_step(vals) -> int | None:
+    """+1 or -1, the direction of the first step between two finite values
+    of a fiber's scan values, or None where there is none."""
+    return next((1 if b > a else -1 for a, b in zip(vals, vals[1:])
+                 if a is not None and b is not None
+                 and math.isfinite(a) and math.isfinite(b)), None)
 
 
 # Closed-form partial inverses.  Convention: the result has the primitive's
@@ -477,18 +488,30 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
     its current bracket where the section does not evaluate; cut points
     from all fibers are merged within one grid cell.  Each resulting branch
     must pass check_invertible at the same resolution, and its sign is the
-    direction of the first finite step that probe computed.  Stretches
-    where the section does not evaluate are skipped, never cut at and never
-    an error: a branch may hold several runs separated by such gaps, and
-    the root scan searches all of them.  More than `max_branches` branches
-    (or a flat section segment) is a degenerate input.
+    direction of the first finite step that probe computed.  Where no fiber
+    turns, the one branch is the whole axis and that probe would repeat the
+    split's own scan point for point, so it is not run: the branch's sign
+    is the first finite step of the split's values, in fiber order.
+    Stretches where the section does not evaluate are skipped, never cut
+    at and never an error: a branch may hold several runs separated by such
+    gaps, and the root scan searches all of them.  More than `max_branches`
+    branches (or a flat section segment) is a degenerate input.
     """
+    return _split(f, i, d, grid, tol, max_branches)[0]
+
+
+def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float, max_branches: int):
+    """piecewise_split, and for each branch the scan points and the values of
+    the last fiber that checked it: the branch's probe, or the split's own
+    scan where no fiber turned.  For a unary f these are the section's
+    values along the branch at `grid` points, as `_values` yields them."""
     _check_slot(f, i, d, grid)
     lo, hi = d.axis(i)
     ts = _axis_points(lo, hi, grid)
     cell = (hi - lo) / (grid - 1)
 
     cuts: list[float] = []
+    first = None
     for fixed in _fibers(d, i, grid):
         section = _section(f, i, fixed)
         vals, flat, turns = _scan_fiber(section, ts)
@@ -499,6 +522,8 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
         for k in turns:
             cuts.append(_refine_extremum(section, ts[k - 1], ts[k + 1],
                                          peak=vals[k] > vals[k - 1], tol=tol))
+        if first is None:
+            first = _first_step(vals)
 
     merged: list[float] = []
     for c in sorted(cuts):
@@ -511,14 +536,21 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
             f"{len(merged) + 1} branches exceed the budget of {max_branches}")
 
     edges = [lo, *merged, hi]
-    branches = []
+    branches, scans = [], []
     for bid, (a, b) in enumerate(zip(edges, edges[1:]), start=1):
-        verdict, sign = _probe(f, i, d.with_axis(i, (a, b)), grid)
-        if not verdict.invertible:
-            raise DegenerateInputError(
-                f"branch {bid} [{a!r}, {b!r}] is not monotone at grid {grid}")
+        if cuts:
+            # a fiber turned: even where every cut was dropped, the probe
+            # may find a witness
+            verdict, sign, *scan = _probe(f, i, d.with_axis(i, (a, b)), grid)
+            if not verdict.invertible:
+                raise DegenerateInputError(
+                    f"branch {bid} [{a!r}, {b!r}] is not monotone at grid {grid}")
+        else:
+            # the one branch [lo, hi]: its probe is the scan just made
+            sign, scan = first or 1, (ts, vals)
         branches.append(Branch((a, b), sign, bid))
-    return PiecewiseInverse(axis=i, branches=tuple(branches), source=f, domain=d)
+        scans.append(scan)
+    return PiecewiseInverse(axis=i, branches=tuple(branches), source=f, domain=d), scans
 
 
 def _refine_extremum(section, a, b, peak: bool, tol: float) -> float:
@@ -548,16 +580,21 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
     coordinates in place) and returns every preimage found across all
     branches, ascending.  Each branch is scanned at `grid` points through
     f's point function, the one the split lowered; the default, 65, is the
-    split's default probe count.  A sign change between scan points is
-    bisected, and an interval with one undefined end is searched up to the
-    gap edge.  Two roots in one scan cell, where the ends show no sign
-    change, are missed: the split saw each branch monotone only at its own
-    probe points, and for arity > 1 only on its grid fibers, so pass a
-    larger `grid` where a branch may turn between them.  The branch
-    decomposition is exposed on the returned callable as `.pieces`.
+    split's default probe count.  For a unary f scanned at the split's
+    resolution, the scan evaluates nothing: its values are the ones that
+    checked the branch (the split's scan, or the branch's probe) minus the
+    target, bitwise what the point function would give.  A sign change
+    between scan points is bisected, and an interval with one undefined end
+    is searched up to the gap edge.  Two roots in one scan cell, where the
+    ends show no sign change, are missed: the split saw each branch
+    monotone only at its own probe points, and for arity > 1 only on its
+    grid fibers, so pass a larger `grid` where a branch may turn between
+    them.  The branch decomposition is exposed on the returned callable as
+    `.pieces`.
     """
-    pieces = piecewise_split(f, i, d, split_grid, tol=tol)
-    scans = [_axis_points(*branch.interval, grid) for branch in pieces.branches]
+    pieces, scans = _split(f, i, d, split_grid, tol, MAX_BRANCHES)
+    if f.arity != 1 or grid != split_grid:
+        scans = [(_axis_points(*branch.interval, grid), None) for branch in pieces.branches]
 
     def fn(*args: float) -> list[float]:
         if len(args) != f.arity:
@@ -566,8 +603,10 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
         target = float(args[i - 1])
         h = _section(f, i, fixed, target)
         found: list[float] = []
-        for ts in scans:
-            found.extend(_roots(lambda: h, ts, _values(h, ts), tol, []))
+        for ts, vals in scans:
+            values = (_values(h, ts) if vals is None
+                      else (None if v is None else v - target for v in vals))
+            found.extend(_roots(lambda: h, ts, values, tol, []))
         found.sort()
         roots: list[float] = []
         for t in found:

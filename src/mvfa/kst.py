@@ -45,6 +45,7 @@ one vector: the residual minus the scaled step.
 from __future__ import annotations
 
 import base64
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -157,7 +158,7 @@ class KstRep:
         return {
             "version": KST_FORMAT_VERSION,
             "dimension": self.dimension,
-            "inner_params": self.inner,
+            "inner_params": copy.deepcopy(self.inner),
             "outer": [
                 {"lo": fn.lo, "hi": fn.hi, "values": _pack(fn.values)}
                 for fn in self.outer
@@ -181,7 +182,7 @@ class KstRep:
                 raise FormatError(f"inner_params must be a JSON object, got {inner!r}")
             rep = cls(
                 dimension=_count(doc, "dimension", 1),
-                inner=dict(inner),
+                inner=copy.deepcopy(inner),
                 outer=[_outer_from_doc(o) for o in doc["outer"]],
                 iterations=_count(doc, "iterations", 0),
                 history=[_number(h, "history entry") for h in doc["history"]],

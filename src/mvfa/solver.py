@@ -128,12 +128,6 @@ class SolveReport:
         }
 
 
-def unknown_slots(eq: Equation) -> list[int]:
-    """Ascending slots bound to the unknown."""
-    unk = eq.unknown
-    return sorted(s for s, name in eq.binding.items() if name == unk)
-
-
 def collapse_unknowns(eq: Equation) -> tuple[Expr, dict[int, str], list[TraceStep]]:
     """Merge repeated unknown slots until exactly one remains.
 

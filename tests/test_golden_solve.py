@@ -1,0 +1,39 @@
+"""Recorded solve outputs, byte for byte.
+
+`golden_solve.json` holds the exact stdout and exit code of 35 `mvfa solve`
+invocations, recorded before a solve's branch check and root scan began to
+reuse the split's values: one-branch and several-branch solves, roots next
+to a gap, no-solution, `degenerate` and usage errors, a log requested
+partly outside its domain, and 22 requests of the benchmark's seeded
+solve-distinct stream (seed 1).  It also holds the roots of one arity-2
+partial inverse scanned at a grid other than its split's, which keeps
+evaluating every scan point.
+"""
+
+import json
+import os
+
+import pytest
+
+from mvfa import BoxDomain, cli, inverse_fn, parse, to_structural
+
+with open(os.path.join(os.path.dirname(__file__), "golden_solve.json"), encoding="utf-8") as fh:
+    GOLDEN = json.load(fh)
+
+
+@pytest.mark.parametrize("case", GOLDEN["solve"], ids=range(len(GOLDEN["solve"])))
+def test_solve_output_is_unchanged(case, capsys, monkeypatch):
+    monkeypatch.delenv("MVFA_TOL", raising=False)
+    assert cli.main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+def test_two_dimensional_inverse_fn_is_unchanged():
+    spec = GOLDEN["inverse_fn"]
+    assert spec["grid"] != spec["split_grid"]
+    fn = inverse_fn(to_structural(parse(spec["expr"])).expr, spec["slot"],
+                    BoxDomain(tuple(map(tuple, spec["domain"]))), tol=spec["tol"],
+                    grid=spec["grid"], split_grid=spec["split_grid"])
+    assert [[*b.interval, b.sign] for b in fn.pieces.branches] == spec["branches"]
+    for call in spec["calls"]:
+        assert fn(*call["args"]) == call["roots"]

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,13 +23,14 @@ from mvfa.inverse import (
     DegenerateInputError,
     InvertVerdict,
     UnsupportedInverseError,
+    _axis_points,
     check_invertible,
     inverse_fn,
     invert_at,
     invert_primitive,
     piecewise_split,
 )
-from mvfa.solver import Equation, collapse_unknowns
+from mvfa.solver import Equation, bind_params, collapse_unknowns, solve
 from mvfa.structure_ops import compose_at, diagonal, normalize
 
 from util import ADD, DIV, E, LOG, MUL, POW, ROOT, poly_sum, x_pow
@@ -306,6 +308,57 @@ def test_inverse_fn_multivalued():
     assert roots[0] == pytest.approx(-0.5, abs=1e-8)
     assert roots[1] == pytest.approx(0.5, abs=1e-8)
     assert len(fn.pieces.branches) == 2
+
+
+# --- work counts: every scan point of a solve is evaluated once ---
+
+def _solve_counting(monkeypatch, text, rhs, lo, hi):
+    """Solve text = rhs over lo:hi; return the report, the number of point
+    function calls the inverse core made at each t, and the equation."""
+    import mvfa.inverse as inverse
+
+    calls = Counter()
+    lower = inverse.lowered
+
+    def counting(e):
+        fn = lower(e)
+
+        def point(t):
+            calls[t] += 1
+            return fn(t)
+        return point
+
+    form = to_structural(parse(text))
+    eq = Equation(form.expr, form.binding, rhs, {}, BoxDomain(((lo, hi),)))
+    monkeypatch.setattr(inverse, "lowered", counting)
+    report = solve(eq)
+    monkeypatch.undo()
+    return report, calls, eq
+
+
+def test_one_branch_solve_evaluates_each_split_point_once(monkeypatch):
+    # no turn: the split's scan checks the branch and serves the root scan
+    report, calls, _ = _solve_counting(monkeypatch, "pow(x,x)", 10.0, 1.0, 4.0)
+    assert report.roots == pytest.approx([2.5061841455887692], abs=1e-8)
+    assert all(calls[t] == 1 for t in _axis_points(1.0, 4.0, 65))
+
+
+def test_two_branch_solve_evaluates_each_scan_grid_once(monkeypatch):
+    # the split's grid once, and each branch's grid once, in its probe; the
+    # root scan reuses the probe's values
+    report, calls, eq = _solve_counting(monkeypatch, "mul(add(x,-1),add(x,-1))", 0.25, 0.0, 3.0)
+    assert report.roots == pytest.approx([0.5, 1.5], abs=1e-8)
+    bound = bind_params(*collapse_unknowns(eq)[:2], {})
+    pieces = piecewise_split(bound, 1, eq.domain, grid=65)
+    assert len(pieces.branches) == 2
+    grids = Counter(_axis_points(0.0, 3.0, 65))
+    for branch in pieces.branches:
+        grids.update(_axis_points(*branch.interval, 65))
+    # the cut ends one branch grid and starts the next; the extremum
+    # refinement that placed it may have evaluated it as well
+    cut = pieces.branches[0].interval[1]
+    assert calls.pop(cut) - grids.pop(cut) in (0, 1)
+    assert all(calls[t] == n for t, n in grids.items())
 
 
 # --- undefined stretches: a gap in every scan, never an error ---

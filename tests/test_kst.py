@@ -404,6 +404,23 @@ def test_rep_version_guard(tmp_path, capsys):
         assert error["kind"] == "format" and f"version {version}" in error["message"]
 
 
+def test_rep_document_is_a_copy(tmp_path):
+    # editing the document, or the one a representation was read from,
+    # leaves the representation as it was
+    rep = decompose(ADD_XY, grid=9, iters=1)
+    doc = rep.to_dict()
+    doc["inner_params"]["depth"] = 3
+    doc["inner_params"]["weights"].append(2.0)
+    assert rep.inner == kst.inner_params()
+    doc = rep.to_dict()
+    back = KstRep.from_dict(doc)
+    doc["inner_params"]["weights"][0] = 2.0
+    assert back.inner == kst.inner_params()
+    path = tmp_path / "rep.json"
+    rep.save(path)
+    assert KstRep.load(path).inner == rep.inner
+
+
 def test_rep_rejects_foreign_inner_family(tmp_path):
     rep = decompose(ADD_XY, grid=9, iters=1)
     doc = rep.to_dict()

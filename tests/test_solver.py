@@ -13,7 +13,6 @@ from mvfa.solver import (
     collapse_unknowns,
     replay_trace,
     solve,
-    unknown_slots,
 )
 
 from util import random_ast, scan_roots
@@ -45,22 +44,6 @@ def test_equation_requires_total_binding():
     form = to_structural(parse("add(x,a)"))
     with pytest.raises(ConfigError):
         Equation(form.expr, {1: "x"}, 1.0, {"a": 1.0}, BoxDomain(((0, 1),)))
-
-
-# --- unknown_slots ---
-
-def test_unknown_slots_repeated_unknown():
-    assert unknown_slots(POW_EQ) == [1, 3]
-
-
-def test_unknown_slots_single():
-    eq = make_eq("add(a,pow(x,2))", 5.0, {"a": 1.0}, (0.0, 5.0))
-    assert unknown_slots(eq) == [2]
-
-
-def test_unknown_slots_all():
-    eq = make_eq("pow(pow(x,x),pow(x,x))", 2.0, {}, (1.0, 2.0))
-    assert unknown_slots(eq) == [1, 2, 3, 4]
 
 
 # --- collapse_unknowns ---
