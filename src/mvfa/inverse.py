@@ -383,7 +383,8 @@ def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
     return _probe(f, i, d, grid, tol)[0]
 
 
-def _probe(f: Expr, i: int, d: BoxDomain, grid: int, tol: float = DEFAULT_TOL):
+def _probe(f: Expr, i: int, d: BoxDomain, grid: int,
+           tol: float = DEFAULT_TOL) -> tuple[InvertVerdict, int, list[float], list]:
     """check_invertible without the argument check; also the direction of the
     first step between two finite values it computed (+1 if there is none),
     its scan points along axis i, and the values of the last fiber it
