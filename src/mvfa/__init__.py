@@ -28,7 +28,6 @@ from .expr_core import (
 from .frontend import (
     ParseError,
     StructuralForm,
-    ast_to_text,
     format_expr,
     parse,
     parse_equation,
@@ -48,7 +47,7 @@ from .inverse import (
     invert_primitive,
     piecewise_split,
 )
-from .kst import FormatError, KstRep, decompose, inner_psi, reconstruct, rescale
+from .kst import FormatError, KstRep, decompose, inner_psi, reconstruct
 from .solver import Equation, SolveReport, bind_params, collapse_unknowns, solve
 from .structure_ops import compose_at, diagonal, lift, lift_count, normalize, substitute_const
 
@@ -59,13 +58,13 @@ __all__ = [
     "EvalDomainError", "EvalError", "Expr", "Inverse", "Lift", "MvfaError",
     "NoSolutionError", "Prim", "Primitive", "StructureError",
     "equivalent_on", "evaluate",
-    "ParseError", "StructuralForm", "ast_to_text", "format_expr", "parse",
+    "ParseError", "StructuralForm", "format_expr", "parse",
     "parse_equation", "parse_structural", "to_structural",
     "Branch", "DegenerateInputError", "InvertVerdict", "PiecewiseInverse",
     "UnsupportedInverseError", "Witness", "check_invertible", "inverse_fn",
     "invert_at", "invert_primitive", "piecewise_split",
     "FormatError", "KstRep", "decompose", "inner_psi",
-    "reconstruct", "rescale",
+    "reconstruct",
     "Equation", "SolveReport", "bind_params", "collapse_unknowns", "solve",
     "compose_at", "diagonal", "lift", "lift_count", "normalize",
     "substitute_const",

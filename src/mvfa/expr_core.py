@@ -320,6 +320,25 @@ def lowered_scan(e: Expr, slot: int):
     evaluation fails it appends "evaluation failed at t=...: ..." to `notes`
     and yields None.
     """
+    return _slot_forms(e, slot)[0]
+
+
+def lowered_enclosure(e: Expr, slot: int):
+    """The range enclosure of `e` along `slot`, lowered and cached with its
+    scan kernel.
+
+    `enclose(lo, hi, target, *fixed)` returns an interval (a, b) that holds
+    every value the scan kernel yields for a t in [lo, hi]: each is defined,
+    finite and in [a, b].  It is (-inf, inf) where it cannot bound them: a
+    domain check that may fail in the range (a divisor range that holds 0,
+    a base or logarithm argument not > 0, a logarithm base range that holds
+    1), a bound that overflows or is NaN, a nested Inverse, or a non-finite
+    target or fixed coordinate.
+    """
+    return _slot_forms(e, slot)[1]
+
+
+def _slot_forms(e: Expr, slot: int):
     scans = e.__dict__.setdefault("_scans", {})
     if slot not in scans:
         scans[slot] = _lower(e, slot)
@@ -328,7 +347,7 @@ def lowered_scan(e: Expr, slot: int):
 
 def _lower(e: Expr, slot: int | None = None):
     """Compile `e` once into a flat Python function of its coordinates, or,
-    given a `slot`, into the scan kernel that loops along it.
+    given a `slot`, into the pair (scan kernel, enclosure) along it.
 
     Slot routing (Lift, Diagonal, and a Compose whose slot f ignores)
     only renames arguments and emits no code.  Each arithmetic primitive
@@ -336,8 +355,12 @@ def _lower(e: Expr, slot: int | None = None):
     function), a Compose computes g before f, and an Inverse calls
     `_eval_inverse`: the same float operations in the same order as a walk
     of the tree, so results and errors (node and local point) are unchanged.
-    The kernel inlines the same lines in its loop.  Constants and nodes
-    reach the code through its namespace, never through its text.
+    The kernel inlines the same lines in its loop.  The enclosure is the
+    third form: the same routing over pairs of names, each the lower and
+    upper bound of a value, where each primitive calls its `_enclose_*`
+    function, a nested Inverse gives up, and the scanned slot holds the
+    range [lo, hi].  Constants and nodes reach the code through its
+    namespace, never through its text.
 
     So the source text depends only on the shape of `e`, and it is compiled
     once per text: the code objects of the last `_CODE_CACHE_SIZE` (256)
@@ -347,39 +370,50 @@ def _lower(e: Expr, slot: int | None = None):
     """
     namespace = {"_checked_div": _checked_div, "_checked_pow": _checked_pow,
                  "_checked_root": _checked_root, "_checked_log": _checked_log,
-                 "_eval_inverse": _eval_inverse, "EvalError": EvalError}
-    lines: list[str] = []
+                 "_eval_inverse": _eval_inverse, "EvalError": EvalError,
+                 "_enclose_add": _enclose_add, "_enclose_mul": _enclose_mul,
+                 "_enclose_div": _enclose_div, "_enclose_pow": _enclose_pow,
+                 "_enclose_root": _enclose_root, "_enclose_log": _enclose_log,
+                 "_outward": _outward, "_Unbounded": _Unbounded, "inf": math.inf}
 
     def bind(obj) -> str:
         name = f"o{len(namespace)}"
         namespace[name] = obj
         return name
 
-    def emit(node: Expr, args: list[str]) -> str:
-        """Emit the code for `node` over argument names; return its value's name."""
+    def emit(node: Expr, args: list[str], lines: list[str], bounds: bool) -> str:
+        """Emit the code for `node` over argument names into `lines`; return
+        its value's name.  With `bounds`, each name is a pair "lo, hi"."""
         if isinstance(node, Const):
-            return bind(node.value)
+            if not bounds:
+                return bind(node.value)
+            v = node.value
+            lo, hi = (v, v) if math.isfinite(v) else (-math.inf, math.inf)
+            return f"{bind(lo)}, {bind(hi)}"
         if isinstance(node, Lift):
-            return emit(node.inner, [args[p - 1] for p in node.positions])
+            return emit(node.inner, [args[p - 1] for p in node.positions], lines, bounds)
         if isinstance(node, Diagonal):
             # coordinate j, found at index jj once slot i is deleted, fills slot i
             jj = node.j - 1 if node.j > node.i else node.j
             routed = list(args)
             routed.insert(node.i - 1, args[jj - 1])
-            return emit(node.inner, routed)
+            return emit(node.inner, routed, lines, bounds)
         if isinstance(node, Compose):
             if node.slot not in node.f.used_slots:
                 # no replacement: behaves as f, g never evaluated
-                return emit(node.f, args[: node.f.arity])
+                return emit(node.f, args[: node.f.arity], lines, bounds)
             routed = list(args)
-            routed[node.slot - 1] = emit(node.g, args if node.g.arity else [])
-            return emit(node.f, routed)
-        out = f"t{len(lines)}"
+            routed[node.slot - 1] = emit(node.g, args if node.g.arity else [], lines, bounds)
+            return emit(node.f, routed, lines, bounds)
+        n = len(lines)
+        out = f"l{n}, h{n}" if bounds else f"t{n}"
         if isinstance(node, Prim):
             if node.op is Primitive.IDENTITY:
                 return args[0]
             a, b = args
-            if node.op is Primitive.ADD:
+            if bounds:
+                lines.append(f"{out} = _enclose_{node.op.value}({a}, {b})")
+            elif node.op is Primitive.ADD:
                 lines.append(f"{out} = {a} + {b}")
             elif node.op is Primitive.MUL:
                 lines.append(f"{out} = {a} * {b}")
@@ -387,13 +421,17 @@ def _lower(e: Expr, slot: int | None = None):
                 lines.append(f"{out} = _checked_{node.op.value}({a}, {b}, {bind(node)})")
             return out
         if isinstance(node, Inverse):
-            point = "".join(f"{a}, " for a in args)
-            lines.append(f"{out} = _eval_inverse({bind(node)}, ({point}))")
+            if bounds:
+                lines.append("raise _Unbounded")
+            else:
+                point = "".join(f"{a}, " for a in args)
+                lines.append(f"{out} = _eval_inverse({bind(node)}, ({point}))")
             return out
         raise StructureError(f"unknown node type: {type(node).__name__}")
 
     params = [f"x{k}" for k in range(e.arity)]
-    result = emit(e, params)
+    lines: list[str] = []
+    result = emit(e, params, lines, False)
     if slot is None:
         body = "".join(f"    {line}\n" for line in lines)
         source = f"def lowered({', '.join(params)}):\n{body}    return {result}\n"
@@ -408,8 +446,22 @@ def _lower(e: Expr, slot: int | None = None):
                   "            yield None\n"
                   "        else:\n"
                   f"            yield {result} - target\n")
+        lines = []
+        args = [f"{p}, {p}" for p in params]
+        args.insert(slot - 1, "lo, hi")
+        low, high = emit(e, args, lines, True).split(", ")
+        body = "".join(f"        {line}\n" for line in lines)
+        source += (f"def enclose({', '.join(['lo', 'hi', 'target', *params])}):\n"
+                   # a non-finite input makes the sum inf or NaN, which fail the
+                   # test; so does, harmlessly, a sum of finite inputs that overflows
+                   f"    if not -inf < {' + '.join(['lo', 'hi', 'target', *params])} < inf:\n"
+                   "        return -inf, inf\n"
+                   f"    try:\n{body}"
+                   f"        return _outward({low} - target, {high} - target)\n"
+                   "    except _Unbounded:\n"
+                   "        return -inf, inf\n")
     exec(_compile(source), namespace)
-    return namespace["lowered" if slot is None else "scan"]
+    return namespace["lowered"] if slot is None else (namespace["scan"], namespace["enclose"])
 
 
 @functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
@@ -419,8 +471,6 @@ def _compile(source: str):
 
 
 def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
-    from .inverse import DEFAULT_GRID, _axis_points, _kernel_roots  # deferred: that module builds on this one
-
     for k, v in enumerate(pt, start=1):
         if k != e.slot and not math.isfinite(v):
             raise StructureError(f"axis {k} bounds must be finite, got [{v}, {v}]")
@@ -431,7 +481,8 @@ def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
         object.__setattr__(e, "_grid", ts)
     fixed = pt[: e.slot - 1] + pt[e.slot:]
     # the smallest root: the scan stops once it is past that root's group
-    root = next(_kernel_roots(e.inner, e.slot, fixed, ts, pt[e.slot - 1], DEFAULT_TOL, []), None)
+    root = next(_kernel_roots(e.inner, e.slot, fixed, ts, pt[e.slot - 1], DEFAULT_TOL, [],
+                              prune=True), None)
     if root is None:
         raise NoSolutionError(
             f"no preimage of {pt[e.slot - 1]} on {list(e.axis)}", node=e, point=pt)
@@ -478,6 +529,68 @@ def _checked_log(a: float, b: float, node) -> float:
     return math.log(a, b)
 
 
+# The enclosures of the primitives, as the enclosure form emits them: each
+# takes the bounds of its two arguments, every one finite, and returns the
+# bounds of every value its `_checked_*` twin can return for arguments in
+# those ranges, or raises `_Unbounded`.  Each primitive is monotone in each
+# argument where its domain check passes, so its extremes lie at the
+# corners.  A bound is pushed outward by one ulp per float operation, and
+# by two for a libm call (`**`, `math.log`), which is assumed accurate to
+# within one ulp.
+
+class _Unbounded(Exception):
+    """An enclosure that cannot bound its values."""
+
+
+def _outward(lo: float, hi: float) -> tuple[float, float]:
+    lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    if -math.inf < lo <= hi < math.inf:   # NaN fails too
+        return lo, hi
+    raise _Unbounded
+
+
+def _outward_libm(lo: float, hi: float) -> tuple[float, float]:
+    return _outward(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+
+
+def _enclose_add(al, ah, bl, bh):
+    return _outward(al + bl, ah + bh)
+
+
+def _enclose_mul(al, ah, bl, bh):
+    corners = (al * bl, al * bh, ah * bl, ah * bh)
+    return _outward(min(corners), max(corners))
+
+
+def _enclose_div(al, ah, bl, bh):
+    if bl <= 0 <= bh:
+        raise _Unbounded
+    corners = (al / bl, al / bh, ah / bl, ah / bh)
+    return _outward(min(corners), max(corners))
+
+
+def _enclose_pow(al, ah, bl, bh):
+    if not al > 0:
+        raise _Unbounded
+    try:
+        corners = (al ** bl, al ** bh, ah ** bl, ah ** bh)
+    except OverflowError:
+        raise _Unbounded from None
+    return _outward_libm(min(corners), max(corners))
+
+
+def _enclose_root(al, ah, bl, bh):
+    return _enclose_pow(al, ah, *_enclose_div(1.0, 1.0, bl, bh))
+
+
+def _enclose_log(al, ah, bl, bh):
+    # math.log(a, b) divides the two natural logarithms
+    if not (al > 0 and bl > 0):
+        raise _Unbounded
+    return _enclose_div(*_outward_libm(math.log(al), math.log(ah)),
+                        *_outward_libm(math.log(bl), math.log(bh)))
+
+
 def equivalent_on(e1: Expr, e2: Expr, domain: BoxDomain, samples: int = 100,
                   tol: float = DEFAULT_TOL, seed: int = 0) -> bool:
     """Sampled evaluation equivalence of two expressions over a box.
@@ -509,3 +622,8 @@ def equivalent_on(e1: Expr, e2: Expr, domain: BoxDomain, samples: int = 100,
         if ok1 and not abs(v1 - v2) <= tol:
             return False
     return True
+
+
+# The inverse core builds on this module, so it is imported once this
+# module is complete: an Inverse node's evaluation runs on it.
+from .inverse import DEFAULT_GRID, _axis_points, _kernel_roots  # noqa: E402

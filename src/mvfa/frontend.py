@@ -280,15 +280,6 @@ def to_structural(ast: PointfulAst) -> StructuralForm:
     return StructuralForm(expr, binding, trace)
 
 
-def ast_to_text(ast: PointfulAst) -> str:
-    """Render a pointful AST back to DSL text (inverse of `parse`)."""
-    if isinstance(ast, AstConst):
-        return _format_number(ast.value)
-    if isinstance(ast, AstSymbol):
-        return ast.name
-    return f"{ast.prim.value}({ast_to_text(ast.left)},{ast_to_text(ast.right)})"
-
-
 def _format_number(v: float) -> str:
     """The shortest text that reads back as `v` bitwise: an integer below
     1e16 without its ".0", anything else, -0.0 included, by `repr`."""

@@ -22,9 +22,14 @@ those points is evaluated once per solve: a split whose fibers have no
 turning point is its one branch's probe, so it is not probed again, and
 for a unary function the branch scans at the split's resolution take the
 values of the scan that checked the branch, minus the target.
-`invert_at` and Inverse nodes, which have no split, scan 1 024 points
-through the expression's compiled scan kernel (`_kernel_roots`).  The
-default tolerance is the package's `DEFAULT_TOL` (1e-9).
+`invert_at` and Inverse nodes, which have no split, scan a 1 024-point
+grid through the expression's compiled scan kernel (`_kernel_roots`).
+`invert_at` evaluates every point.  An Inverse node evaluates only the
+points that can matter to its first root (`_pruned_points`): a block of
+the grid whose range enclosure lies beyond tol on one side is dropped
+but for its ends, so its root, bisection included, is bitwise the one
+the full scan finds.  The default tolerance is the package's
+`DEFAULT_TOL` (1e-9).
 
 The core has one failure rule.  A point where the section does not
 evaluate (log, root or division outside its domain, overflow in a power)
@@ -64,12 +69,15 @@ from .expr_core import (
     Primitive,
     StructureError,
     lowered,
+    lowered_enclosure,
     lowered_scan,
 )
 
 DEFAULT_GRID = 1024        # scan points of invert_at and Inverse nodes, which have no split
 DEFAULT_SPLIT_GRID = 65    # probe points per axis when isolating branches, and
                            # scan points per branch of inverse_fn
+PRUNE_BLOCK = 16           # cells of the blocks that an Inverse node's scan no longer halves
+PRUNE_MISSES = 12          # enclosures in a row that drop nothing, after which it scans the rest
 MAX_BISECT_STEPS = 200
 MAX_BRANCHES = 64
 
@@ -283,16 +291,16 @@ def _edge_root(h, t, v, gap, tol, notes: list) -> tuple[float, float]:
     return t, abs(v)
 
 
-def _roots(section, ts: list[float], vals, tol: float, notes: list):
-    """Yield, ascending, the t in [ts[0], ts[-1]] with |h(t)| <= tol that
-    the ascending scan points `ts` isolate, where h = section() is the
-    point function t -> f(..., t, ...) - target of one fiber.
+def _roots(section, points, tol: float, notes: list):
+    """Yield, ascending, the t between the first and the last scan point
+    with |h(t)| <= tol that the scan points isolate, where h = section() is
+    the point function t -> f(..., t, ...) - target of one fiber.
 
-    `vals` yields h(t) at each t of `ts`, or None where it does not
-    evaluate; `section` is called once, when the first bisection needs a
-    point.  One pass over the values brackets sign changes, bisection
-    refines each bracket, and roots closer than 10*tol keep the one of
-    least residual.  An interval with one end undefined is searched from
+    `points` yields the pairs (t, h(t)) for ascending t, with None for
+    h(t) where it does not evaluate; `section` is called once, when the
+    first bisection needs a point.  One pass over the values brackets sign
+    changes, bisection refines each bracket, and roots closer than 10*tol
+    keep the one of least residual.  An interval with one end undefined is searched from
     its defined end to the gap edge (`_edge_root`), so a root between the
     last scan point of a run and the end of the run is found too.  A
     group's root is yielded once the scan is past it by more than 10*tol,
@@ -305,7 +313,7 @@ def _roots(section, ts: list[float], vals, tol: float, notes: list):
     band = 10 * tol
     h = None              # the point function, for bisection only
     best = last = None    # the open group's (residual, root) and its last member
-    scan = zip(ts, vals)
+    scan = iter(points)
     ta, a = next(scan)
     if a is not None and abs(a) <= tol:
         best, last = (abs(a), ta), ta
@@ -359,12 +367,59 @@ def _roots(section, ts: list[float], vals, tol: float, notes: list):
 
 
 def _kernel_roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
-                  notes: list):
+                  notes: list, prune: bool = False):
     """`_roots` of f - target along slot i (the other slots at `fixed`)
     over f's compiled scan kernel: the scan of `invert_at` and of Inverse
-    nodes, which have no branch split."""
-    vals = lowered_scan(f, i)(ts, target, notes, *fixed)
-    return _roots(partial(_section, f, i, fixed, target), ts, vals, tol, notes)
+    nodes, which have no branch split.  With `prune`, only the scan points
+    that `_pruned_points` keeps are evaluated."""
+    if prune:
+        points = _pruned_points(f, i, fixed, ts, target, tol, notes)
+    else:
+        points = zip(ts, lowered_scan(f, i)(ts, target, notes, *fixed))
+    return _roots(partial(_section, f, i, fixed, target), points, tol, notes)
+
+
+def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
+                   notes: list):
+    """Yield, ascending, the pairs (t, f - target at t) of the scan points
+    `ts` that `_roots` needs to find what it finds on all of them, as the
+    scan kernel computes them.
+
+    The first `PRUNE_BLOCK` cells are scanned point by point, so a root
+    there costs no enclosure.  The rest is a depth-first branch-and-bound,
+    left block first: a block whose enclosure (`lowered_enclosure`) lies
+    strictly above tol or strictly below -tol holds values that are all
+    defined, finite and of one sign beyond tol, so no scan point inside it
+    is a root or ends a bracket, and only its ends are kept.  Any other
+    block is halved down to `PRUNE_BLOCK` cells and then scanned point by
+    point.  Where the enclosures stop paying, the rest of the grid is
+    scanned point by point: from a block whose enclosure is (-inf, inf),
+    so an expression that cannot be bounded is scanned at every point as
+    without pruning, and after `PRUNE_MISSES` enclosures in a row that
+    dropped nothing, which bounds their cost where none can drop a block.
+    """
+    scan, enclose = lowered_scan(f, i), lowered_enclosure(f, i)
+    last = len(ts) - 1
+    head = min(PRUNE_BLOCK, last)
+    yield from zip(ts[:head + 1], scan(ts[:head + 1], target, notes, *fixed))
+    blocks = [(head, last)] if head < last else []
+    misses = 0   # enclosures in a row that dropped nothing
+    while blocks:
+        a, b = blocks.pop()
+        lo, hi = enclose(ts[a], ts[b], target, *fixed)
+        if lo > tol or hi < -tol:
+            misses = 0
+            yield ts[b], next(scan(ts[b:b + 1], target, notes, *fixed))
+            continue
+        misses += 1
+        if lo == -math.inf or misses == PRUNE_MISSES:
+            b, blocks = last, []
+        elif b - a > PRUNE_BLOCK:
+            m = (a + b) // 2
+            blocks += (m, b), (a, m)
+            continue
+        kept = ts[a + 1:b + 1]
+        yield from zip(kept, scan(kept, target, notes, *fixed))
 
 
 def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
@@ -607,7 +662,7 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
         for ts, vals in scans:
             values = (_values(h, ts) if vals is None
                       else (None if v is None else v - target for v in vals))
-            found.extend(_roots(lambda: h, ts, values, tol, []))
+            found.extend(_roots(lambda: h, zip(ts, values), tol, []))
         found.sort()
         roots: list[float] = []
         for t in found:

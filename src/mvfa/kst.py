@@ -53,18 +53,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr_core import (
-    BoxDomain,
-    Const,
     EvalDomainError,
     EvalError,
     Expr,
     MvfaError,
-    Prim,
-    Primitive,
     StructureError,
     lowered,
 )
-from .structure_ops import compose_at, lift, normalize
 
 # Version 3: each outer function's values are its DEFAULT_BINS knot values,
 # one base64 string of their little-endian IEEE-754 float64 bytes (`_pack`).
@@ -104,15 +99,14 @@ def inner_psi(q: int, p: int, x: float) -> float:
     """Value of the inner map psi_{q,p} at x in [0, 1].
 
     Strictly increasing in x, continuous, and independent of any target
-    function.  Arguments outside the unit interval are a domain error:
-    rescale the target first.
+    function.  Arguments outside the unit interval are a domain error.
     """
     if not 0 <= q <= 4:
         raise StructureError(f"q must lie in 0..4, got {q}")
     if not 1 <= p <= 2:
         raise StructureError(f"p must lie in 1..2, got {p}")
     if not 0.0 <= x <= 1.0:
-        raise EvalDomainError(f"inner maps take arguments in [0, 1], got {x}; rescale first")
+        raise EvalDomainError(f"inner maps take arguments in [0, 1], got {x}")
     return _WEIGHTS[p - 1] * _psi_base(x + q * _SHIFT)
 
 
@@ -407,32 +401,3 @@ def reconstruct(rep: KstRep, point, warnings: list[str] | None = None) -> float:
             s = min(max(s, fn.lo), fn.hi)
         total += fn(s)
     return total
-
-
-def _affine_slot(n: int, k: int, scale: float, offset: float) -> Expr:
-    """An n-ary expression using only slot k: offset + scale * x_k."""
-    if n >= 2:
-        spare = 1 if k != 1 else 2
-        scaled = compose_at(lift(Prim(Primitive.MUL), n, (spare, k)), spare, Const(scale))
-        return compose_at(
-            compose_at(lift(Prim(Primitive.ADD), n, (spare, k)), spare, Const(offset)),
-            k, scaled)
-    scaled = compose_at(lift(Prim(Primitive.MUL), 2, (1, 2)), 1, Const(scale))
-    shifted = compose_at(
-        compose_at(lift(Prim(Primitive.ADD), 2, (1, 2)), 1, Const(offset)), 2, scaled)
-    out, _ = normalize(shifted)
-    return out
-
-
-def rescale(f: Expr, box: BoxDomain) -> Expr:
-    """Pre-compose `f` with the affine map sending [0,1]^n onto `box`."""
-    n = f.arity
-    if box.dim != n:
-        raise StructureError(f"box has {box.dim} axes, function has arity {n}")
-    out = f
-    for k in range(1, n + 1):
-        lo, hi = box.axis(k)
-        if hi == lo:
-            raise StructureError(f"axis {k} of the box has zero width")
-        out = compose_at(out, k, _affine_slot(n, k, hi - lo, lo))
-    return out

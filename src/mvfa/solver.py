@@ -78,24 +78,6 @@ class TraceStep:
     label: str
 
 
-def replay_trace(e: Expr, trace) -> Expr:
-    """Re-apply a recorded operator sequence to an expression."""
-    out = e
-    for step in trace:
-        if step.op == "diagonal":
-            _, i, j = step.args
-            out = diagonal(out, i, j)
-        elif step.op == "lift":
-            n, positions = step.args
-            out = Lift(out, n, positions)
-        elif step.op == "inverse":
-            slot, axis = step.args
-            out = Inverse(out, slot, axis)
-        else:
-            raise ConfigError(f"unknown trace step {step.op!r}")
-    return out
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Solution formula, numeric roots, residuals and the operator trace."""

@@ -292,6 +292,55 @@ def test_inverse_formula_stops_at_its_first_root(monkeypatch):
     assert value.hex() == invert_at(half, 1, 0.25, [], BoxDomain(((0.0, 10.0),)))[0].hex()
 
 
+# --- range enclosures ---
+
+def _unary(text):
+    """The function of x that text spells, x in every slot."""
+    from mvfa.frontend import parse, to_structural
+    from mvfa.structure_ops import diagonal
+
+    f = to_structural(parse(text)).expr
+    while f.arity > 1:
+        f = diagonal(f, 1, 2)
+    return f
+
+
+@pytest.mark.parametrize("text", [
+    # each primitive with x in both arguments, over ranges where a corner
+    # that is not the lower-lower or the upper-upper one is an extreme
+    "add(x,mul(x,-2))", "mul(x,add(x,-1))", "div(add(x,-1),add(x,3))",
+    "pow(add(x,2),add(x,-1))", "root(add(x,2),add(x,-3))", "log(add(x,1.5),add(x,3))",
+])
+def test_enclosure_holds_each_primitive_on_mixed_signs(text):
+    from mvfa.expr_core import lowered_enclosure, lowered_scan
+    from mvfa.inverse import DEFAULT_GRID, _axis_points
+
+    f = _unary(text)
+    ts = _axis_points(-1.0, 1.0, DEFAULT_GRID)
+    for a, b in ((0, DEFAULT_GRID - 1), (0, 511), (512, DEFAULT_GRID - 1), (300, 700)):
+        low, high = lowered_enclosure(f, 1)(ts[a], ts[b], 0.5)
+        vals = list(lowered_scan(f, 1)(ts[a:b + 1], 0.5, []))
+        assert -math.inf < low <= min(vals) and max(vals) <= high < math.inf
+
+
+def test_enclosure_gives_up_where_it_cannot_bound():
+    from mvfa.expr_core import lowered_enclosure
+    from mvfa.frontend import parse, to_structural
+
+    whole = (-math.inf, math.inf)
+    for text, lo, hi in (("div(1,x)", -1.0, 1.0), ("pow(x,0.5)", 0.0, 1.0),
+                         ("log(x,2)", -1.0, 1.0), ("log(2,x)", 0.5, 2.0),
+                         ("root(x,add(x,-1))", 0.5, 2.0), ("pow(x,2000)", 1.0, 2.0)):
+        assert lowered_enclosure(_unary(text), 1)(lo, hi, 0.0) == whole, text
+    f = to_structural(parse("add(x,y)")).expr
+    assert lowered_enclosure(f, 1)(0.0, 1.0, 0.0, 1.0) != whole
+    for target, y in ((math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan)):
+        assert lowered_enclosure(f, 1)(0.0, 1.0, target, y) == whole
+    # an Inverse inside the function that an Inverse node scans
+    cube_root = Inverse(x_pow(1, 1, 3.0), 1, (0.0, 2.0))
+    assert lowered_enclosure(cube_root, 1)(0.0, 1.0, 0.0) == whole
+
+
 # --- lowering cache ---
 
 def _count_lowerings(monkeypatch):
@@ -440,3 +489,21 @@ def test_evaluated_expression_still_pickles():
     caches = {"_lowered", "_scans", "_grid"}
     assert not caches & (set(restored.__dict__) | set(restored.inner.__dict__))
     assert restored == e and evaluate(restored, [0.25]) == value
+
+
+def test_restored_inverse_rebuilds_its_enclosure():
+    import pickle
+
+    from mvfa.expr_core import lowered_enclosure
+
+    # x**2 = 0.25 on 0:1 is bounded everywhere, so its scan prunes
+    e = Inverse(x_pow(1, 1, 2.0), 1, axis=(0.0, 1.0))
+    value = evaluate(e, [0.25])
+    enclose = lowered_enclosure(e.inner, 1)
+    # x**2 - 0.25 on [0.5, 0.75], each bound pushed out by its ulps
+    assert enclose(0.5, 0.75, 0.25) == (-5.551115123125784e-17, 0.3125000000000003)
+    restored = pickle.loads(pickle.dumps(e))
+    assert "_scans" not in restored.inner.__dict__
+    assert evaluate(restored, [0.25]).hex() == value.hex()
+    _, rebuilt = restored.inner.__dict__["_scans"][1]
+    assert rebuilt is not enclose and rebuilt(0.5, 0.75, 0.25) == enclose(0.5, 0.75, 0.25)

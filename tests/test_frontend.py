@@ -22,7 +22,6 @@ from mvfa.frontend import (
     AstConst,
     AstSymbol,
     ParseError,
-    ast_to_text,
     format_expr,
     parse,
     parse_equation,
@@ -30,7 +29,7 @@ from mvfa.frontend import (
     to_structural,
 )
 
-from util import ADD, E, MUL, POW, ast_eval, count_symbols, random_ast
+from util import ADD, E, MUL, POW, ast_eval, ast_to_text, count_symbols, random_ast
 
 
 # --- parse ---

@@ -7,11 +7,13 @@ from collections import Counter
 import pytest
 
 from mvfa.expr_core import (
+    DEFAULT_TOL,
     BoxDomain,
     Compose,
     Const,
     Inverse,
     Lift,
+    NoSolutionError,
     Prim,
     Primitive,
     StructureError,
@@ -19,6 +21,8 @@ from mvfa.expr_core import (
 )
 from mvfa.frontend import parse, to_structural
 from mvfa.inverse import (
+    DEFAULT_GRID,
+    PRUNE_MISSES,
     Branch,
     DegenerateInputError,
     InvertVerdict,
@@ -359,6 +363,96 @@ def test_two_branch_solve_evaluates_each_scan_grid_once(monkeypatch):
     cut = pieces.branches[0].interval[1]
     assert calls.pop(cut) - grids.pop(cut) in (0, 1)
     assert all(calls[t] == n for t, n in grids.items())
+
+
+# --- work counts: an Inverse formula scans only the blocks that can hold a root ---
+
+def _formula_counts(monkeypatch, formula, point, prune=True):
+    """The first root of formula's Inverse node at point (None where there
+    is none), with the number of scan kernel values and of enclosures its
+    scan used (not those of a nested Inverse): through `evaluate`, or,
+    without `prune`, through the unpruned scan of the same grid."""
+    import mvfa.inverse as inverse
+
+    counts = Counter()
+    scan_of, enclosure_of = inverse.lowered_scan, inverse.lowered_enclosure
+
+    def counting_scan(e, slot):
+        scan = scan_of(e, slot)
+
+        def counted(*args):
+            for v in scan(*args):
+                counts["points"] += 1
+                yield v
+        return counted if e is formula.inner else scan
+
+    def counting_enclosure(e, slot):
+        enclose = enclosure_of(e, slot)
+
+        def counted(*args):
+            counts["enclosures"] += 1
+            return enclose(*args)
+        return counted if e is formula.inner else enclose
+
+    monkeypatch.setattr(inverse, "lowered_scan", counting_scan)
+    monkeypatch.setattr(inverse, "lowered_enclosure", counting_enclosure)
+    if prune:
+        try:
+            root = evaluate(formula, point)
+        except NoSolutionError:
+            root = None
+    else:
+        i = formula.slot
+        ts = _axis_points(*formula.axis, DEFAULT_GRID)
+        root = next(inverse._kernel_roots(formula.inner, i, point[: i - 1] + point[i:], ts,
+                                          point[i - 1], DEFAULT_TOL, []), None)
+    monkeypatch.undo()
+    return root, counts
+
+
+def test_inverse_formula_scans_a_few_points(monkeypatch):
+    # the benchmark's formula-replay equation (x+a)^(x*b) = c over 0.5:3, at
+    # a seeded point whose root lies mid-axis
+    rng = random.Random(1901)
+    a, b, x = round(rng.uniform(0.5, 2.0), 4), round(rng.uniform(0.5, 2.0), 4), rng.uniform(0.6, 2.8)
+    rhs = (x + a) ** (x * b)
+    form = to_structural(parse("pow(add(x,a),mul(x,b))"))
+    report = solve(Equation(form.expr, form.binding, rhs, {"a": a, "b": b},
+                            BoxDomain(((0.5, 3.0),))))
+    point = [rhs, a, b]
+    root, counts = _formula_counts(monkeypatch, report.formula, point)
+    want, before = _formula_counts(monkeypatch, report.formula, point, prune=False)
+    assert root.hex() == want.hex() and root == pytest.approx(x, abs=1e-8)
+    assert before == {"points": 333}
+    assert counts == {"points": 21, "enclosures": 9}
+
+
+@pytest.mark.parametrize("inner, axis, value", [
+    # a nested Inverse: the cube root's inverse, y -> y**3
+    (Inverse(x_pow(1, 1, 3.0), 1, axis=(0.0, 2.0)), (0.0, 8.0), 1.5),
+    # 1/(x - 0.5), whose divisor range holds 0 on 0:2
+    (to_structural(parse("div(1,add(x,-0.5))")).expr, (0.0, 2.0), 1.0),
+])
+def test_unbounded_inverse_formula_scans_every_point(monkeypatch, inner, axis, value):
+    # one enclosure says it cannot bound the scan past the first block, so
+    # the scan evaluates every point the unpruned scan evaluates
+    formula = Inverse(inner, 1, axis=axis)
+    root, counts = _formula_counts(monkeypatch, formula, [value])
+    want, before = _formula_counts(monkeypatch, formula, [value], prune=False)
+    assert root.hex() == want.hex()
+    assert counts == {"points": before["points"], "enclosures": 1}
+    assert before["points"] > DEFAULT_GRID // 3
+
+
+def test_formula_stops_enclosing_where_no_block_drops(monkeypatch):
+    # x*x - x*x + 1 = 1.000001 has no root, and each enclosure of the
+    # difference is as wide as its block, so none drops one: after
+    # PRUNE_MISSES of them the scan takes every remaining point
+    formula = Inverse(unary("add(add(mul(x,x),mul(mul(x,x),-1)),1)", 0.0, 1.0), 1,
+                      axis=(0.0, 1.0))
+    root, counts = _formula_counts(monkeypatch, formula, [1.000001])
+    assert root is None
+    assert counts == {"points": DEFAULT_GRID, "enclosures": PRUNE_MISSES}
 
 
 # --- undefined stretches: a gap in every scan, never an error ---

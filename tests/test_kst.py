@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mvfa import cli, kst
-from mvfa.expr_core import BoxDomain, EvalDomainError, EvalError, StructureError, evaluate
+from mvfa.expr_core import EvalDomainError, EvalError, StructureError, evaluate
 from mvfa.frontend import parse, to_structural
 from mvfa.kst import (
     FormatError,
@@ -20,10 +20,9 @@ from mvfa.kst import (
     inner_params,
     inner_psi,
     reconstruct,
-    rescale,
 )
 
-from util import assert_matches_fn, strict_json
+from util import strict_json
 
 
 def expr_of(text):
@@ -315,37 +314,6 @@ def test_reconstruct_point_validation():
         reconstruct(rep, [1.5, 0.5])
     with pytest.raises(StructureError):
         reconstruct(rep, [0.5])
-
-
-# --- rescale ---
-
-def test_rescale_unit_box_identity_action():
-    f = expr_of("add(x,y)")
-    g = rescale(f, BoxDomain.unit(2))
-    assert_matches_fn(g, lambda a, b: a + b, BoxDomain.unit(2), tol=1e-12)
-
-
-def test_rescale_interval():
-    f = expr_of("x")
-    g = rescale(f, BoxDomain(((2.0, 4.0),)))
-    assert evaluate(g, [0.5]) == pytest.approx(3.0, abs=1e-12)
-    assert evaluate(g, [0.0]) == pytest.approx(2.0, abs=1e-12)
-    assert evaluate(g, [1.0]) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_rescale_corners():
-    a, b = -1.5, 2.5
-    f = expr_of("add(x,y)")
-    g = rescale(f, BoxDomain(((a, b), (a, b))))
-    for u in (0.0, 1.0):
-        for v in (0.0, 1.0):
-            want = (a + (b - a) * u) + (a + (b - a) * v)
-            assert evaluate(g, [u, v]) == pytest.approx(want, abs=1e-12)
-
-
-def test_rescale_zero_width_axis():
-    with pytest.raises(StructureError):
-        rescale(expr_of("x"), BoxDomain(((2.0, 2.0),)))
 
 
 # --- serialization ---

@@ -3,10 +3,12 @@
 The structural compiler and the structural operators must reproduce the
 pointful value exactly, not just within a tolerance: they route
 coordinates, and routing changes no float operation.  Likewise an Inverse
-formula, whose scan stops early, must give invert_at's first root exactly,
-and the inverse core must treat every point where a function is undefined
-as a gap, never as an error.  The operator notation must read back every
-expression, Inverse nodes included, as one that evaluates bitwise alike.
+formula, whose scan stops early and skips the blocks that its range
+enclosure rules out, must give invert_at's first root exactly; each
+enclosure must hold every value of the scan it rules on; and the inverse
+core must treat every point where a function is undefined as a gap, never
+as an error.  The operator notation must read back every expression,
+Inverse nodes included, as one that evaluates bitwise alike.
 Expressions of one shape share their compiled code, and each must still
 evaluate as its own fresh compile does, constants, error node and point
 included.
@@ -34,11 +36,15 @@ from mvfa.expr_core import (
     NoSolutionError,
     Prim,
     evaluate,
+    lowered_enclosure,
+    lowered_scan,
 )
 from mvfa.frontend import (
     AstCall, AstConst, AstSymbol, format_expr, parse_structural, to_structural,
 )
-from mvfa.inverse import DegenerateInputError, check_invertible, inverse_fn, invert_at
+from mvfa.inverse import (
+    DEFAULT_GRID, DegenerateInputError, _axis_points, check_invertible, inverse_fn, invert_at,
+)
 from mvfa.solver import Equation, solve
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
 
@@ -237,6 +243,52 @@ def test_inverse_formula_is_first_root_of_invert_at(ast, data):
             evaluate(formula, point)
     # and so does the formula read back from its text
     assert outcome(parse_structural(format_expr(formula)), point) == outcome(formula, point)
+
+
+@PROPERTY
+@given(ast=TAME, data=st.data())
+def test_pruned_formula_is_first_root_of_invert_at(ast, data):
+    # towers over positive ranges can be bounded, so the formula's scan
+    # drops blocks of its grid, which the mixed-sign draws above seldom do
+    f = structural(ast)
+    assume(f.arity >= 1)
+    i = data.draw(st.integers(1, f.arity))
+    lo, hi = data.draw(st.tuples(rounded(0.5, 1.0), rounded(1.5, 2.0)))
+    fixed = data.draw(tame_point(f.arity - 1))
+    try:
+        target = evaluate(f, fixed[: i - 1] + [data.draw(st.floats(lo, hi))] + fixed[i - 1:])
+    except EvalError:   # the tower overflows
+        assume(False)
+    point = fixed[: i - 1] + [target] + fixed[i - 1:]
+    box = BoxDomain(tuple((lo, hi) if k == i else (v, v) for k, v in enumerate(point, start=1)))
+    roots = invert_at(f, i, target, fixed, box)
+    formula = Inverse(f, i, axis=(lo, hi))
+    if roots:
+        assert evaluate(formula, point).hex() == roots[0].hex()
+    else:   # a planted root where the function only touches the target
+        with pytest.raises(NoSolutionError):
+            evaluate(formula, point)
+
+
+@PROPERTY
+@given(ast=st.one_of(EDGE, MIXED, PARTIAL), data=st.data())
+def test_enclosure_holds_every_scan_value(ast, data):
+    # an Inverse formula's scan drops a block of its grid on the word of the
+    # enclosure: every point of it must evaluate, to a value inside it
+    f = structural(ast)
+    assume(f.arity >= 1)
+    i = data.draw(st.integers(1, f.arity))
+    lo, hi = sorted(data.draw(st.tuples(rounded(-3.0, 3.0), rounded(-3.0, 3.0))))
+    fixed = data.draw(st.lists(MIXED_VALUE, min_size=f.arity - 1, max_size=f.arity - 1))
+    target = data.draw(st.one_of(rounded(-4.0, 4.0), EDGE_CONSTANTS))
+    ts = _axis_points(lo, hi, DEFAULT_GRID)
+    a, b = sorted(data.draw(st.tuples(*[st.integers(0, len(ts) - 1)] * 2)))
+    low, high = lowered_enclosure(f, i)(ts[a], ts[b], target, *fixed)
+    if (low, high) == (-math.inf, math.inf):
+        return
+    notes = []
+    for t, v in zip(ts[a:b + 1], lowered_scan(f, i)(ts[a:b + 1], target, notes, *fixed)):
+        assert v is not None and low <= v <= high, (t, v, notes)
 
 
 @PROPERTY

@@ -11,11 +11,10 @@ from mvfa.solver import (
     Equation,
     bind_params,
     collapse_unknowns,
-    replay_trace,
     solve,
 )
 
-from util import random_ast, scan_roots
+from util import random_ast, replay_trace, scan_roots
 
 
 def make_eq(text, rhs, params, domain):

@@ -11,8 +11,11 @@ import json
 import math
 import random
 
-from mvfa.expr_core import BoxDomain, Compose, Const, EvalError, Expr, Lift, Prim, Primitive, evaluate
-from mvfa.frontend import AstCall, AstConst, AstSymbol
+from mvfa.expr_core import (
+    BoxDomain, Compose, ConfigError, Const, EvalError, Expr, Inverse, Lift, Prim, Primitive, evaluate,
+)
+from mvfa.frontend import AstCall, AstConst, AstSymbol, _format_number
+from mvfa.structure_ops import diagonal
 
 ADD, MUL, DIV, POW, ROOT, LOG, E = (
     Primitive.ADD, Primitive.MUL, Primitive.DIV, Primitive.POW,
@@ -76,6 +79,33 @@ def ast_eval(ast, env: dict[str, float]) -> float:
     if ast.prim is LOG:
         return math.log(a) / math.log(b)
     raise AssertionError(ast.prim)
+
+
+def ast_to_text(ast) -> str:
+    """Render a pointful AST back to DSL text (inverse of `parse`)."""
+    if isinstance(ast, AstConst):
+        return _format_number(ast.value)
+    if isinstance(ast, AstSymbol):
+        return ast.name
+    return f"{ast.prim.value}({ast_to_text(ast.left)},{ast_to_text(ast.right)})"
+
+
+def replay_trace(e: Expr, trace) -> Expr:
+    """Re-apply a solve's recorded operator sequence to an expression."""
+    out = e
+    for step in trace:
+        if step.op == "diagonal":
+            _, i, j = step.args
+            out = diagonal(out, i, j)
+        elif step.op == "lift":
+            n, positions = step.args
+            out = Lift(out, n, positions)
+        elif step.op == "inverse":
+            slot, axis = step.args
+            out = Inverse(out, slot, axis)
+        else:
+            raise ConfigError(f"unknown trace step {step.op!r}")
+    return out
 
 
 # Leaf values in this range keep depth-4 towers of add/mul/pow finite and
