@@ -32,8 +32,11 @@ iteration.  The outer functions are fitted as values on the 64 bin nodes,
 where a correction's value at a sample is its hat expansion through the
 sample's bin and bin weight, and the node values are what is stored.  A
 step that would raise the max-norm training residual is halved until it
-does not (kept unchanged in the worst case), so the recorded residual
-history is non-increasing by construction.
+does not, so the recorded residual history is non-increasing by
+construction.  An iteration that accepts no halving leaves the residual
+and the outer functions unchanged, so every later iteration would reject
+the same step again: the first such iteration ends the fit, and `history`
+is padded with its value up to one entry per iteration.
 
 The training grid is a product grid, so each inner sum adds one
 precomputed psi value per coordinate: (2n+1)*n*grid inner-map calls, not
@@ -48,6 +51,7 @@ import base64
 import copy
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +75,8 @@ DEFAULT_DAMPING = 0.5
 
 _WEIGHTS = (1.0, math.sqrt(2))  # per-coordinate scales of the inner maps
 _SHIFT = 1.0 / 6                # eps = 1/(2n+2) at n = 2
+# (2**-k, k/(k+1)) for k = 1..K: coefficient and exponent of each series term
+_TERMS = tuple((2.0 ** -k, k / (k + 1)) for k in range(1, DEFAULT_DEPTH + 1))
 
 
 class FormatError(MvfaError):
@@ -78,7 +84,7 @@ class FormatError(MvfaError):
 
 
 def _psi_base(t: float) -> float:
-    return sum(2.0 ** -k * t ** (k / (k + 1)) for k in range(1, DEFAULT_DEPTH + 1))
+    return sum(c * t ** e for c, e in _TERMS)
 
 
 def inner_params() -> dict:
@@ -112,7 +118,12 @@ def inner_psi(q: int, p: int, x: float) -> float:
 
 @dataclass
 class OuterFunction:
-    """A sampled unary function on a uniform knot grid, linearly interpolated."""
+    """A sampled unary function on a uniform knot grid, linearly interpolated.
+
+    Calls give `np.interp(s, knots, values)` bitwise, without a numpy call.
+    Build a new instance to change `lo`, `hi` or `values`: calls read the
+    knot and value lists made here.
+    """
 
     lo: float
     hi: float
@@ -123,9 +134,28 @@ class OuterFunction:
         if self.values.ndim != 1 or len(self.values) < 2:
             raise StructureError("outer function needs at least two knots")
         self.knots = np.linspace(self.lo, self.hi, len(self.values))
+        self._xs, self._ys = self.knots.tolist(), self.values.tolist()
 
     def __call__(self, s: float) -> float:
-        return float(np.interp(s, self.knots, self.values))
+        # numpy's interp, step for step: clamp at the ends, the knot's own
+        # value on a knot, and its two fallbacks when the line gives NaN
+        xs, ys = self._xs, self._ys
+        if s != s:
+            return s
+        j = bisect_right(xs, s) - 1
+        if j < 0:
+            return ys[0]
+        if j >= len(xs) - 1:
+            return ys[-1]
+        if xs[j] == s:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        v = slope * (s - xs[j]) + ys[j]
+        if v != v:
+            v = slope * (s - xs[j + 1]) + ys[j + 1]
+            if v != v and ys[j] == ys[j + 1]:
+                v = ys[j]
+        return v
 
 
 @dataclass
@@ -261,10 +291,6 @@ def _refuse_constant(name: str):
     raise FormatError(f"representation file holds {name}, which is not strict JSON")
 
 
-def _inner_sum(q: int, point) -> float:
-    return sum((inner_psi(q, 1, point[0]), inner_psi(q, 2, point[1])))
-
-
 def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
     """Fit outer functions for `f` on the unit square.
 
@@ -272,9 +298,12 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
     a uniform grid x grid sample; each iteration bins the current residual
     by inner-sum value for every q and adds the damped per-bin mean
     correction (equally shared across the 2n+1 outer functions) to Phi_q.
-    With iters = 0 the outer functions are identically zero and the recorded
-    residual equals max|f| on the grid.  A target value that is not finite
-    raises EvalError naming its training point before anything is fitted.
+    An iteration that accepts no halving of its step ends the fit, and
+    `history` is padded with its last value to iters + 1 entries, as the
+    remaining iterations would have recorded it.  With iters = 0 the outer
+    functions are identically zero and the recorded residual equals max|f|
+    on the grid.  A target value that is not finite raises EvalError
+    naming its training point before anything is fitted.
     """
     n = f.arity
     if n != 2:
@@ -295,7 +324,7 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
 
     # The training grid is a product grid, so every inner sum is one value of
     # psi_{q,1} plus one of psi_{q,2}: (2n+1)*n*grid scalar maps, not
-    # (2n+1)*n*grid**2.  The sums are the floats _inner_sum adds, in its order.
+    # (2n+1)*n*grid**2.  The sums are the floats `reconstruct` adds, in its order.
     S = np.empty((q_count, F.size))
     for q in range(q_count):
         psi1, psi2 = ([inner_psi(q, p, x) for x in axis] for p in (1, 2))
@@ -361,18 +390,23 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
         left += right
         step = left.sum(axis=0)
         # accept the largest halving of the step that does not raise the
-        # max-norm residual; keep Phi unchanged if none does
+        # max-norm residual
         scale = 1.0
-        accepted = history[-1]
         while scale > 2.0 ** -24:
             trial = R - scale * step
             trial_max = float(np.max(np.abs(trial)))
             if trial_max <= history[-1]:
                 phi += scale * delta
-                R, accepted = trial, trial_max
+                R = trial
+                history.append(trial_max)
                 break
             scale *= 0.5
-        history.append(accepted)
+        else:
+            # stalled: no halving was accepted, so R and phi are unchanged,
+            # and so is everything the next iteration reads (R, phi, den,
+            # hit, b, w, node_xs); it would reject the same step again
+            break
+    history += [history[-1]] * (iters + 1 - len(history))
 
     outer = [OuterFunction(float(los[q]), float(his[q]), phi[q]) for q in range(q_count)]
     return KstRep(dimension=n, inner=inner_params(), outer=outer,
@@ -391,9 +425,13 @@ def reconstruct(rep: KstRep, point, warnings: list[str] | None = None) -> float:
     for v in pt:
         if not 0.0 <= v <= 1.0:
             raise EvalDomainError(f"reconstruction point must lie in the unit box, got {pt}")
+    x1, x2 = pt
     total = 0.0
     for q, fn in enumerate(rep.outer):
-        s = _inner_sum(q, pt)
+        # psi_{q,1}(x1) + psi_{q,2}(x2), the floats of inner_psi without its
+        # argument checks: the point is checked above
+        shift = q * _SHIFT
+        s = _WEIGHTS[0] * _psi_base(x1 + shift) + _WEIGHTS[1] * _psi_base(x2 + shift)
         if s < fn.lo or s > fn.hi:
             if warnings is not None:
                 warnings.append(f"inner sum {s!r} of outer function {q} clamped "

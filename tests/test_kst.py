@@ -22,7 +22,7 @@ from mvfa.kst import (
     reconstruct,
 )
 
-from util import strict_json
+from util import reconstruct_reference, strict_json
 
 
 def expr_of(text):
@@ -257,6 +257,51 @@ def test_fit_holds_off_the_training_grid(text, grid, iters, digest):
     assert rmse <= rep.residual
 
 
+@pytest.mark.parametrize("text,grid,iters,digest", GOLDEN_FITS)
+def test_shorter_fit_is_a_prefix_of_a_longer_one(text, grid, iters, digest):
+    # a fit that ends early pads its history with what the remaining
+    # iterations would have recorded
+    f = expr_of(text)
+    assert decompose(f, grid=grid, iters=10).history == decompose(f, grid=grid, iters=50).history[:11]
+
+
+# --- work counts: a fit ends at its first stalled iteration ---
+
+class _CountingNumpy:
+    """numpy, recording each max the fit takes: max|F| for history[0],
+    then one per step-halving trial."""
+
+    def __init__(self):
+        self.maxima = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def max(self, a):
+        self.maxima.append(float(np.max(a)))
+        return self.maxima[-1]
+
+
+def test_fit_ends_at_its_first_stalled_iteration(monkeypatch):
+    # this fit accepts its last step at iteration 9; each of the 41
+    # iterations after it would reject the same 24 halvings (996 trials)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(kst, "np", counting)
+    rep = decompose(expr_of("mul(x,add(y,1.9))"), grid=33, iters=50)
+    monkeypatch.undo()
+    best, *trials = counting.maxima
+    accepted, since = [best], 0   # history entries, trials since the last one
+    for m in trials:
+        if m <= accepted[-1]:
+            accepted.append(m)
+            since = 0
+        else:
+            since += 1
+    assert since == 24 and len(trials) == 36
+    assert len(rep.history) == 51
+    assert rep.history == accepted + [accepted[-1]] * (51 - len(accepted))
+
+
 def test_inner_maps_evaluated_per_axis_not_per_point(monkeypatch):
     # the training grid is a product grid: 2 coordinates x 5 outer functions
     # x 65 axis values, plus slack for the box corners
@@ -300,12 +345,48 @@ def test_reconstruct_midpoint_within_recorded_residual():
 def test_reconstruct_clamp_warning():
     rep = decompose(ADD_XY, grid=9, iters=1)
     # shrink one outer range artificially so an interior point clamps
-    rep.outer[0].hi = rep.outer[0].lo + 1e-9
-    rep.outer[0].knots = np.linspace(rep.outer[0].lo, rep.outer[0].hi,
-                                     len(rep.outer[0].values))
+    fn = rep.outer[0]
+    rep.outer[0] = kst.OuterFunction(fn.lo, fn.lo + 1e-9, fn.values)
     warnings = []
     reconstruct(rep, [0.9, 0.9], warnings)
     assert len(warnings) >= 1
+
+
+@pytest.mark.parametrize("text,grid,iters,digest", GOLDEN_FITS)
+def test_reconstruct_is_its_reference_bitwise(text, grid, iters, digest):
+    # at the 64 x 64 cell centres, the benchmark's 8 x 8 held-out points and
+    # the corners, where the inner sums are the knot range's own ends
+    rep = decompose(expr_of(text), grid=grid, iters=iters)
+    cells = ((np.arange(64) + 0.5) / 64.0).tolist()
+    heldout = ((np.arange(8) + 0.5) / 8.0).tolist()
+    points = ([(a, b) for a in cells for b in cells] + [(a, b) for a in heldout for b in heldout]
+              + [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    got = [reconstruct(rep, pt).hex() for pt in points]
+    assert got == [reconstruct_reference(rep, pt).hex() for pt in points]
+
+
+def interp_hex(fn, s):
+    return float(np.interp(s, fn.knots, fn.values)).hex()
+
+
+@pytest.mark.parametrize("text,grid,iters,digest", GOLDEN_FITS)
+def test_outer_function_is_np_interp_bitwise(text, grid, iters, digest):
+    rng = random.Random(18)
+    for fn in decompose(expr_of(text), grid=grid, iters=iters).outer:
+        lo, hi, width = fn.lo, fn.hi, fn.hi - fn.lo
+        ends = [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo),
+                math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+        drawn = [rng.uniform(lo - 0.1 * width, hi + 0.1 * width) for _ in range(500)]
+        for s in fn.knots.tolist() + ends + drawn:
+            assert fn(s).hex() == interp_hex(fn, s), s
+
+
+def test_outer_function_follows_np_interp_where_a_cell_gives_nan():
+    # numpy's fallbacks: the line from the cell's right end (cells 1 and 4),
+    # and the knots' common value where both lines give NaN (cell 0)
+    fn = kst.OuterFunction(0.0, 5.0, [math.inf, math.inf, 1.0, 2.0, -math.inf, 1e308])
+    for s in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0, math.nan):
+        assert fn(s).hex() == interp_hex(fn, s), s
 
 
 def test_reconstruct_point_validation():

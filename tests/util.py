@@ -11,10 +11,13 @@ import json
 import math
 import random
 
+import numpy as np
+
 from mvfa.expr_core import (
     BoxDomain, Compose, ConfigError, Const, EvalError, Expr, Inverse, Lift, Prim, Primitive, evaluate,
 )
 from mvfa.frontend import AstCall, AstConst, AstSymbol, _format_number
+from mvfa.kst import inner_psi
 from mvfa.structure_ops import diagonal
 
 ADD, MUL, DIV, POW, ROOT, LOG, E = (
@@ -188,3 +191,15 @@ def strict_json(text: str):
         raise ValueError(f"non-standard JSON constant {name}")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def reconstruct_reference(rep, point) -> float:
+    """`kst.reconstruct` at a point of the unit square, by its definition:
+    each inner sum through the checked `inner_psi`, and each outer function
+    through `np.interp` over its knots, after the clamp to its knot range."""
+    total = 0.0
+    for q, fn in enumerate(rep.outer):
+        s = sum((inner_psi(q, 1, point[0]), inner_psi(q, 2, point[1])))
+        s = min(max(s, fn.lo), fn.hi)
+        total += float(np.interp(s, fn.knots, fn.values))
+    return total
