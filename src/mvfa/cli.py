@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 
@@ -91,15 +90,8 @@ def _number(text: str, complaint: str) -> float:
     return value
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("MVFA_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    return _number(raw, f"MVFA_TOL is not a number: {raw!r}")
-
-
 def _resolve_tol(args) -> float:
-    tol = _default_tol() if args.tol is None else args.tol
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     if not (tol > 0 and math.isfinite(tol)):
         raise UsageError(f"the tolerance must be positive and finite, got {tol}")
     return tol
@@ -277,7 +269,7 @@ def build_parser() -> _Parser:
     p.add_argument("equation")
     p.add_argument("--param", action="append", help="name=value (repeatable)")
     p.add_argument("--domain", help="search interval lo:hi for the unknown")
-    p.add_argument("--tol", type=float, help="tolerance (default 1e-9, or MVFA_TOL)")
+    p.add_argument("--tol", type=float, help="tolerance (default 1e-9)")
     _add_common(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -309,7 +301,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--fixed", help="slot=value pairs, e.g. 2=3")
     p.add_argument("--domain", help="one lo:hi per axis, comma separated")
-    p.add_argument("--tol", type=float, help="tolerance (default 1e-9, or MVFA_TOL)")
+    p.add_argument("--tol", type=float, help="tolerance (default 1e-9)")
     _add_common(p)
     p.set_defaults(func=_cmd_invert)
 

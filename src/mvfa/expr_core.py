@@ -481,8 +481,7 @@ def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
         object.__setattr__(e, "_grid", ts)
     fixed = pt[: e.slot - 1] + pt[e.slot:]
     # the smallest root: the scan stops once it is past that root's group
-    root = next(_kernel_roots(e.inner, e.slot, fixed, ts, pt[e.slot - 1], DEFAULT_TOL, [],
-                              prune=True), None)
+    root = next(_kernel_roots(e.inner, e.slot, fixed, ts, pt[e.slot - 1], DEFAULT_TOL, []), None)
     if root is None:
         raise NoSolutionError(
             f"no preimage of {pt[e.slot - 1]} on {list(e.axis)}", node=e, point=pt)

@@ -22,14 +22,15 @@ those points is evaluated once per solve: a split whose fibers have no
 turning point is its one branch's probe, so it is not probed again, and
 for a unary function the branch scans at the split's resolution take the
 values of the scan that checked the branch, minus the target.
-`invert_at` and Inverse nodes, which have no split, scan a 1 024-point
-grid through the expression's compiled scan kernel (`_kernel_roots`).
-`invert_at` evaluates every point.  An Inverse node evaluates only the
-points that can matter to its first root (`_pruned_points`): a block of
-the grid whose range enclosure lies beyond tol on one side is dropped
-but for its ends, so its root, bisection included, is bitwise the one
-the full scan finds.  The default tolerance is the package's
-`DEFAULT_TOL` (1e-9).
+`invert_at` and Inverse nodes, which have no split, run one search of a
+1 024-point grid through the expression's compiled scan kernel
+(`_kernel_roots`).  It evaluates only the points that can matter to its
+roots (`_pruned_points`): a block of the grid whose range enclosure lies
+beyond tol on one side holds no root, no bracket end and no point that
+fails, so it is dropped but for its ends, and the roots, bisections
+included, and the notes are bitwise those of the scan of every point.
+An Inverse node stops at its first root.  The default tolerance is the
+package's `DEFAULT_TOL` (1e-9).
 
 The core has one failure rule.  A point where the section does not
 evaluate (log, root or division outside its domain, overflow in a power)
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 from .expr_core import (
@@ -76,7 +76,7 @@ from .expr_core import (
 DEFAULT_GRID = 1024        # scan points of invert_at and Inverse nodes, which have no split
 DEFAULT_SPLIT_GRID = 65    # probe points per axis when isolating branches, and
                            # scan points per branch of inverse_fn
-PRUNE_BLOCK = 16           # cells of the blocks that an Inverse node's scan no longer halves
+PRUNE_BLOCK = 16           # cells of the blocks that the 1 024-point scan no longer halves
 PRUNE_MISSES = 12          # enclosures in a row that drop nothing, after which it scans the rest
 MAX_BISECT_STEPS = 200
 MAX_BRANCHES = 64
@@ -291,27 +291,25 @@ def _edge_root(h, t, v, gap, tol, notes: list) -> tuple[float, float]:
     return t, abs(v)
 
 
-def _roots(section, points, tol: float, notes: list):
+def _roots(h, points, tol: float, notes: list):
     """Yield, ascending, the t between the first and the last scan point
-    with |h(t)| <= tol that the scan points isolate, where h = section() is
-    the point function t -> f(..., t, ...) - target of one fiber.
+    with |h(t)| <= tol that the scan points isolate, where h is the point
+    function t -> f(..., t, ...) - target of one fiber.
 
     `points` yields the pairs (t, h(t)) for ascending t, with None for
-    h(t) where it does not evaluate; `section` is called once, when the
-    first bisection needs a point.  One pass over the values brackets sign
-    changes, bisection refines each bracket, and roots closer than 10*tol
-    keep the one of least residual.  An interval with one end undefined is searched from
-    its defined end to the gap edge (`_edge_root`), so a root between the
-    last scan point of a run and the end of the run is found too.  A
-    group's root is yielded once the scan is past it by more than 10*tol,
-    so a caller that needs the first root stops there.  Points and
-    brackets where evaluation fails are skipped and noted; the notes on
-    intervals and bisections follow any that the value stream itself
-    appends.
+    h(t) where it does not evaluate.  One pass over the values brackets
+    sign changes, bisection refines each bracket, and roots closer than
+    10*tol keep the one of least residual.  An interval with one end
+    undefined is searched from its defined end to the gap edge
+    (`_edge_root`), so a root between the last scan point of a run and the
+    end of the run is found too.  A group's root is yielded once the scan
+    is past it by more than 10*tol, so a caller that needs the first root
+    stops there.  Points and brackets where evaluation fails are skipped
+    and noted; the notes on intervals and bisections follow any that the
+    value stream itself appends.
     """
     later: list[str] = []
     band = 10 * tol
-    h = None              # the point function, for bisection only
     best = last = None    # the open group's (residual, root) and its last member
     scan = iter(points)
     ta, a = next(scan)
@@ -327,15 +325,11 @@ def _roots(section, points, tol: float, notes: list):
                     # a root already counted at ta, or one to count at t
                     found = (abs(v), t) if end == t else None
                 elif v == v:
-                    if h is None:
-                        h = section()
                     m, err = _edge_root(h, end, v, gap, tol, later)
                     if err <= tol:
                         found = (err, m)
         elif abs(a) > tol and abs(b) > tol:
             if (a < 0) != (b < 0):
-                if h is None:
-                    h = section()
                 m, err = _bisect(h, ta, t, a, b, tol, later)
                 if err <= tol:
                     found = (err, m)
@@ -367,16 +361,12 @@ def _roots(section, points, tol: float, notes: list):
 
 
 def _kernel_roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
-                  notes: list, prune: bool = False):
-    """`_roots` of f - target along slot i (the other slots at `fixed`)
-    over f's compiled scan kernel: the scan of `invert_at` and of Inverse
-    nodes, which have no branch split.  With `prune`, only the scan points
-    that `_pruned_points` keeps are evaluated."""
-    if prune:
-        points = _pruned_points(f, i, fixed, ts, target, tol, notes)
-    else:
-        points = zip(ts, lowered_scan(f, i)(ts, target, notes, *fixed))
-    return _roots(partial(_section, f, i, fixed, target), points, tol, notes)
+                  notes: list):
+    """`_roots` of f - target along slot i (the other slots at `fixed`) at
+    the scan points of `ts` that `_pruned_points` keeps: the scan of
+    `invert_at` and of Inverse nodes, which have no branch split."""
+    return _roots(_section(f, i, fixed, target),
+                  _pruned_points(f, i, fixed, ts, target, tol, notes), tol, notes)
 
 
 def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
@@ -394,9 +384,9 @@ def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: 
     block is halved down to `PRUNE_BLOCK` cells and then scanned point by
     point.  Where the enclosures stop paying, the rest of the grid is
     scanned point by point: from a block whose enclosure is (-inf, inf),
-    so an expression that cannot be bounded is scanned at every point as
-    without pruning, and after `PRUNE_MISSES` enclosures in a row that
-    dropped nothing, which bounds their cost where none can drop a block.
+    so an expression that cannot be bounded is scanned at every point, and
+    after `PRUNE_MISSES` enclosures in a row that dropped nothing, which
+    bounds their cost where none can drop a block.
     """
     scan, enclose = lowered_scan(f, i), lowered_enclosure(f, i)
     last = len(ts) - 1
@@ -525,9 +515,11 @@ def invert_at(f: Expr, i: int, target: float, fixed, d: BoxDomain,
     `fixed` gives the values of the other slots in ascending slot order.
     Roots are isolated by a sign-change scan at `grid` points and refined by
     bisection until the residual meets `tol`; the returned list is ascending
-    and deduplicated within 10*tol.  Subintervals where evaluation fails are
-    skipped and recorded in `warnings` when a list is supplied.  An empty
-    result is not an error.
+    and deduplicated within 10*tol.  The scan is the one of Inverse nodes:
+    it evaluates only the points that range enclosures cannot rule out,
+    and finds the roots and warnings that a scan of every point finds.
+    Subintervals where evaluation fails are skipped and recorded in
+    `warnings` when a list is supplied.  An empty result is not an error.
     """
     fixed = _check_slot(f, i, d, fixed=fixed)
     return list(_kernel_roots(f, i, fixed, _axis_points(*d.axis(i), grid), float(target), tol,
@@ -535,8 +527,7 @@ def invert_at(f: Expr, i: int, target: float, fixed, d: BoxDomain,
 
 
 def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
-                    tol: float = DEFAULT_TOL,
-                    max_branches: int = MAX_BRANCHES) -> PiecewiseInverse:
+                    tol: float = DEFAULT_TOL) -> PiecewiseInverse:
     """Split axis `i` into monotone branches.
 
     Section extrema are detected as sign changes of the discrete slope on
@@ -550,13 +541,13 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
     is the first finite step of the split's values, in fiber order.
     Stretches where the section does not evaluate are skipped, never cut
     at and never an error: a branch may hold several runs separated by such
-    gaps, and the root scan searches all of them.  More than `max_branches`
+    gaps, and the root scan searches all of them.  More than `MAX_BRANCHES`
     branches (or a flat section segment) is a degenerate input.
     """
-    return _split(f, i, d, grid, tol, max_branches)[0]
+    return _split(f, i, d, grid, tol)[0]
 
 
-def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float, max_branches: int):
+def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
     """piecewise_split, and for each branch the scan points and the values of
     the last fiber that checked it: the branch's probe, or the split's own
     scan where no fiber turned.  For a unary f these are the section's
@@ -587,9 +578,9 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float, max_branches: i
             continue
         merged.append(c)
     merged = [c for c in merged if lo + tol < c < hi - tol]
-    if len(merged) + 1 > max_branches:
+    if len(merged) + 1 > MAX_BRANCHES:
         raise DegenerateInputError(
-            f"{len(merged) + 1} branches exceed the budget of {max_branches}")
+            f"{len(merged) + 1} branches exceed the budget of {MAX_BRANCHES}")
 
     edges = [lo, *merged, hi]
     branches, scans = [], []
@@ -648,7 +639,7 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
     them.  The branch decomposition is exposed on the returned callable as
     `.pieces`.
     """
-    pieces, scans = _split(f, i, d, split_grid, tol, MAX_BRANCHES)
+    pieces, scans = _split(f, i, d, split_grid, tol)
     if f.arity != 1 or grid != split_grid:
         scans = [(_axis_points(*branch.interval, grid), None) for branch in pieces.branches]
 
@@ -662,7 +653,7 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
         for ts, vals in scans:
             values = (_values(h, ts) if vals is None
                       else (None if v is None else v - target for v in vals))
-            found.extend(_roots(lambda: h, zip(ts, values), tol, []))
+            found.extend(_roots(h, zip(ts, values), tol, []))
         found.sort()
         roots: list[float] = []
         for t in found:

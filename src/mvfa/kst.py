@@ -116,13 +116,14 @@ def inner_psi(q: int, p: int, x: float) -> float:
     return _WEIGHTS[p - 1] * _psi_base(x + q * _SHIFT)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OuterFunction:
     """A sampled unary function on a uniform knot grid, linearly interpolated.
 
     Calls give `np.interp(s, knots, values)` bitwise, without a numpy call.
-    Build a new instance to change `lo`, `hi` or `values`: calls read the
-    knot and value lists made here.
+    Calls read knot and value lists made here, so an instance is immutable:
+    its fields cannot be assigned, and `values` and `knots` are read-only
+    arrays of its own.  Build a new instance to change them.
     """
 
     lo: float
@@ -130,11 +131,14 @@ class OuterFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or len(self.values) < 2:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1 or len(values) < 2:
             raise StructureError("outer function needs at least two knots")
-        self.knots = np.linspace(self.lo, self.hi, len(self.values))
-        self._xs, self._ys = self.knots.tolist(), self.values.tolist()
+        knots = np.linspace(self.lo, self.hi, len(values))
+        values.flags.writeable = knots.flags.writeable = False
+        for name, value in (("values", values), ("knots", knots),
+                            ("_xs", knots.tolist()), ("_ys", values.tolist())):
+            object.__setattr__(self, name, value)
 
     def __call__(self, s: float) -> float:
         # numpy's interp, step for step: clamp at the ends, the knot's own

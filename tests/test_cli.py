@@ -1,7 +1,6 @@
 """CLI contract: JSON in and out, exit codes, byte-identical reruns."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -12,12 +11,8 @@ from util import strict_json
 MVFA = [sys.executable, "-m", "mvfa"]
 
 
-def run(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("MVFA_TOL", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(MVFA + list(args), capture_output=True, text=True, env=env)
+def run(*args):
+    return subprocess.run(MVFA + list(args), capture_output=True, text=True)
 
 
 def run_json(*args, **kw):
@@ -127,18 +122,6 @@ def test_solve_reruns_byte_identical():
     assert first.returncode == second.returncode == 0
 
 
-def test_tol_env_override():
-    code, out = run_json("solve", "add(x,a) = c", "--param", "a=2",
-                         "--param", "c=5", "--domain", "0:10",
-                         env_extra={"MVFA_TOL": "1e-6"})
-    assert code == 0 and out["tolerance"] == 1e-6
-    # explicit flag wins over the environment
-    code, out = run_json("solve", "add(x,a) = c", "--param", "a=2",
-                         "--param", "c=5", "--domain", "0:10", "--tol", "1e-8",
-                         env_extra={"MVFA_TOL": "1e-6"})
-    assert out["tolerance"] == 1e-8
-
-
 @pytest.mark.parametrize("argv", [
     ["eval", "mul(x,y)", "--at", "x=nan,y=1"],
     ["solve", "add(x,a) = c", "--param", "a=nan", "--param", "c=5", "--domain", "0:10"],
@@ -171,17 +154,12 @@ def test_negative_low_bound_in_either_spelling(argv, domain, root, capsys):
     assert strict_json(two_words)["roots"] == pytest.approx([root], abs=1e-8)
 
 
-@pytest.mark.parametrize("tol, env", [("-1e-3", None), ("0", None), (None, "-1e-3")],
-                         ids=["negative", "zero", "env"])
-def test_non_positive_tolerance_is_usage_error(tol, env, monkeypatch, capsys):
+@pytest.mark.parametrize("tol", ["-1e-3", "0"], ids=["negative", "zero"])
+def test_non_positive_tolerance_is_usage_error(tol, capsys):
     from mvfa import cli
 
-    argv = ["solve", "add(x,a) = c", "--param", "a=1", "--param", "c=0", "--domain=-3:0"]
-    if tol is not None:
-        argv += ["--tol", tol]
-    monkeypatch.delenv("MVFA_TOL", raising=False)
-    if env is not None:
-        monkeypatch.setenv("MVFA_TOL", env)
+    argv = ["solve", "add(x,a) = c", "--param", "a=1", "--param", "c=0", "--domain=-3:0",
+            "--tol", tol]
     assert cli.main(argv) == 2
     assert strict_json(capsys.readouterr().out)["error"]["kind"] == "usage"
 
@@ -209,7 +187,6 @@ def test_option_a_command_does_not_read_is_usage_error(command, option, tmp_path
     from mvfa import cli
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("MVFA_TOL", raising=False)
     assert cli.main(COMMANDS["kst-decompose"]) == 0
     assert cli.main(COMMANDS[command]) == 0
     capsys.readouterr()

@@ -7,7 +7,12 @@ to a gap, no-solution, `degenerate` and usage errors, a log requested
 partly outside its domain, and 22 requests of the benchmark's seeded
 solve-distinct stream (seed 1).  It also holds the roots of one arity-2
 partial inverse scanned at a grid other than its split's, which keeps
-evaluating every scan point.
+evaluating every scan point.  Its `invert` section holds the stdout and exit
+code of 11 `mvfa invert` invocations, recorded while `invert_at` still
+evaluated all 1 024 points of its grid: a log gap, several roots, a root on
+a grid point, no root, `div` with its pole in range (an enclosure that
+cannot bound the scan), a nested Inverse, a 2-D `pow` with `--fixed`,
+`--tol`, and a scan in which no block of the grid can be dropped.
 """
 
 import json
@@ -22,8 +27,13 @@ with open(os.path.join(os.path.dirname(__file__), "golden_solve.json"), encoding
 
 
 @pytest.mark.parametrize("case", GOLDEN["solve"], ids=range(len(GOLDEN["solve"])))
-def test_solve_output_is_unchanged(case, capsys, monkeypatch):
-    monkeypatch.delenv("MVFA_TOL", raising=False)
+def test_solve_output_is_unchanged(case, capsys):
+    assert cli.main(case["argv"]) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["invert"], ids=range(len(GOLDEN["invert"])))
+def test_invert_output_is_unchanged(case, capsys):
     assert cli.main(case["argv"]) == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
 

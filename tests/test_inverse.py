@@ -37,7 +37,7 @@ from mvfa.inverse import (
 from mvfa.solver import Equation, bind_params, collapse_unknowns, solve
 from mvfa.structure_ops import compose_at, diagonal, normalize
 
-from util import ADD, DIV, E, LOG, MUL, POW, ROOT, poly_sum, x_pow
+from util import ADD, DIV, E, LOG, MUL, POW, ROOT, kernel_scan_roots, poly_sum, x_pow
 
 
 CUBE_PLUS_SQUARE = poly_sum(2, [(1, 3.0), (2, 2.0)])  # x1^3 + x2^2
@@ -265,10 +265,13 @@ def test_split_cubic_three_branches():
         assert a.interval[1] == b.interval[0]
 
 
-def test_split_branch_budget():
+def test_split_branch_budget(monkeypatch):
+    import mvfa.inverse as inverse
+
+    monkeypatch.setattr(inverse, "MAX_BRANCHES", 1)
     sq = x_pow(1, 1, 2.0)
     with pytest.raises(DegenerateInputError):
-        piecewise_split(sq, 1, BoxDomain(((-1.0, 1.0),)), grid=33, max_branches=1)
+        piecewise_split(sq, 1, BoxDomain(((-1.0, 1.0),)), grid=33)
 
 
 # --- inverse_fn ---
@@ -371,7 +374,8 @@ def _formula_counts(monkeypatch, formula, point, prune=True):
     """The first root of formula's Inverse node at point (None where there
     is none), with the number of scan kernel values and of enclosures its
     scan used (not those of a nested Inverse): through `evaluate`, or,
-    without `prune`, through the unpruned scan of the same grid."""
+    without `prune`, through the reference scan of every point of the same
+    grid (`kernel_scan_roots`)."""
     import mvfa.inverse as inverse
 
     counts = Counter()
@@ -404,8 +408,8 @@ def _formula_counts(monkeypatch, formula, point, prune=True):
     else:
         i = formula.slot
         ts = _axis_points(*formula.axis, DEFAULT_GRID)
-        root = next(inverse._kernel_roots(formula.inner, i, point[: i - 1] + point[i:], ts,
-                                          point[i - 1], DEFAULT_TOL, []), None)
+        root = next(kernel_scan_roots(formula.inner, i, point[: i - 1] + point[i:], ts,
+                                      point[i - 1], DEFAULT_TOL, []), None)
     monkeypatch.undo()
     return root, counts
 

@@ -381,6 +381,16 @@ def test_outer_function_is_np_interp_bitwise(text, grid, iters, digest):
             assert fn(s).hex() == interp_hex(fn, s), s
 
 
+def test_outer_function_is_immutable():
+    # calls read the knot and value lists made at construction, so neither
+    # an assignment nor an in-place write may change what they interpolate
+    fn = decompose(ADD_XY, grid=9, iters=1).outer[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fn.lo = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        fn.values[0] = 1.0
+
+
 def test_outer_function_follows_np_interp_where_a_cell_gives_nan():
     # numpy's fallbacks: the line from the cell's right end (cells 1 and 4),
     # and the knots' common value where both lines give NaN (cell 0)
@@ -402,7 +412,10 @@ def test_reconstruct_point_validation():
 def test_rep_round_trip(tmp_path):
     # bitwise, -0.0 and subnormals included
     rep = decompose(ADD_XY, grid=17, iters=5)
-    rep.outer[1].values[:3] = (-0.0, 5e-324, -2.2250738585072e-309)
+    fn = rep.outer[1]
+    values = fn.values.copy()
+    values[:3] = (-0.0, 5e-324, -2.2250738585072e-309)
+    rep.outer[1] = kst.OuterFunction(fn.lo, fn.hi, values)
     path = tmp_path / "rep.json"
     rep.save(path)
     back = KstRep.load(path)

@@ -4,11 +4,13 @@ The structural compiler and the structural operators must reproduce the
 pointful value exactly, not just within a tolerance: they route
 coordinates, and routing changes no float operation.  Likewise an Inverse
 formula, whose scan stops early and skips the blocks that its range
-enclosure rules out, must give invert_at's first root exactly; each
-enclosure must hold every value of the scan it rules on; and the inverse
-core must treat every point where a function is undefined as a gap, never
-as an error.  The operator notation must read back every expression,
-Inverse nodes included, as one that evaluates bitwise alike.
+enclosure rules out, must give invert_at's first root exactly, and
+invert_at, which skips the same blocks, the roots and warnings of the scan
+of every point; each enclosure must hold every value of the scan it rules
+on; and the inverse core must treat every point where a function is
+undefined as a gap, never as an error.  The operator notation must read
+back every expression, Inverse nodes included, as one that evaluates
+bitwise alike.
 Expressions of one shape share their compiled code, and each must still
 evaluate as its own fresh compile does, constants, error node and point
 included.
@@ -48,7 +50,9 @@ from mvfa.inverse import (
 from mvfa.solver import Equation, solve
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
 
-from util import ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, count_symbols, scan_roots
+from util import (
+    ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, count_symbols, kernel_scan_roots, scan_roots,
+)
 
 # Seeded, so tier-1 runs are reproducible, and without a deadline, so a
 # slow shared host does not turn timing into a failure.
@@ -214,6 +218,15 @@ def test_normalize_keeps_values_of_used_slots(ast, pin, data):
     assert outcome(out, y) == outcome(f, [x[p - 1] for p in positions])
 
 
+def _full_scan(f, i, target, fixed, box):
+    """The roots, as hex texts, and the notes of the scan of every point of
+    invert_at's grid."""
+    notes = []
+    ts = _axis_points(*box.axis(i), DEFAULT_GRID)
+    roots = kernel_scan_roots(f, i, fixed, ts, target, DEFAULT_TOL, notes)
+    return [r.hex() for r in roots], notes
+
+
 @PROPERTY
 @given(ast=MIXED, data=st.data())
 def test_inverse_formula_is_first_root_of_invert_at(ast, data):
@@ -238,7 +251,9 @@ def test_inverse_formula_is_first_root_of_invert_at(ast, data):
         target = data.draw(rounded(-4.0, 4.0))
     point = fixed[: i - 1] + [target] + fixed[i - 1:]
     box = BoxDomain(tuple((lo, hi) if k == i else (v, v) for k, v in enumerate(point, start=1)))
-    roots = invert_at(f, i, target, fixed, box)
+    warnings = []
+    roots = invert_at(f, i, target, fixed, box, warnings=warnings)
+    assert _full_scan(f, i, target, fixed, box) == ([r.hex() for r in roots], warnings)
     formula = Inverse(f, i, axis=(lo, hi))
     if roots:
         assert evaluate(formula, point).hex() == roots[0].hex()
@@ -265,7 +280,9 @@ def test_pruned_formula_is_first_root_of_invert_at(ast, data):
         assume(False)
     point = fixed[: i - 1] + [target] + fixed[i - 1:]
     box = BoxDomain(tuple((lo, hi) if k == i else (v, v) for k, v in enumerate(point, start=1)))
-    roots = invert_at(f, i, target, fixed, box)
+    warnings = []
+    roots = invert_at(f, i, target, fixed, box, warnings=warnings)
+    assert _full_scan(f, i, target, fixed, box) == ([r.hex() for r in roots], warnings)
     formula = Inverse(f, i, axis=(lo, hi))
     if roots:
         assert evaluate(formula, point).hex() == roots[0].hex()

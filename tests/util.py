@@ -2,7 +2,9 @@
 
 The AST evaluator and the scan-and-bisect root finder here are deliberately
 written against plain Python floats, independent of the expression
-pipeline, so they can serve as oracles for it.
+pipeline, so they can serve as oracles for it.  `kernel_scan_roots` is the
+1 024-point search of `invert_at` and Inverse nodes without its enclosures:
+the scan of every point, which the pruned scan must match bitwise.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 
 import numpy as np
 
+from mvfa import inverse
 from mvfa.expr_core import (
     BoxDomain, Compose, ConfigError, Const, EvalError, Expr, Inverse, Lift, Prim, Primitive, evaluate,
 )
@@ -133,6 +136,16 @@ def count_symbols(ast) -> int:
     if isinstance(ast, AstCall):
         return count_symbols(ast.left) + count_symbols(ast.right)
     return 1 if isinstance(ast, AstSymbol) else 0
+
+
+def kernel_scan_roots(f: Expr, i: int, fixed, ts, target: float, tol: float, notes: list):
+    """The roots, ascending and lazily, that `invert_at` and Inverse nodes
+    find with f - target along slot i on the scan points `ts`, with every
+    point evaluated through f's scan kernel (looked up as
+    `inverse.lowered_scan`, so a test can wrap it) and no enclosure;
+    evaluation failures and skipped intervals go to `notes`."""
+    points = zip(ts, inverse.lowered_scan(f, i)(ts, target, notes, *fixed))
+    return inverse._roots(inverse._section(f, i, fixed, target), points, tol, notes)
 
 
 # Independent dense-scan + bisection root oracle over plain callables.
