@@ -1,4 +1,4 @@
-"""Inner-map family, decomposition fitting, reconstruction, rescaling, IO."""
+"""Inner-map family, decomposition fitting and its grid plan, reconstruction, IO."""
 
 import base64
 import dataclasses
@@ -22,7 +22,7 @@ from mvfa.kst import (
     reconstruct,
 )
 
-from util import reconstruct_reference, strict_json
+from util import psi_base_reference, reconstruct_reference, strict_json
 
 
 def expr_of(text):
@@ -52,10 +52,47 @@ def test_inner_psi_series_value():
     # (shift contributes nothing at q=0): psi(0) = sum 2^-k * 0^(k/(k+1)) = 0
     assert inner_psi(0, 1, 0.0) == 0.0
     # and at a generic argument the independently summed series must match
+    # (added left to right, the same float on every Python version)
     x, q, p, n = 0.37, 2, 2, 2
     t = x + q * (1.0 / (2 * n + 2))
-    expected = math.sqrt(2) * sum(2.0 ** -k * t ** (k / (k + 1)) for k in range(1, 11))
-    assert inner_psi(q, p, x) == pytest.approx(expected, abs=0.0)
+    series = 0.0
+    for k in range(1, 11):
+        series += 2.0 ** -k * t ** (k / (k + 1))
+    assert inner_psi(q, p, x) == pytest.approx(math.sqrt(2) * series, abs=0.0)
+
+
+def test_psi_series_is_added_left_to_right():
+    # the arguments of the golden fits (the 9-, 17-, 33- and 65-point axes)
+    # and of the reconstruction tests (the 64 x 64 cell centres), each
+    # shifted by q/6, and the ends of the range, t = 0 and 1 + 4/6
+    axes = [np.linspace(0.0, 1.0, g).tolist() for g in (9, 17, 33, 65)]
+    axes.append(((np.arange(64) + 0.5) / 64.0).tolist())
+    ts = [x + q * kst._SHIFT for axis in axes for x in axis for q in range(5)]
+    for t in ts + [0.0, 1.0 + 4.0 / 6]:
+        assert kst._psi_base(t).hex() == psi_base_reference(t).hex(), t
+
+
+# psi at a few arguments, as the sum() of its terms gave on Python 3.11; the
+# sum() of 3.12 and later, which is compensated, differs at six of them
+PSI_HEX = [
+    (0.0, "0x0.0p+0"),
+    (1.0 / 6, "0x1.5cea876679907p-2"),
+    (0.25, "0x1.bb51a4d6b06b3p-2"),
+    (0.5, "0x1.4f8c1fdcd95a0p-1"),
+    (2.0 / 3, "0x1.8f5cfb0dcc3f8p-1"),
+    (1.0, "0x1.ff80000000000p-1"),
+    (0.37 + 2 / 6, "0x1.9c92447992a9bp-1"),
+    (0.0078125 + 3 / 6, "0x1.52b345815239dp-1"),
+    (0.9921875 + 4 / 6, "0x1.5d8ab7cf8c6c7p+0"),
+    (1 + 4 / 6, "0x1.5e904999155c4p+0"),
+    (0.123456, "0x1.24a7eac52a412p-2"),
+    (0.8125 + 1 / 6, "0x1.f8f043a3b3d20p-1"),
+]
+
+
+@pytest.mark.parametrize("t,want", PSI_HEX)
+def test_psi_series_matches_recorded_values(t, want):
+    assert kst._psi_base(t).hex() == want
 
 
 def test_inner_psi_deterministic():
@@ -304,12 +341,49 @@ def test_fit_ends_at_its_first_stalled_iteration(monkeypatch):
 
 def test_inner_maps_evaluated_per_axis_not_per_point(monkeypatch):
     # the training grid is a product grid: 2 coordinates x 5 outer functions
-    # x 65 axis values, plus slack for the box corners
+    # x 65 axis values, plus slack for the box corners; and the plan is
+    # built once per grid, so a second fit evaluates no inner map
+    kst._fit_plan.cache_clear()
     calls = []
     psi_base = kst._psi_base
     monkeypatch.setattr(kst, "_psi_base", lambda *a: calls.append(a) or psi_base(*a))
     decompose(MUL_XY, grid=65, iters=2)
     assert 0 < len(calls) <= 2 * 5 * 65 + 20
+    calls.clear()
+    decompose(ADD_XY, grid=65, iters=2)
+    assert calls == []
+
+
+def fit_hex(rep):
+    return ([h.hex() for h in rep.history],
+            [[fn.lo.hex(), fn.hi.hex()] + [v.hex() for v in fn.values.tolist()]
+             for fn in rep.outer])
+
+
+def test_cached_plan_fits_as_a_fresh_one():
+    # fits read the plan of their own grid, whichever grids came before
+    cases = [(expr_of("add(pow(x,1.37),y)"), 33, 50), (MUL_XY, 65, 100),
+             (expr_of("mul(x,add(y,1.9))"), 33, 50)]
+    cold = []
+    for f, grid, iters in cases:
+        kst._fit_plan.cache_clear()
+        cold.append(fit_hex(decompose(f, grid=grid, iters=iters)))
+    # the first pass builds the 33 and 65 plans, and its last fit reads the
+    # 33 plan built before the 65 one; the second pass reads only cached plans
+    kst._fit_plan.cache_clear()
+    for _ in range(2):
+        assert [fit_hex(decompose(f, grid=grid, iters=iters))
+                for f, grid, iters in cases] == cold
+
+
+def test_fit_plan_is_read_only():
+    plan = kst._fit_plan(33)
+    arrays = [getattr(plan, name) for name in plan._fields if name != "gaps"]
+    arrays += [a for _, on, xs in plan.gaps for a in (on, xs)]
+    assert plan.gaps   # at grid 33, row q = 0 has nodes no sample reaches
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
 
 
 def test_decompose_requires_bivariate():

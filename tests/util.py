@@ -20,7 +20,7 @@ from mvfa.expr_core import (
     BoxDomain, Compose, ConfigError, Const, EvalError, Expr, Inverse, Lift, Prim, Primitive, evaluate,
 )
 from mvfa.frontend import AstCall, AstConst, AstSymbol, _format_number
-from mvfa.kst import inner_psi
+from mvfa.kst import DEFAULT_DEPTH, inner_psi
 from mvfa.structure_ops import diagonal
 
 ADD, MUL, DIV, POW, ROOT, LOG, E = (
@@ -204,6 +204,16 @@ def strict_json(text: str):
         raise ValueError(f"non-standard JSON constant {name}")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def psi_base_reference(t: float) -> float:
+    """The inner series sum for k = 1..K of 2**-k * t**(k/(k+1)) at K =
+    DEFAULT_DEPTH, added left to right one term at a time: no sum(), whose
+    float result is compensated from Python 3.12 on."""
+    total = 0.0
+    for k in range(1, DEFAULT_DEPTH + 1):
+        total += 2.0 ** -k * t ** (k / (k + 1))
+    return total
 
 
 def reconstruct_reference(rep, point) -> float:
