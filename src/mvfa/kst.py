@@ -40,23 +40,20 @@ is padded with its value up to one entry per iteration.
 
 The training grid is a product grid, so each inner sum adds one
 precomputed psi value per coordinate: (2n+1)*n*grid inner-map calls, not
-(2n+1)*n*grid**2.  The inner maps do not depend on the target, so the
-inner sums, each sample's bin and bin weight, the node densities and the
-nodes no sample reaches are found once per grid per process (`_fit_plan`),
-not once per fit, and a step-halving trial is one vector: the residual
-minus the scaled step.
+(2n+1)*n*grid**2.  The inner sums never change during the fit, so each
+sample's bin and bin weight, and the nodes no sample reaches, are found
+once, and a step-halving trial is one vector: the residual minus the
+scaled step.
 """
 
 from __future__ import annotations
 
 import base64
 import copy
-import functools
 import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -302,75 +299,6 @@ def _refuse_constant(name: str):
     raise FormatError(f"representation file holds {name}, which is not strict JSON")
 
 
-class _FitPlan(NamedTuple):
-    """What a fit derives from the inner maps on one training grid.
-
-    Row q of each (2n+1) x grid**2 array belongs to Phi_q, in the sample
-    order of the training grid.  Every array is read-only.
-    """
-
-    los: np.ndarray        # inner-sum range per q: the knot range of Phi_q
-    his: np.ndarray
-    node_xs: np.ndarray    # (2n+1) x DEFAULT_BINS node positions
-    b: np.ndarray          # each sample's bin, a flat index into the node rows
-    b_right: np.ndarray    # b + 1, the bin's right node
-    w: np.ndarray          # each sample's weight toward its right node
-    rest: np.ndarray       # 1 - w, its weight toward its left node
-    den: np.ndarray        # summed sample weights per node
-    hit: np.ndarray        # den > 1e-12: the nodes some sample reaches
-    gaps: tuple            # (q, indices of hit nodes, their positions) per
-                           # row with a node no sample reaches
-
-
-@functools.lru_cache(maxsize=4)
-def _fit_plan(grid: int) -> _FitPlan:
-    """The fit plan of a grid x grid training grid, built on first use.
-
-    The inner maps never depend on the target, so neither does the plan;
-    it holds about 160 * grid**2 bytes (0.68 MB at grid 65).
-    """
-    q_count = 2 * len(_WEIGHTS) + 1
-    axis = np.linspace(0.0, 1.0, grid).tolist()
-    # The training grid is a product grid, so every inner sum is one value of
-    # psi_{q,1} plus one of psi_{q,2}: (2n+1)*n*grid scalar maps, not
-    # (2n+1)*n*grid**2.  The sums are the floats `reconstruct` adds, in its order.
-    S = np.empty((q_count, grid * grid))
-    for q in range(q_count):
-        psi1, psi2 = ([inner_psi(q, p, x) for x in axis] for p in (1, 2))
-        S[q] = np.add.outer(psi1, psi2).ravel()
-    # Exact inner-sum range over the unit box: the maps are increasing, so
-    # the extremes sit at the all-zero and all-one corners, which are the
-    # first and the last training point.
-    los, his = S[:, 0].copy(), S[:, -1].copy()
-
-    bins = DEFAULT_BINS
-    node_xs = np.array([np.linspace(los[q], his[q], bins) for q in range(q_count)])
-
-    # Each sample's bin (flat index `b` into the bin rows) and its linear
-    # weight `w` toward the bin's right node.  A function of node values v
-    # reads (1 - w)*v[b] + w*v[b + 1] at the samples, its hat expansion, and
-    # a fit spreads sample values back onto the nodes by the same weights.
-    w = np.subtract(S, los[:, None], out=S)
-    w /= (his - los)[:, None]
-    w *= bins - 1
-    b = np.clip(np.floor(w).astype(int), 0, bins - 2)
-    w -= b
-    b += bins * np.arange(q_count)[:, None]
-    rest, b_right = 1.0 - w, b + 1
-    size = q_count * bins
-    den = (np.bincount(b.ravel(), weights=rest.ravel(), minlength=size)
-           + np.bincount(b_right.ravel(), weights=w.ravel(), minlength=size)
-           ).reshape(q_count, bins)
-    hit = den > 1e-12
-    gaps = tuple((q, np.flatnonzero(on), node_xs[q][on])
-                 for q, on in enumerate(hit) if not on.all())
-    arrays = (los, his, node_xs, b, b_right, w, rest, den, hit,
-              *(a for _, on, xs in gaps for a in (on, xs)))
-    for a in arrays:
-        a.flags.writeable = False
-    return _FitPlan(los, his, node_xs, b, b_right, w, rest, den, hit, gaps)
-
-
 def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
     """Fit outer functions for `f` on the unit square.
 
@@ -378,8 +306,6 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
     a uniform grid x grid sample; each iteration bins the current residual
     by inner-sum value for every q and adds the damped per-bin mean
     correction (equally shared across the 2n+1 outer functions) to Phi_q.
-    The inner sums, bins and weights depend on the grid alone, so they are
-    found once per grid per process, not once per fit (`_fit_plan`).
     An iteration that accepts no halving of its step ends the fit, and
     `history` is padded with its last value to iters + 1 entries, as the
     remaining iterations would have recorded it.  With iters = 0 the outer
@@ -404,15 +330,54 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
         point = (axis[k // grid], axis[k % grid])
         raise EvalError(f"target is not finite at {point}: {float(F[k])!r}", f, point)
 
-    plan = _fit_plan(grid)
-    b, b_right, w, rest = plan.b, plan.b_right, plan.w, plan.rest
+    # The training grid is a product grid, so every inner sum is one value of
+    # psi_{q,1} plus one of psi_{q,2}: (2n+1)*n*grid scalar maps, not
+    # (2n+1)*n*grid**2.  The sums are the floats `reconstruct` adds, in its order.
+    S = np.empty((q_count, F.size))
+    for q in range(q_count):
+        psi1, psi2 = ([inner_psi(q, p, x) for x in axis] for p in (1, 2))
+        S[q] = np.add.outer(psi1, psi2).ravel()
+    # Exact inner-sum range over the unit box: the maps are increasing, so
+    # the extremes sit at the all-zero and all-one corners, which are the
+    # first and the last training point.
+    los, his = S[:, 0].copy(), S[:, -1].copy()
+
     bins = DEFAULT_BINS
-    size = q_count * bins
+    node_xs = [np.linspace(los[q], his[q], bins) for q in range(q_count)]
     share = 2.0 * DEFAULT_DAMPING / q_count
-    # Two scratch arrays per fit: at grid 65 each is 169 KB, and a fresh
-    # temporary of that size per operation cost more in page faults than
-    # the fit's arithmetic whenever the allocator handed it back to the system.
+
+    # The inner sums never change, so the binning is computed once: each
+    # sample's bin (flat index `b` into the bin rows) and its linear weight
+    # `w` toward the bin's right node.  A function of node values v reads
+    # (1 - w)*v[b] + w*v[b + 1] at the samples, its hat expansion, and
+    # `to_nodes` spreads sample values back onto the nodes by the same weights.
+    w = np.subtract(S, los[:, None], out=S)
+    w /= (his - los)[:, None]
+    w *= bins - 1
+    b = np.clip(np.floor(w).astype(int), 0, bins - 2)
+    w -= b
+    b += bins * np.arange(q_count)[:, None]
+    size = q_count * bins
+    # The left weights, the right nodes and two scratch arrays are made once:
+    # at grid 65 each array of this shape is 169 KB, and a fresh temporary of
+    # that size per operation cost more in page faults than the fit's
+    # arithmetic whenever the allocator handed it back to the system.
+    rest, b_right = 1.0 - w, b + 1
     left, right = np.empty_like(w), np.empty_like(w)
+
+    def to_nodes(v):
+        np.multiply(rest, v, out=left)
+        np.multiply(w, v, out=right)
+        return (np.bincount(b.ravel(), weights=left.ravel(), minlength=size)
+                + np.bincount(b_right.ravel(), weights=right.ravel(), minlength=size)
+                ).reshape(q_count, bins)
+
+    den = to_nodes(1.0)
+    hit = den > 1e-12
+    # the rows with a node no sample reaches, each with the indices and
+    # positions of its reached nodes (one row at grids 33 and 65)
+    gaps = [(q, np.flatnonzero(on), node_xs[q][on])
+            for q, on in enumerate(hit) if not on.all()]
 
     # The outer functions are fitted as node values; R is the training
     # residual F minus their summed hat expansions, so history[-1] is
@@ -421,16 +386,12 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
     R = F
     history = [float(np.max(np.abs(F)))]
     for _ in range(iters):
-        # R spread onto the nodes, then each reached node's weighted mean;
-        # a row's unreached nodes interpolate between its reached ones
-        np.multiply(rest, R, out=left)
-        np.multiply(w, R, out=right)
-        num = (np.bincount(b.ravel(), weights=left.ravel(), minlength=size)
-               + np.bincount(b_right.ravel(), weights=right.ravel(), minlength=size)
-               ).reshape(q_count, bins)
-        delta = np.divide(num, plan.den, out=np.zeros((q_count, bins)), where=plan.hit)
-        for q, on, xs in plan.gaps:
-            delta[q] = np.interp(plan.node_xs[q], xs, delta[q].take(on))
+        # each reached node's weighted mean of R; a row's unreached nodes
+        # interpolate between its reached ones
+        num = to_nodes(R)
+        delta = np.divide(num, den, out=np.zeros((q_count, bins)), where=hit)
+        for q, on, xs in gaps:
+            delta[q] = np.interp(node_xs[q], xs, delta[q].take(on))
         delta *= share
         # (1 - w)*delta[b] + w*delta[b + 1], summed over q; every index is in
         # range, so mode="clip" only spares take a buffered copy
@@ -454,13 +415,12 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
             scale *= 0.5
         else:
             # stalled: no halving was accepted, so R and phi are unchanged,
-            # and so is everything the next iteration reads (R, phi and the
-            # plan); it would reject the same step again
+            # and so is everything the next iteration reads (R, phi, den,
+            # hit, b, w, node_xs); it would reject the same step again
             break
     history += [history[-1]] * (iters + 1 - len(history))
 
-    outer = [OuterFunction(float(plan.los[q]), float(plan.his[q]), phi[q])
-             for q in range(q_count)]
+    outer = [OuterFunction(float(los[q]), float(his[q]), phi[q]) for q in range(q_count)]
     return KstRep(dimension=n, inner=inner_params(), outer=outer,
                   iterations=iters, history=history, grid=grid)
 

@@ -1,4 +1,4 @@
-"""Inner-map family, decomposition fitting and its grid plan, reconstruction, IO."""
+"""Inner-map family, decomposition fitting, reconstruction, IO."""
 
 import base64
 import dataclasses
@@ -341,49 +341,12 @@ def test_fit_ends_at_its_first_stalled_iteration(monkeypatch):
 
 def test_inner_maps_evaluated_per_axis_not_per_point(monkeypatch):
     # the training grid is a product grid: 2 coordinates x 5 outer functions
-    # x 65 axis values, plus slack for the box corners; and the plan is
-    # built once per grid, so a second fit evaluates no inner map
-    kst._fit_plan.cache_clear()
+    # x 65 axis values, plus slack for the box corners
     calls = []
     psi_base = kst._psi_base
     monkeypatch.setattr(kst, "_psi_base", lambda *a: calls.append(a) or psi_base(*a))
     decompose(MUL_XY, grid=65, iters=2)
     assert 0 < len(calls) <= 2 * 5 * 65 + 20
-    calls.clear()
-    decompose(ADD_XY, grid=65, iters=2)
-    assert calls == []
-
-
-def fit_hex(rep):
-    return ([h.hex() for h in rep.history],
-            [[fn.lo.hex(), fn.hi.hex()] + [v.hex() for v in fn.values.tolist()]
-             for fn in rep.outer])
-
-
-def test_cached_plan_fits_as_a_fresh_one():
-    # fits read the plan of their own grid, whichever grids came before
-    cases = [(expr_of("add(pow(x,1.37),y)"), 33, 50), (MUL_XY, 65, 100),
-             (expr_of("mul(x,add(y,1.9))"), 33, 50)]
-    cold = []
-    for f, grid, iters in cases:
-        kst._fit_plan.cache_clear()
-        cold.append(fit_hex(decompose(f, grid=grid, iters=iters)))
-    # the first pass builds the 33 and 65 plans, and its last fit reads the
-    # 33 plan built before the 65 one; the second pass reads only cached plans
-    kst._fit_plan.cache_clear()
-    for _ in range(2):
-        assert [fit_hex(decompose(f, grid=grid, iters=iters))
-                for f, grid, iters in cases] == cold
-
-
-def test_fit_plan_is_read_only():
-    plan = kst._fit_plan(33)
-    arrays = [getattr(plan, name) for name in plan._fields if name != "gaps"]
-    arrays += [a for _, on, xs in plan.gaps for a in (on, xs)]
-    assert plan.gaps   # at grid 33, row q = 0 has nodes no sample reaches
-    for a in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            a.flat[0] = a.flat[0]
 
 
 def test_decompose_requires_bivariate():
