@@ -101,7 +101,7 @@ class Expr:
         # lowered code and an Inverse's axis grid are per-process caches,
         # rebuilt on first use
         state = dict(self.__dict__)
-        for cache in ("_lowered", "_scans", "_grid"):
+        for cache in ("_lowered", "_enclosures", "_grid"):
             state.pop(cache, None)
         return state
 
@@ -310,44 +310,29 @@ def lowered(e: Expr):
         return fn
 
 
-def lowered_scan(e: Expr, slot: int):
-    """The scan kernel of `e` along `slot`, built on first use and cached on
-    the node per slot.
-
-    `scan(ts, target, notes, *fixed)` is a generator: with the other
-    coordinates `fixed` (ascending slot order) it yields e(...) - target at
-    each t of `ts` put in `slot`, computed as `lowered` computes it.  Where
-    evaluation fails it appends "evaluation failed at t=...: ..." to `notes`
-    and yields None.
-    """
-    return _slot_forms(e, slot)[0]
-
-
 def lowered_enclosure(e: Expr, slot: int):
-    """The range enclosure of `e` along `slot`, lowered and cached with its
-    scan kernel.
+    """The range enclosure of `e` along `slot`, built on first use and
+    cached on the node per slot.
 
     `enclose(lo, hi, target, *fixed)` returns an interval (a, b) that holds
-    every value the scan kernel yields for a t in [lo, hi]: each is defined,
-    finite and in [a, b].  It is (-inf, inf) where it cannot bound them: a
-    domain check that may fail in the range (a divisor range that holds 0,
-    a base or logarithm argument not > 0, a logarithm base range that holds
-    1), a bound that overflows or is NaN, a nested Inverse, or a non-finite
-    target or fixed coordinate.
+    e(...) - target for every t in [lo, hi] put in `slot`, with the other
+    coordinates `fixed` (ascending slot order) and computed as `lowered`
+    computes it: each value is defined, finite and in [a, b].  It is
+    (-inf, inf) where it cannot bound them: a domain check that may fail in
+    the range (a divisor range that holds 0, a base or logarithm argument
+    not > 0, a logarithm base range that holds 1), a bound that overflows
+    or is NaN, a nested Inverse, or a non-finite target or fixed
+    coordinate.
     """
-    return _slot_forms(e, slot)[1]
-
-
-def _slot_forms(e: Expr, slot: int):
-    scans = e.__dict__.setdefault("_scans", {})
-    if slot not in scans:
-        scans[slot] = _lower(e, slot)
-    return scans[slot]
+    enclosures = e.__dict__.setdefault("_enclosures", {})
+    if slot not in enclosures:
+        enclosures[slot] = _lower(e, slot)
+    return enclosures[slot]
 
 
 def _lower(e: Expr, slot: int | None = None):
     """Compile `e` once into a flat Python function of its coordinates, or,
-    given a `slot`, into the pair (scan kernel, enclosure) along it.
+    given a `slot`, into its range enclosure along it.
 
     Slot routing (Lift, Diagonal, and a Compose whose slot f ignores)
     only renames arguments and emits no code.  Each arithmetic primitive
@@ -355,9 +340,8 @@ def _lower(e: Expr, slot: int | None = None):
     function), a Compose computes g before f, and an Inverse calls
     `_eval_inverse`: the same float operations in the same order as a walk
     of the tree, so results and errors (node and local point) are unchanged.
-    The kernel inlines the same lines in its loop.  The enclosure is the
-    third form: the same routing over pairs of names, each the lower and
-    upper bound of a value, where each primitive calls its `_enclose_*`
+    The enclosure is the same routing over pairs of names, each the lower
+    and upper bound of a value, where each primitive calls its `_enclose_*`
     function, a nested Inverse gives up, and the scanned slot holds the
     range [lo, hi].  Constants and nodes reach the code through its
     namespace, never through its text.
@@ -370,7 +354,7 @@ def _lower(e: Expr, slot: int | None = None):
     """
     namespace = {"_checked_div": _checked_div, "_checked_pow": _checked_pow,
                  "_checked_root": _checked_root, "_checked_log": _checked_log,
-                 "_eval_inverse": _eval_inverse, "EvalError": EvalError,
+                 "_eval_inverse": _eval_inverse,
                  "_enclose_add": _enclose_add, "_enclose_mul": _enclose_mul,
                  "_enclose_div": _enclose_div, "_enclose_pow": _enclose_pow,
                  "_enclose_root": _enclose_root, "_enclose_log": _enclose_log,
@@ -431,37 +415,27 @@ def _lower(e: Expr, slot: int | None = None):
 
     params = [f"x{k}" for k in range(e.arity)]
     lines: list[str] = []
-    result = emit(e, params, lines, False)
     if slot is None:
+        result = emit(e, params, lines, False)
         body = "".join(f"    {line}\n" for line in lines)
         source = f"def lowered({', '.join(params)}):\n{body}    return {result}\n"
     else:
-        t = params.pop(slot - 1)
-        body = "".join(f"            {line}\n" for line in lines or ["pass"])
-        source = (f"def scan({', '.join(['ts', 'target', 'notes', *params])}):\n"
-                  f"    for {t} in ts:\n"
-                  f"        try:\n{body}"
-                  "        except EvalError as exc:\n"
-                  f"            notes.append(f'evaluation failed at t={{{t}!r}}: {{exc}}')\n"
-                  "            yield None\n"
-                  "        else:\n"
-                  f"            yield {result} - target\n")
-        lines = []
+        params.pop(slot - 1)
         args = [f"{p}, {p}" for p in params]
         args.insert(slot - 1, "lo, hi")
         low, high = emit(e, args, lines, True).split(", ")
         body = "".join(f"        {line}\n" for line in lines)
-        source += (f"def enclose({', '.join(['lo', 'hi', 'target', *params])}):\n"
-                   # a non-finite input makes the sum inf or NaN, which fail the
-                   # test; so does, harmlessly, a sum of finite inputs that overflows
-                   f"    if not -inf < {' + '.join(['lo', 'hi', 'target', *params])} < inf:\n"
-                   "        return -inf, inf\n"
-                   f"    try:\n{body}"
-                   f"        return _outward({low} - target, {high} - target)\n"
-                   "    except _Unbounded:\n"
-                   "        return -inf, inf\n")
+        source = (f"def enclose({', '.join(['lo', 'hi', 'target', *params])}):\n"
+                  # a non-finite input makes the sum inf or NaN, which fail the
+                  # test; so does, harmlessly, a sum of finite inputs that overflows
+                  f"    if not -inf < {' + '.join(['lo', 'hi', 'target', *params])} < inf:\n"
+                  "        return -inf, inf\n"
+                  f"    try:\n{body}"
+                  f"        return _outward({low} - target, {high} - target)\n"
+                  "    except _Unbounded:\n"
+                  "        return -inf, inf\n")
     exec(_compile(source), namespace)
-    return namespace["lowered"] if slot is None else (namespace["scan"], namespace["enclose"])
+    return namespace["lowered" if slot is None else "enclose"]
 
 
 @functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
@@ -471,9 +445,8 @@ def _compile(source: str):
 
 
 def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
-    for k, v in enumerate(pt, start=1):
-        if k != e.slot and not math.isfinite(v):
-            raise StructureError(f"axis {k} bounds must be finite, got [{v}, {v}]")
+    if not all(map(math.isfinite, pt)):
+        raise EvalDomainError("non-finite argument of an inverse", node=e, point=pt)
     try:
         ts = e.__dict__["_grid"]
     except KeyError:
@@ -481,7 +454,7 @@ def _eval_inverse(e: Inverse, pt: tuple[float, ...]) -> float:
         object.__setattr__(e, "_grid", ts)
     fixed = pt[: e.slot - 1] + pt[e.slot:]
     # the smallest root: the scan stops once it is past that root's group
-    root = next(_kernel_roots(e.inner, e.slot, fixed, ts, pt[e.slot - 1], DEFAULT_TOL, []), None)
+    root = next(_pruned_roots(e.inner, e.slot, fixed, ts, pt[e.slot - 1], DEFAULT_TOL, []), None)
     if root is None:
         raise NoSolutionError(
             f"no preimage of {pt[e.slot - 1]} on {list(e.axis)}", node=e, point=pt)
@@ -625,4 +598,4 @@ def equivalent_on(e1: Expr, e2: Expr, domain: BoxDomain, samples: int = 100,
 
 # The inverse core builds on this module, so it is imported once this
 # module is complete: an Inverse node's evaluation runs on it.
-from .inverse import DEFAULT_GRID, _axis_points, _kernel_roots  # noqa: E402
+from .inverse import DEFAULT_GRID, _axis_points, _pruned_roots  # noqa: E402

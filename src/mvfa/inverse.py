@@ -23,18 +23,19 @@ turning point is its one branch's probe, so it is not probed again, and
 for a unary function the branch scans at the split's resolution take the
 values of the scan that checked the branch, minus the target.
 `invert_at` and Inverse nodes, which have no split, run one search of a
-1 024-point grid through the expression's compiled scan kernel
-(`_kernel_roots`).  It evaluates only the points that can matter to its
-roots (`_pruned_points`): a block of the grid whose range enclosure lies
-beyond tol on one side holds no root, no bracket end and no point that
-fails, so it is dropped but for its ends, and the roots, bisections
-included, and the notes are bitwise those of the scan of every point.
-An Inverse node stops at its first root.  The default tolerance is the
-package's `DEFAULT_TOL` (1e-9).
+1 024-point grid through the same point function (`_pruned_roots`).  It
+evaluates only the points that can matter to its roots
+(`_pruned_points`): a block of the grid whose range enclosure lies beyond
+tol on one side holds no root, no bracket end and no point that fails, so
+it is dropped but for its ends, and the roots, bisections included, and
+the notes are bitwise those of the scan of every point.  An Inverse node
+stops at its first root.  The default tolerance is the package's
+`DEFAULT_TOL` (1e-9).
 
 The core has one failure rule.  A point where the section does not
-evaluate (log, root or division outside its domain, overflow in a power)
-is a gap: it ends a run of the scan, takes part in no flat-step,
+evaluate (log, root or division outside its domain, overflow in a power,
+a nested Inverse at a non-finite argument or without a preimage) is a
+gap: it ends a run of the scan, takes part in no flat-step,
 turning-point or sign test, ends a bisection or an extremum refinement
 where it stands, and is noted where a notes list exists (`invert_at`'s
 `warnings`).  It is never raised out of `check_invertible`,
@@ -70,7 +71,6 @@ from .expr_core import (
     StructureError,
     lowered,
     lowered_enclosure,
-    lowered_scan,
 )
 
 DEFAULT_GRID = 1024        # scan points of invert_at and Inverse nodes, which have no split
@@ -165,9 +165,10 @@ def _section(f: Expr, i: int, fixed, target: float = 0.0):
 
 
 def _check_slot(f: Expr, i: int, d: BoxDomain, grid: int | None = None,
-                fixed=None) -> list[float] | None:
-    """Validate slot `i` of `f` over the box `d`, and the fiber grid or the
-    fixed coordinates when given; return the fixed coordinates as floats."""
+                fixed=None, target: float | None = None) -> list[float] | None:
+    """Validate slot `i` of `f` over the box `d`, and the fiber grid, the
+    target or the fixed coordinates when given; return the fixed
+    coordinates as floats."""
     n = f.arity
     if not 1 <= i <= n:
         raise StructureError(f"slot {i} out of range 1..{n}")
@@ -175,6 +176,8 @@ def _check_slot(f: Expr, i: int, d: BoxDomain, grid: int | None = None,
         raise StructureError(f"domain has {d.dim} axes, function has arity {n}")
     if grid is not None and grid < 3:
         raise StructureError(f"grid must be at least 3 points per axis, got {grid}")
+    if target is not None and not math.isfinite(target):
+        raise StructureError(f"target {target} is not finite")
     if fixed is None:
         return None
     fixed = [float(v) for v in fixed]
@@ -187,13 +190,15 @@ def _check_slot(f: Expr, i: int, d: BoxDomain, grid: int | None = None,
     return fixed
 
 
-def _values(section, ts):
+def _values(section, ts, notes: list | None = None):
     """Yield the section's value at each t of `ts`, or None where it does
-    not evaluate."""
+    not evaluate, which is noted in `notes` when a list is given."""
     for t in ts:
         try:
             yield section(t)
-        except EvalError:
+        except EvalError as exc:
+            if notes is not None:
+                notes.append(f"evaluation failed at t={t!r}: {exc}")
             yield None
 
 
@@ -360,46 +365,45 @@ def _roots(h, points, tol: float, notes: list):
         yield best[1]
 
 
-def _kernel_roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
+def _pruned_roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
                   notes: list):
     """`_roots` of f - target along slot i (the other slots at `fixed`) at
     the scan points of `ts` that `_pruned_points` keeps: the scan of
     `invert_at` and of Inverse nodes, which have no branch split."""
-    return _roots(_section(f, i, fixed, target),
-                  _pruned_points(f, i, fixed, ts, target, tol, notes), tol, notes)
+    h = _section(f, i, fixed, target)
+    return _roots(h, _pruned_points(f, i, h, fixed, ts, target, tol, notes), tol, notes)
 
 
-def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
+def _pruned_points(f: Expr, i: int, h, fixed, ts: list[float], target: float, tol: float,
                    notes: list):
-    """Yield, ascending, the pairs (t, f - target at t) of the scan points
-    `ts` that `_roots` needs to find what it finds on all of them, as the
-    scan kernel computes them.
+    """Yield, ascending, the pairs (t, h(t)) of the scan points `ts` that
+    `_roots` needs to find what it finds on all of them, where h is the
+    section f - target along slot i, evaluated as `_values` evaluates it.
 
-    The first `PRUNE_BLOCK` cells are scanned point by point, so a root
-    there costs no enclosure.  The rest is a depth-first branch-and-bound,
-    left block first: a block whose enclosure (`lowered_enclosure`) lies
-    strictly above tol or strictly below -tol holds values that are all
-    defined, finite and of one sign beyond tol, so no scan point inside it
-    is a root or ends a bracket, and only its ends are kept.  Any other
-    block is halved down to `PRUNE_BLOCK` cells and then scanned point by
-    point.  Where the enclosures stop paying, the rest of the grid is
-    scanned point by point: from a block whose enclosure is (-inf, inf),
-    so an expression that cannot be bounded is scanned at every point, and
-    after `PRUNE_MISSES` enclosures in a row that dropped nothing, which
-    bounds their cost where none can drop a block.
+    After the first point, the scan is a depth-first branch-and-bound over
+    the whole grid, left block first: a block whose enclosure
+    (`lowered_enclosure`) lies strictly above tol or strictly below -tol
+    holds values that are all defined, finite and of one sign beyond tol,
+    so no scan point inside it is a root or ends a bracket, and only its
+    ends are kept.  Any other block is halved down to `PRUNE_BLOCK` cells
+    and then scanned point by point.  Where the enclosures stop paying, the
+    rest of the grid is scanned point by point: from a block whose
+    enclosure is (-inf, inf), so an expression that cannot be bounded is
+    scanned at every point, and after `PRUNE_MISSES` enclosures in a row
+    that dropped nothing, which bounds their cost where none can drop a
+    block.
     """
-    scan, enclose = lowered_scan(f, i), lowered_enclosure(f, i)
+    enclose = lowered_enclosure(f, i)
     last = len(ts) - 1
-    head = min(PRUNE_BLOCK, last)
-    yield from zip(ts[:head + 1], scan(ts[:head + 1], target, notes, *fixed))
-    blocks = [(head, last)] if head < last else []
+    yield from zip(ts[:1], _values(h, ts[:1], notes))
+    blocks = [(0, last)] if last else []
     misses = 0   # enclosures in a row that dropped nothing
     while blocks:
         a, b = blocks.pop()
         lo, hi = enclose(ts[a], ts[b], target, *fixed)
         if lo > tol or hi < -tol:
             misses = 0
-            yield ts[b], next(scan(ts[b:b + 1], target, notes, *fixed))
+            yield from zip(ts[b:b + 1], _values(h, ts[b:b + 1], notes))
             continue
         misses += 1
         if lo == -math.inf or misses == PRUNE_MISSES:
@@ -409,7 +413,7 @@ def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: 
             blocks += (m, b), (a, m)
             continue
         kept = ts[a + 1:b + 1]
-        yield from zip(kept, scan(kept, target, notes, *fixed))
+        yield from zip(kept, _values(h, kept, notes))
 
 
 def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
@@ -519,10 +523,13 @@ def invert_at(f: Expr, i: int, target: float, fixed, d: BoxDomain,
     it evaluates only the points that range enclosures cannot rule out,
     and finds the roots and warnings that a scan of every point finds.
     Subintervals where evaluation fails are skipped and recorded in
-    `warnings` when a list is supplied.  An empty result is not an error.
+    `warnings` when a list is supplied.  An empty result is not an error;
+    a target that is not finite, or a fixed value outside `d`, is a
+    `StructureError`.
     """
-    fixed = _check_slot(f, i, d, fixed=fixed)
-    return list(_kernel_roots(f, i, fixed, _axis_points(*d.axis(i), grid), float(target), tol,
+    target = float(target)
+    fixed = _check_slot(f, i, d, fixed=fixed, target=target)
+    return list(_pruned_roots(f, i, fixed, _axis_points(*d.axis(i), grid), target, tol,
                               [] if warnings is None else warnings))
 
 
@@ -625,7 +632,8 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
     The domain is decomposed into monotone branches up front; each call
     takes the full argument tuple (output value at position `i`, the other
     coordinates in place) and returns every preimage found across all
-    branches, ascending.  Each branch is scanned at `grid` points through
+    branches, ascending; an output value that is not finite is a
+    `StructureError`.  Each branch is scanned at `grid` points through
     f's point function, the one the split lowered; the default, 65, is the
     split's default probe count.  For a unary f scanned at the split's
     resolution, the scan evaluates nothing: its values are the ones that
@@ -646,8 +654,8 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
     def fn(*args: float) -> list[float]:
         if len(args) != f.arity:
             raise StructureError(f"expected {f.arity} arguments, got {len(args)}")
-        fixed = _check_slot(f, i, d, fixed=args[: i - 1] + args[i:])
         target = float(args[i - 1])
+        fixed = _check_slot(f, i, d, fixed=args[: i - 1] + args[i:], target=target)
         h = _section(f, i, fixed, target)
         found: list[float] = []
         for ts, vals in scans:

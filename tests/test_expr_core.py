@@ -267,9 +267,13 @@ def test_inverse_node_matches_invert_at_default():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_inverse_node_rejects_non_finite_coordinate(bad):
+    # a point where the node does not evaluate, which a scan skips; the
+    # output value too, which no scan would match
     inv = Inverse(Prim(POW), 1, axis=(0.0, 5.0))
-    with pytest.raises(StructureError, match="axis 2 bounds must be finite"):
-        evaluate(inv, [9.0, bad])
+    for point in ([9.0, bad], [bad, 2.0]):
+        with pytest.raises(EvalDomainError, match="non-finite argument of an inverse") as info:
+            evaluate(inv, point)
+        assert info.value.node is inv
 
 
 def test_inverse_node_needs_axis():
@@ -312,14 +316,14 @@ def _unary(text):
     "pow(add(x,2),add(x,-1))", "root(add(x,2),add(x,-3))", "log(add(x,1.5),add(x,3))",
 ])
 def test_enclosure_holds_each_primitive_on_mixed_signs(text):
-    from mvfa.expr_core import lowered_enclosure, lowered_scan
-    from mvfa.inverse import DEFAULT_GRID, _axis_points
+    from mvfa.expr_core import lowered_enclosure
+    from mvfa.inverse import DEFAULT_GRID, _axis_points, _section, _values
 
     f = _unary(text)
     ts = _axis_points(-1.0, 1.0, DEFAULT_GRID)
     for a, b in ((0, DEFAULT_GRID - 1), (0, 511), (512, DEFAULT_GRID - 1), (300, 700)):
         low, high = lowered_enclosure(f, 1)(ts[a], ts[b], 0.5)
-        vals = list(lowered_scan(f, 1)(ts[a:b + 1], 0.5, []))
+        vals = list(_values(_section(f, 1, (), 0.5), ts[a:b + 1]))
         assert -math.inf < low <= min(vals) and max(vals) <= high < math.inf
 
 
@@ -345,7 +349,7 @@ def test_enclosure_gives_up_where_it_cannot_bound():
 
 def _count_lowerings(monkeypatch):
     """Record (expression, slot) for every lowering: slot None for a point
-    function, the scanned slot for a scan kernel."""
+    function, the scanned slot for a range enclosure."""
     from mvfa import expr_core
 
     lowered = []
@@ -373,7 +377,7 @@ def test_invert_at_scan_lowers_once(monkeypatch):
     for _ in range(2):
         roots = invert_at(sq, 1, 0.25, [], BoxDomain(((-1.0, 1.0),)), grid=1024)
         assert roots == pytest.approx([-0.5, 0.5], abs=1e-8)
-    # one scan kernel for the 1 024 points, one point function for bisection
+    # one point function for the scan and bisection, one enclosure
     assert _once_each(lowered, (sq, 1), (sq, None))
 
 
@@ -387,7 +391,7 @@ def test_inverse_formula_lowers_inner_once(monkeypatch):
 
 def test_solve_lowers_its_bound_expression_once(monkeypatch):
     # the branch scans run through the point function the split lowered;
-    # invert_at and Inverse nodes, which have no split, build the scan kernel
+    # invert_at and Inverse nodes, which have no split, add an enclosure
     from mvfa.frontend import parse, to_structural
     from mvfa.inverse import invert_at
     from mvfa.solver import Equation, solve
@@ -405,8 +409,7 @@ def test_solve_lowers_its_bound_expression_once(monkeypatch):
     lowered.clear()
     formula = report.formula
     assert evaluate(formula, [9.0, 1.0, 1.0]) == pytest.approx(2.0, abs=1e-6)
-    # the scan builds the inner point function for its bisections, though
-    # 2.0 is one of its scan points and none runs
+    # the scan evaluates the inner point function, and encloses it
     assert _once_each(lowered, (formula, None), (formula.inner, 1), (formula.inner, None))
 
 
@@ -439,7 +442,7 @@ def _log_base(c):
 
 
 def test_one_compile_per_shape(monkeypatch):
-    from mvfa.expr_core import lowered, lowered_scan
+    from mvfa.expr_core import lowered, lowered_enclosure
     from mvfa.frontend import format_expr, parse_structural
 
     sources = _count_compiles(monkeypatch)
@@ -449,10 +452,12 @@ def test_one_compile_per_shape(monkeypatch):
     assert len(sources) == 1 and len({id(fn) for fn in fns}) == 3
     assert [fn(8.0, 0.0).hex() for fn in fns] == [
         math.log(8.0, 2.0).hex(), math.log(8.0, 2.0).hex(), math.log(8.0, 4.0).hex()]
-    # the scan kernel is another text, compiled once for the same shape too
-    scans = [list(lowered_scan(e, 1)([8.0], 1.0, [], 0.0)) for e in same]
+    # the enclosure is another text, compiled once for the same shape too
+    bounds = [lowered_enclosure(e, 1)(8.0, 8.0, 1.0, 0.0) for e in same]
     assert len(sources) == 2
-    assert scans == [[math.log(8.0, 2.0) - 1.0]] * 2 + [[math.log(8.0, 4.0) - 1.0]]
+    assert bounds[0] == bounds[1] != bounds[2]
+    assert all(low < math.log(8.0, c) - 1.0 < high
+               for (low, high), c in zip(bounds, (2.0, 2.0, 4.0)))
 
 
 def test_shared_code_keeps_each_expression_its_constants_and_nodes(monkeypatch):
@@ -484,9 +489,9 @@ def test_evaluated_expression_still_pickles():
 
     e = Inverse(x_pow(1, 1, 2.0), 1, axis=(-1.0, 1.0))
     value = evaluate(e, [0.25])
-    assert {"_lowered", "_grid"} <= set(e.__dict__) and "_scans" in e.inner.__dict__
+    assert {"_lowered", "_grid"} <= set(e.__dict__) and "_enclosures" in e.inner.__dict__
     restored = pickle.loads(pickle.dumps(e))
-    caches = {"_lowered", "_scans", "_grid"}
+    caches = {"_lowered", "_enclosures", "_grid"}
     assert not caches & (set(restored.__dict__) | set(restored.inner.__dict__))
     assert restored == e and evaluate(restored, [0.25]) == value
 
@@ -503,7 +508,7 @@ def test_restored_inverse_rebuilds_its_enclosure():
     # x**2 - 0.25 on [0.5, 0.75], each bound pushed out by its ulps
     assert enclose(0.5, 0.75, 0.25) == (-5.551115123125784e-17, 0.3125000000000003)
     restored = pickle.loads(pickle.dumps(e))
-    assert "_scans" not in restored.inner.__dict__
+    assert "_enclosures" not in restored.inner.__dict__
     assert evaluate(restored, [0.25]).hex() == value.hex()
-    _, rebuilt = restored.inner.__dict__["_scans"][1]
+    rebuilt = restored.inner.__dict__["_enclosures"][1]
     assert rebuilt is not enclose and rebuilt(0.5, 0.75, 0.25) == enclose(0.5, 0.75, 0.25)

@@ -11,6 +11,7 @@ from mvfa.expr_core import (
     BoxDomain,
     Compose,
     Const,
+    EvalDomainError,
     Inverse,
     Lift,
     NoSolutionError,
@@ -37,7 +38,7 @@ from mvfa.inverse import (
 from mvfa.solver import Equation, bind_params, collapse_unknowns, solve
 from mvfa.structure_ops import compose_at, diagonal, normalize
 
-from util import ADD, DIV, E, LOG, MUL, POW, ROOT, kernel_scan_roots, poly_sum, x_pow
+from util import ADD, DIV, E, LOG, MUL, POW, ROOT, full_scan_roots, poly_sum, x_pow
 
 
 CUBE_PLUS_SQUARE = poly_sum(2, [(1, 3.0), (2, 2.0)])  # x1^3 + x2^2
@@ -158,6 +159,17 @@ def test_invert_at_cube_negative_target():
 def test_invert_at_no_root_is_empty():
     sq = x_pow(1, 1, 2.0)
     assert invert_at(sq, 1, 9.0, [], BoxDomain(((0.0, 1.0),))) == []
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda f, box, target: invert_at(f, 1, target, [], box),
+    lambda f, box, target: inverse_fn(f, 1, box)(target),
+], ids=["invert_at", "inverse_fn"])
+def test_non_finite_target_is_refused(call, target):
+    # refused as a non-finite fixed value is, not scanned to an empty result
+    with pytest.raises(StructureError, match="target .* is not finite"):
+        call(x_pow(1, 1, 2.0), BoxDomain(((0.0, 1.0),)), target)
 
 
 def test_invert_at_round_trip_residuals():
@@ -372,23 +384,31 @@ def test_two_branch_solve_evaluates_each_scan_grid_once(monkeypatch):
 
 def _formula_counts(monkeypatch, formula, point, prune=True):
     """The first root of formula's Inverse node at point (None where there
-    is none), with the number of scan kernel values and of enclosures its
-    scan used (not those of a nested Inverse): through `evaluate`, or,
-    without `prune`, through the reference scan of every point of the same
-    grid (`kernel_scan_roots`)."""
+    is none), with the number of scan points its scan evaluated and of
+    enclosures it used (not those of a nested Inverse): through `evaluate`,
+    which counts the pairs `_pruned_points` yields, or, without `prune`,
+    through the reference scan of every point of the same grid
+    (`full_scan_roots`), which counts the values `_values` yields there."""
     import mvfa.inverse as inverse
 
     counts = Counter()
-    scan_of, enclosure_of = inverse.lowered_scan, inverse.lowered_enclosure
+    i = formula.slot
+    ts = _axis_points(*formula.axis, DEFAULT_GRID)
+    points_of, values_of = inverse._pruned_points, inverse._values
+    enclosure_of = inverse.lowered_enclosure
 
-    def counting_scan(e, slot):
-        scan = scan_of(e, slot)
+    def counted(items):
+        for item in items:
+            counts["points"] += 1
+            yield item
 
-        def counted(*args):
-            for v in scan(*args):
-                counts["points"] += 1
-                yield v
-        return counted if e is formula.inner else scan
+    def counting_points(f, *args):
+        points = points_of(f, *args)
+        return counted(points) if f is formula.inner else points
+
+    def counting_values(h, scan, *args):
+        values = values_of(h, scan, *args)
+        return counted(values) if scan is ts else values
 
     def counting_enclosure(e, slot):
         enclose = enclosure_of(e, slot)
@@ -398,7 +418,8 @@ def _formula_counts(monkeypatch, formula, point, prune=True):
             return enclose(*args)
         return counted if e is formula.inner else enclose
 
-    monkeypatch.setattr(inverse, "lowered_scan", counting_scan)
+    monkeypatch.setattr(inverse, "_pruned_points", counting_points)
+    monkeypatch.setattr(inverse, "_values", counting_values)
     monkeypatch.setattr(inverse, "lowered_enclosure", counting_enclosure)
     if prune:
         try:
@@ -406,29 +427,33 @@ def _formula_counts(monkeypatch, formula, point, prune=True):
         except NoSolutionError:
             root = None
     else:
-        i = formula.slot
-        ts = _axis_points(*formula.axis, DEFAULT_GRID)
-        root = next(kernel_scan_roots(formula.inner, i, point[: i - 1] + point[i:], ts,
-                                      point[i - 1], DEFAULT_TOL, []), None)
+        root = next(full_scan_roots(formula.inner, i, point[: i - 1] + point[i:], ts,
+                                    point[i - 1], DEFAULT_TOL, []), None)
     monkeypatch.undo()
     return root, counts
 
 
 def test_inverse_formula_scans_a_few_points(monkeypatch):
-    # the benchmark's formula-replay equation (x+a)^(x*b) = c over 0.5:3, at
-    # a seeded point whose root lies mid-axis
+    # the benchmark's formula-replay equation (x+a)^(x*b) = c over 0.5:3
     rng = random.Random(1901)
     a, b, x = round(rng.uniform(0.5, 2.0), 4), round(rng.uniform(0.5, 2.0), 4), rng.uniform(0.6, 2.8)
-    rhs = (x + a) ** (x * b)
     form = to_structural(parse("pow(add(x,a),mul(x,b))"))
-    report = solve(Equation(form.expr, form.binding, rhs, {"a": a, "b": b},
-                            BoxDomain(((0.5, 3.0),))))
-    point = [rhs, a, b]
-    root, counts = _formula_counts(monkeypatch, report.formula, point)
-    want, before = _formula_counts(monkeypatch, report.formula, point, prune=False)
-    assert root.hex() == want.hex() and root == pytest.approx(x, abs=1e-8)
-    assert before == {"points": 333}
-    assert counts == {"points": 21, "enclosures": 9}
+    for x, full, pruned in (
+        # a seeded root mid-axis
+        (x, 333, {"points": 16, "enclosures": 9}),
+        # a root in the first 16 cells: the scan of every point reaches it
+        # as soon, and the enclosures halve the grid down to its block
+        (0.5 + 10.3 * 2.5 / (DEFAULT_GRID - 1), 12, {"points": 12, "enclosures": 7}),
+    ):
+        rhs = (x + a) ** (x * b)
+        report = solve(Equation(form.expr, form.binding, rhs, {"a": a, "b": b},
+                                BoxDomain(((0.5, 3.0),))))
+        point = [rhs, a, b]
+        root, counts = _formula_counts(monkeypatch, report.formula, point)
+        want, before = _formula_counts(monkeypatch, report.formula, point, prune=False)
+        assert root.hex() == want.hex() and root == pytest.approx(x, abs=1e-8)
+        assert before == {"points": full}
+        assert counts == pruned
 
 
 @pytest.mark.parametrize("inner, axis, value", [
@@ -438,8 +463,8 @@ def test_inverse_formula_scans_a_few_points(monkeypatch):
     (to_structural(parse("div(1,add(x,-0.5))")).expr, (0.0, 2.0), 1.0),
 ])
 def test_unbounded_inverse_formula_scans_every_point(monkeypatch, inner, axis, value):
-    # one enclosure says it cannot bound the scan past the first block, so
-    # the scan evaluates every point the unpruned scan evaluates
+    # the one enclosure, of the whole grid, says it cannot bound it, so the
+    # scan evaluates every point the unpruned scan evaluates
     formula = Inverse(inner, 1, axis=axis)
     root, counts = _formula_counts(monkeypatch, formula, [value])
     want, before = _formula_counts(monkeypatch, formula, [value], prune=False)
@@ -481,6 +506,24 @@ def test_invert_at_searches_up_to_the_gap_edge():
     assert roots == pytest.approx([2 - half_width, 2 + half_width], abs=1e-8)
     assert "skipped interval [0.9375, 1.0]" in warnings
     assert "skipped interval [3.0, 3.0625]" in warnings
+
+
+def test_nested_inverse_at_a_non_finite_argument_is_a_gap():
+    # h(x) = I_1(add)(1, x*1e308*10) on 0:1: past x = 0.18 the product is
+    # inf, where the nested Inverse does not evaluate
+    mul = Lift(Prim(MUL), 2, (1, 2))
+    scaled = Compose(Compose(mul, 2, Const(10.0)), 1, Compose(mul, 2, Const(1e308)))
+    inv = Inverse(Prim(ADD), 1, axis=(-10.0, 10.0))
+    h, _ = normalize(Compose(Compose(inv, 1, Const(1.0)), 2, scaled))
+    box = BoxDomain(((0.0, 1.0),))
+    with pytest.raises(EvalDomainError, match="non-finite argument of an inverse") as info:
+        evaluate(h, [0.5])
+    assert info.value.node is inv
+    warnings = []
+    assert invert_at(h, 1, 0.5, [], box, warnings=warnings) == []
+    assert any("non-finite argument of an inverse" in w for w in warnings)
+    assert check_invertible(h, 1, box, 33).invertible
+    assert inverse_fn(h, 1, box)(0.5) == []
 
 
 def test_witness_bisection_into_a_pole_gives_no_witness():

@@ -39,19 +39,19 @@ from mvfa.expr_core import (
     Prim,
     evaluate,
     lowered_enclosure,
-    lowered_scan,
 )
 from mvfa.frontend import (
     AstCall, AstConst, AstSymbol, format_expr, parse_structural, to_structural,
 )
 from mvfa.inverse import (
-    DEFAULT_GRID, DegenerateInputError, _axis_points, check_invertible, inverse_fn, invert_at,
+    DEFAULT_GRID, DegenerateInputError, _axis_points, _section, _values, check_invertible,
+    inverse_fn, invert_at,
 )
 from mvfa.solver import Equation, solve
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
 
 from util import (
-    ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, count_symbols, kernel_scan_roots, scan_roots,
+    ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, count_symbols, full_scan_roots, scan_roots,
 )
 
 # Seeded, so tier-1 runs are reproducible, and without a deadline, so a
@@ -223,7 +223,7 @@ def _full_scan(f, i, target, fixed, box):
     invert_at's grid."""
     notes = []
     ts = _axis_points(*box.axis(i), DEFAULT_GRID)
-    roots = kernel_scan_roots(f, i, fixed, ts, target, DEFAULT_TOL, notes)
+    roots = full_scan_roots(f, i, fixed, ts, target, DEFAULT_TOL, notes)
     return [r.hex() for r in roots], notes
 
 
@@ -308,7 +308,7 @@ def test_enclosure_holds_every_scan_value(ast, data):
     if (low, high) == (-math.inf, math.inf):
         return
     notes = []
-    for t, v in zip(ts[a:b + 1], lowered_scan(f, i)(ts[a:b + 1], target, notes, *fixed)):
+    for t, v in zip(ts[a:b + 1], _values(_section(f, i, fixed, target), ts[a:b + 1], notes)):
         assert v is not None and low <= v <= high, (t, v, notes)
 
 

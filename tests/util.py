@@ -2,7 +2,7 @@
 
 The AST evaluator and the scan-and-bisect root finder here are deliberately
 written against plain Python floats, independent of the expression
-pipeline, so they can serve as oracles for it.  `kernel_scan_roots` is the
+pipeline, so they can serve as oracles for it.  `full_scan_roots` is the
 1 024-point search of `invert_at` and Inverse nodes without its enclosures:
 the scan of every point, which the pruned scan must match bitwise.
 """
@@ -138,14 +138,15 @@ def count_symbols(ast) -> int:
     return 1 if isinstance(ast, AstSymbol) else 0
 
 
-def kernel_scan_roots(f: Expr, i: int, fixed, ts, target: float, tol: float, notes: list):
+def full_scan_roots(f: Expr, i: int, fixed, ts, target: float, tol: float, notes: list):
     """The roots, ascending and lazily, that `invert_at` and Inverse nodes
     find with f - target along slot i on the scan points `ts`, with every
-    point evaluated through f's scan kernel (looked up as
-    `inverse.lowered_scan`, so a test can wrap it) and no enclosure;
-    evaluation failures and skipped intervals go to `notes`."""
-    points = zip(ts, inverse.lowered_scan(f, i)(ts, target, notes, *fixed))
-    return inverse._roots(inverse._section(f, i, fixed, target), points, tol, notes)
+    point evaluated through f's point function (`inverse._values` over
+    `inverse._section`, looked up on the module so a test can wrap them)
+    and no enclosure; evaluation failures and skipped intervals go to
+    `notes`."""
+    h = inverse._section(f, i, fixed, target)
+    return inverse._roots(h, zip(ts, inverse._values(h, ts, notes)), tol, notes)
 
 
 # Independent dense-scan + bisection root oracle over plain callables.
