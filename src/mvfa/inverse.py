@@ -7,12 +7,13 @@ not a proof; resolution is configurable everywhere.  Non-invertible
 functions are split into monotone branches along the inverted axis so that
 every preimage is reported (the multivalued reading).
 
-Every entry point runs on one small core: `_check_slot` validates the
-arguments, `_values` evaluates a section along a scan with None where it
-does not evaluate, `_scan_fiber` finds a fiber's flat steps and turning
-points, `_bisect` is the one bisection (roots, and the equal-value
-witnesses of a turning point), `_edge_root` searches a scan interval with
-one undefined end up to the gap edge, and `_roots` is the sign-change
+Every entry point runs on one small core.  `_check_slot` validates the
+arguments; `_values`, the one place where a scan evaluates its points,
+pairs each scan point with the section's value there, or None where it
+does not evaluate; `_scan_fiber` finds a fiber's flat steps and turning
+points; `_bisect` is the one bisection (roots, and the equal-value
+witnesses of a turning point); `_edge_root` searches a scan interval with
+one undefined end up to the gap edge; and `_roots` is the sign-change
 scan, bracketing and root grouping shared by `invert_at`, `inverse_fn` and
 the evaluation of Inverse nodes: one lazy pass over a stream of scan
 values, so the evaluation of an Inverse node stops at its first root.
@@ -24,13 +25,15 @@ for a unary function the branch scans at the split's resolution take the
 values of the scan that checked the branch, minus the target.
 `invert_at` and Inverse nodes, which have no split, run one search of a
 1 024-point grid through the same point function (`_pruned_roots`).  It
-evaluates only the points that can matter to its roots
-(`_pruned_points`): a block of the grid whose range enclosure lies beyond
-tol on one side holds no root, no bracket end and no point that fails, so
-it is dropped but for its ends, and the roots, bisections included, and
-the notes are bitwise those of the scan of every point.  An Inverse node
-stops at its first root.  The default tolerance is the package's
-`DEFAULT_TOL` (1e-9).
+evaluates only the points that can matter to its roots, which
+`_pruned_points` chooses without evaluating any: a block of the grid
+whose range enclosure lies beyond tol on one side holds no root, no
+bracket end and no point that fails, so it is dropped but for its ends,
+and where the left half of a block is dropped, the right half is halved
+without an enclosure of its own.  The roots, bisections included, and the
+notes are bitwise those of the scan of every point.  An Inverse node stops
+at its first root.  The default tolerance is the package's `DEFAULT_TOL`
+(1e-9).
 
 The core has one failure rule.  A point where the section does not
 evaluate (log, root or division outside its domain, overflow in a power,
@@ -154,12 +157,15 @@ def _fibers(d: BoxDomain, i: int, grid: int):
 def _section(f: Expr, i: int, fixed, target: float = 0.0):
     """The one-variable section t -> f(fixed, with t at slot i) - target.
 
-    It calls f's lowered function directly: the callers validate their
-    inputs once, not at every point of a scan.  `v - 0.0` is bitwise `v`,
-    -0.0 included.  A point that does not evaluate raises `EvalError`, and
-    every caller turns it into a gap.
+    It calls f's lowered function directly, with no argument tuple to build
+    for a unary f: the callers validate their inputs once, not at every
+    point of a scan.  `v - 0.0` is bitwise `v`, -0.0 included.  A point
+    that does not evaluate raises `EvalError`, and every caller turns it
+    into a gap.
     """
     fn = lowered(f)
+    if f.arity == 1:
+        return lambda t: fn(t) - target
     before, after = tuple(fixed[: i - 1]), tuple(fixed[i - 1:])
     return lambda t: fn(*before, t, *after) - target
 
@@ -191,15 +197,17 @@ def _check_slot(f: Expr, i: int, d: BoxDomain, grid: int | None = None,
 
 
 def _values(section, ts, notes: list | None = None):
-    """Yield the section's value at each t of `ts`, or None where it does
-    not evaluate, which is noted in `notes` when a list is given."""
+    """Yield the pairs (t, section(t)) for each t of `ts`, with None for the
+    value where the section does not evaluate, which is noted in `notes`
+    when a list is given.  Every scan point of every scan is evaluated
+    here, and `ts` may be lazy: the points are drawn one at a time."""
     for t in ts:
         try:
-            yield section(t)
+            yield t, section(t)
         except EvalError as exc:
             if notes is not None:
                 notes.append(f"evaluation failed at t={t!r}: {exc}")
-            yield None
+            yield t, None
 
 
 def _scan_fiber(section, ts):
@@ -212,7 +220,7 @@ def _scan_fiber(section, ts):
     a step or a turn that involves one is passed over, so every reported
     value is finite.
     """
-    vals = list(_values(section, ts))
+    vals = [v for _, v in _values(section, ts)]
     turns = []
     rising = prev = None
     for k, v in enumerate(vals):
@@ -371,49 +379,67 @@ def _pruned_roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: f
     the scan points of `ts` that `_pruned_points` keeps: the scan of
     `invert_at` and of Inverse nodes, which have no branch split."""
     h = _section(f, i, fixed, target)
-    return _roots(h, _pruned_points(f, i, h, fixed, ts, target, tol, notes), tol, notes)
+    return _roots(h, _values(h, _pruned_points(f, i, fixed, ts, target, tol), notes), tol, notes)
 
 
-def _pruned_points(f: Expr, i: int, h, fixed, ts: list[float], target: float, tol: float,
-                   notes: list):
-    """Yield, ascending, the pairs (t, h(t)) of the scan points `ts` that
-    `_roots` needs to find what it finds on all of them, where h is the
-    section f - target along slot i, evaluated as `_values` evaluates it.
+def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float):
+    """Yield, ascending, the scan points of `ts` that `_roots` needs to find
+    what it finds on all of them, for the section f - target along slot i.
+    It evaluates none of them: the caller does, through `_values`.
 
     After the first point, the scan is a depth-first branch-and-bound over
     the whole grid, left block first: a block whose enclosure
     (`lowered_enclosure`) lies strictly above tol or strictly below -tol
     holds values that are all defined, finite and of one sign beyond tol,
-    so no scan point inside it is a root or ends a bracket, and only its
-    ends are kept.  Any other block is halved down to `PRUNE_BLOCK` cells
-    and then scanned point by point.  Where the enclosures stop paying, the
-    rest of the grid is scanned point by point: from a block whose
-    enclosure is (-inf, inf), so an expression that cannot be bounded is
-    scanned at every point, and after `PRUNE_MISSES` enclosures in a row
-    that dropped nothing, which bounds their cost where none can drop a
-    block.
+    so no scan point inside it is a root or ends a bracket, and it is
+    dropped: only its right end is kept.  Any other block is halved down to
+    `PRUNE_BLOCK` cells and then scanned point by point.  Where the left
+    half of a block whose enclosure straddled is dropped, any root of the
+    block lies in the right half, whose enclosure then straddles as well,
+    so a right half larger than `PRUNE_BLOCK` is halved there without an
+    enclosure of its own.  That is sound, since a block loses points only
+    by an enclosure that drops it; where the skipped enclosure would have
+    dropped the right half, it costs one more enclosure and one more
+    point.  The block after a dropped right half lies beyond the block that
+    was halved, and it is enclosed: a scan that goes on past its last root,
+    as `invert_at`'s does, would pay that cost at every block it drops
+    there.  Where the enclosures stop paying, the rest of the grid is
+    scanned point by point: from a block whose enclosure is (-inf, inf), so
+    an expression that cannot be bounded is scanned at every point after
+    the enclosure of the whole grid, and after `PRUNE_MISSES` enclosures in
+    a row that dropped nothing, which bounds their cost where none can drop
+    a block.
     """
     enclose = lowered_enclosure(f, i)
     last = len(ts) - 1
-    yield from zip(ts[:1], _values(h, ts[:1], notes))
+    yield ts[0]
     blocks = [(0, last)] if last else []
-    misses = 0   # enclosures in a row that dropped nothing
+    misses = 0      # enclosures in a row that dropped nothing
+    left = False    # whether the block is the left half of the block halved last
     while blocks:
         a, b = blocks.pop()
         lo, hi = enclose(ts[a], ts[b], target, *fixed)
         if lo > tol or hi < -tol:
             misses = 0
-            yield from zip(ts[b:b + 1], _values(h, ts[b:b + 1], notes))
+            yield ts[b]
+            if left and blocks[-1][1] - b > PRUNE_BLOCK:
+                # halve the right half, on top, and go on with its left half
+                c, d = blocks.pop()
+                m = (c + d) // 2
+                blocks += (m, d), (c, m)
+            else:
+                left = False
             continue
         misses += 1
         if lo == -math.inf or misses == PRUNE_MISSES:
-            b, blocks = last, []
-        elif b - a > PRUNE_BLOCK:
+            yield from ts[a + 1:]
+            return
+        left = b - a > PRUNE_BLOCK
+        if left:
             m = (a + b) // 2
             blocks += (m, b), (a, m)
-            continue
-        kept = ts[a + 1:b + 1]
-        yield from zip(kept, _values(h, kept, notes))
+        else:
+            yield from ts[a + 1:b + 1]
 
 
 def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
@@ -524,11 +550,11 @@ def invert_at(f: Expr, i: int, target: float, fixed, d: BoxDomain,
     and finds the roots and warnings that a scan of every point finds.
     Subintervals where evaluation fails are skipped and recorded in
     `warnings` when a list is supplied.  An empty result is not an error;
-    a target that is not finite, or a fixed value outside `d`, is a
-    `StructureError`.
+    a target that is not finite, a fixed value outside `d` or a grid of
+    fewer than 3 points is a `StructureError`.
     """
     target = float(target)
-    fixed = _check_slot(f, i, d, fixed=fixed, target=target)
+    fixed = _check_slot(f, i, d, grid, fixed, target)
     return list(_pruned_roots(f, i, fixed, _axis_points(*d.axis(i), grid), target, tol,
                               [] if warnings is None else warnings))
 
@@ -633,7 +659,8 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
     takes the full argument tuple (output value at position `i`, the other
     coordinates in place) and returns every preimage found across all
     branches, ascending; an output value that is not finite is a
-    `StructureError`.  Each branch is scanned at `grid` points through
+    `StructureError`, and so is a `grid` or a `split_grid` of fewer than 3
+    points.  Each branch is scanned at `grid` points through
     f's point function, the one the split lowered; the default, 65, is the
     split's default probe count.  For a unary f scanned at the split's
     resolution, the scan evaluates nothing: its values are the ones that
@@ -647,6 +674,7 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
     them.  The branch decomposition is exposed on the returned callable as
     `.pieces`.
     """
+    _check_slot(f, i, d, grid)
     pieces, scans = _split(f, i, d, split_grid, tol)
     if f.arity != 1 or grid != split_grid:
         scans = [(_axis_points(*branch.interval, grid), None) for branch in pieces.branches]
@@ -660,8 +688,8 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
         found: list[float] = []
         for ts, vals in scans:
             values = (_values(h, ts) if vals is None
-                      else (None if v is None else v - target for v in vals))
-            found.extend(_roots(h, zip(ts, values), tol, []))
+                      else zip(ts, (None if v is None else v - target for v in vals)))
+            found.extend(_roots(h, values, tol, []))
         found.sort()
         roots: list[float] = []
         for t in found:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from collections import Counter
 
 import pytest
@@ -19,16 +20,19 @@ from mvfa.expr_core import (
     Primitive,
     StructureError,
     evaluate,
+    lowered,
 )
 from mvfa.frontend import parse, to_structural
 from mvfa.inverse import (
     DEFAULT_GRID,
+    PRUNE_BLOCK,
     PRUNE_MISSES,
     Branch,
     DegenerateInputError,
     InvertVerdict,
     UnsupportedInverseError,
     _axis_points,
+    _section,
     check_invertible,
     inverse_fn,
     invert_at,
@@ -85,6 +89,15 @@ def test_flat_section_yields_witness():
 def test_grid_validation():
     with pytest.raises(StructureError):
         check_invertible(Prim(POW), 1, BoxDomain(((1, 2), (1, 2))), grid=2)
+    # x + 1 = 3.5 at 2.5: a scan of fewer than 3 points is refused, not empty
+    f, box = unary("add(x,1)", 0.0, 3.0), BoxDomain(((0.0, 3.0),))
+    for grid in (0, 1, 2):
+        with pytest.raises(StructureError):
+            invert_at(f, 1, 3.5, [], box, grid=grid)
+        with pytest.raises(StructureError):
+            inverse_fn(f, 1, box, grid=grid)
+    assert invert_at(f, 1, 3.5, [], box, grid=3) == pytest.approx([2.5])
+    assert inverse_fn(f, 1, box, grid=3)(3.5) == pytest.approx([2.5])
 
 
 # --- invert_primitive: the symbolic table ---
@@ -382,13 +395,17 @@ def test_two_branch_solve_evaluates_each_scan_grid_once(monkeypatch):
 
 # --- work counts: an Inverse formula scans only the blocks that can hold a root ---
 
-def _formula_counts(monkeypatch, formula, point, prune=True):
+def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_root=False):
     """The first root of formula's Inverse node at point (None where there
     is none), with the number of scan points its scan evaluated and of
     enclosures it used (not those of a nested Inverse): through `evaluate`,
-    which counts the pairs `_pruned_points` yields, or, without `prune`,
+    which counts the points `_pruned_points` yields, or, without `prune`,
     through the reference scan of every point of the same grid
-    (`full_scan_roots`), which counts the values `_values` yields there."""
+    (`full_scan_roots`), which counts the values `_values` yields there.
+    With `every_root`, the scan is that of `invert_at` on the formula's
+    axis, which goes on past the first root.  `blocks`, when a list,
+    receives the grid indices (a, b) of each block enclosed, with whether
+    its enclosure dropped it."""
     import mvfa.inverse as inverse
 
     counts = Counter()
@@ -413,15 +430,24 @@ def _formula_counts(monkeypatch, formula, point, prune=True):
     def counting_enclosure(e, slot):
         enclose = enclosure_of(e, slot)
 
-        def counted(*args):
+        def counted(lo, hi, *args):
             counts["enclosures"] += 1
-            return enclose(*args)
+            low, high = enclose(lo, hi, *args)
+            if blocks is not None:
+                blocks.append(((ts.index(lo), ts.index(hi)),
+                               low > DEFAULT_TOL or high < -DEFAULT_TOL))
+            return low, high
         return counted if e is formula.inner else enclose
 
     monkeypatch.setattr(inverse, "_pruned_points", counting_points)
     monkeypatch.setattr(inverse, "_values", counting_values)
     monkeypatch.setattr(inverse, "lowered_enclosure", counting_enclosure)
-    if prune:
+    if every_root:
+        box = BoxDomain(tuple(formula.axis if k == i else (v, v)
+                              for k, v in enumerate(point, start=1)))
+        root = next(iter(invert_at(formula.inner, i, point[i - 1], point[: i - 1] + point[i:],
+                                   box)), None)
+    elif prune:
         try:
             root = evaluate(formula, point)
         except NoSolutionError:
@@ -433,27 +459,89 @@ def _formula_counts(monkeypatch, formula, point, prune=True):
     return root, counts
 
 
-def test_inverse_formula_scans_a_few_points(monkeypatch):
-    # the benchmark's formula-replay equation (x+a)^(x*b) = c over 0.5:3
+def _replay_formula(x=None):
+    """The benchmark's formula-replay equation (x+a)^(x*b) = c over 0.5:3
+    with a and b at a seeded point: its Inverse formula, the point (c, a, b)
+    to evaluate it at, and its root x, the seeded one unless given."""
     rng = random.Random(1901)
-    a, b, x = round(rng.uniform(0.5, 2.0), 4), round(rng.uniform(0.5, 2.0), 4), rng.uniform(0.6, 2.8)
+    a, b = round(rng.uniform(0.5, 2.0), 4), round(rng.uniform(0.5, 2.0), 4)
+    x = rng.uniform(0.6, 2.8) if x is None else x
     form = to_structural(parse("pow(add(x,a),mul(x,b))"))
+    rhs = (x + a) ** (x * b)
+    report = solve(Equation(form.expr, form.binding, rhs, {"a": a, "b": b},
+                            BoxDomain(((0.5, 3.0),))))
+    return report.formula, [rhs, a, b], x
+
+
+def test_inverse_formula_scans_a_few_points(monkeypatch):
     for x, full, pruned in (
-        # a seeded root mid-axis
-        (x, 333, {"points": 16, "enclosures": 9}),
+        # the seeded root mid-axis
+        (None, 333, {"points": 16, "enclosures": 7}),
         # a root in the first 16 cells: the scan of every point reaches it
         # as soon, and the enclosures halve the grid down to its block
         (0.5 + 10.3 * 2.5 / (DEFAULT_GRID - 1), 12, {"points": 12, "enclosures": 7}),
     ):
-        rhs = (x + a) ** (x * b)
-        report = solve(Equation(form.expr, form.binding, rhs, {"a": a, "b": b},
-                                BoxDomain(((0.5, 3.0),))))
-        point = [rhs, a, b]
-        root, counts = _formula_counts(monkeypatch, report.formula, point)
-        want, before = _formula_counts(monkeypatch, report.formula, point, prune=False)
+        formula, point, x = _replay_formula(x)
+        root, counts = _formula_counts(monkeypatch, formula, point)
+        want, before = _formula_counts(monkeypatch, formula, point, prune=False)
         assert root.hex() == want.hex() and root == pytest.approx(x, abs=1e-8)
         assert before == {"points": full}
         assert counts == pruned
+
+
+def _after(a, b, last):
+    """The block on top of the pruned scan's stack, over a grid of last + 1
+    points, once it has taken the block (a, b) of its halving tree: the
+    right half of the lowest block whose left half holds (a, b), or None;
+    and whether that is the other half of (a, b) itself."""
+    lo, hi, after, sibling = 0, last, None, False
+    while (lo, hi) != (a, b):
+        m = (lo + hi) // 2
+        sibling = b <= m
+        if sibling:
+            hi, after = m, (m, hi)
+        else:
+            lo = m
+    return after, sibling
+
+
+def test_right_half_after_a_dropped_left_half_is_not_enclosed(monkeypatch):
+    # at the seeded formula-replay point, after each dropped block the scan
+    # encloses the block on top of its stack, except that the other half
+    # of a dropped left half is halved first where it is larger than
+    # PRUNE_BLOCK; so for the formula (first root) and for invert_at (every
+    # root) alike
+    formula, point, _ = _replay_formula()
+    for every_root, pruned in ((False, {"points": 16, "enclosures": 7}),
+                               (True, {"points": 23, "enclosures": 11})):
+        blocks = []
+        root, counts = _formula_counts(monkeypatch, formula, point, blocks=blocks,
+                                       every_root=every_root)
+        want, _ = _formula_counts(monkeypatch, formula, point, prune=False)
+        assert root.hex() == want.hex() and counts == pruned
+        assert blocks[0][0] == (0, DEFAULT_GRID - 1) and len(blocks) == counts["enclosures"]
+        halved = 0
+        for ((a, b), dropped), (block, _) in zip(blocks, blocks[1:]):
+            if dropped:
+                after, sibling = _after(a, b, DEFAULT_GRID - 1)
+                if sibling and after[1] - after[0] > PRUNE_BLOCK:
+                    after, halved = (after[0], sum(after) // 2), halved + 1
+                assert block == after
+        assert halved == 2
+
+
+@pytest.mark.parametrize("text, t, value", [
+    ("mul(x,-1)", 0.0, "-0x0.0p+0"),   # the target -0.0 turns it into 0.0
+    ("add(mul(x,1e308),mul(x,-1e308))", 10.0, "nan"),   # inf - inf
+    ("add(pow(x,2),-1)", 0.5, "-0x1.8000000000000p-1"),
+])
+def test_unary_section_is_its_function_minus_the_target(text, t, value):
+    f = unary(text, -20.0, 20.0)
+    fn = lowered(f)
+    assert fn(t).hex() == value
+    for target in (0.0, -0.0, 0.25):
+        got = _section(f, 1, (), target)(t)
+        assert struct.pack("<d", got) == struct.pack("<d", fn(t) - target)
 
 
 @pytest.mark.parametrize("inner, axis, value", [

@@ -308,7 +308,7 @@ def test_enclosure_holds_every_scan_value(ast, data):
     if (low, high) == (-math.inf, math.inf):
         return
     notes = []
-    for t, v in zip(ts[a:b + 1], _values(_section(f, i, fixed, target), ts[a:b + 1], notes)):
+    for t, v in _values(_section(f, i, fixed, target), ts[a:b + 1], notes):
         assert v is not None and low <= v <= high, (t, v, notes)
 
 

@@ -146,7 +146,7 @@ def full_scan_roots(f: Expr, i: int, fixed, ts, target: float, tol: float, notes
     and no enclosure; evaluation failures and skipped intervals go to
     `notes`."""
     h = inverse._section(f, i, fixed, target)
-    return inverse._roots(h, zip(ts, inverse._values(h, ts, notes)), tol, notes)
+    return inverse._roots(h, inverse._values(h, ts, notes), tol, notes)
 
 
 # Independent dense-scan + bisection root oracle over plain callables.
