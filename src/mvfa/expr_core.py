@@ -237,7 +237,7 @@ class Inverse(Expr):
             raise StructureError(f"inverse slot {self.slot!r} out of range 1..{n}")
         lo, hi = self.axis
         object.__setattr__(self, "axis", (float(lo), float(hi)))
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        if not math.isfinite(hi - lo) or lo > hi:
             raise StructureError(f"bad inverse search interval {self.axis}")
         self._derive(n, self.inner.used_slots | {self.slot})
 
@@ -252,10 +252,8 @@ class BoxDomain:
         axes = tuple((float(lo), float(hi)) for lo, hi in self.axes)
         object.__setattr__(self, "axes", axes)
         for k, (lo, hi) in enumerate(axes, start=1):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise StructureError(f"axis {k} bounds must be finite, got [{lo}, {hi}]")
-            if lo > hi:
-                raise StructureError(f"axis {k} is empty: [{lo}, {hi}]")
+            if not math.isfinite(hi - lo) or lo > hi:
+                raise StructureError(f"axis {k} must be lo <= hi of finite width, got [{lo}, {hi}]")
 
     @classmethod
     def unit(cls, n: int) -> "BoxDomain":
@@ -278,6 +276,17 @@ class BoxDomain:
         if len(point) != self.dim:
             return False
         return all(lo - slack <= v <= hi + slack for v, (lo, hi) in zip(point, self.axes))
+
+
+def _axis_points(lo: float, hi: float, count: int) -> list[float]:
+    """lo + k*step for k < count, ending at hi: the floats of `numpy.linspace`
+    wherever lo < hi and the step is finite and not 0."""
+    if count < 2 or hi == lo:
+        return [lo]
+    step = (hi - lo) / (count - 1)
+    pts = [lo + k * step for k in range(count)]
+    pts[-1] = hi
+    return pts
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
@@ -598,4 +607,4 @@ def equivalent_on(e1: Expr, e2: Expr, domain: BoxDomain, samples: int = 100,
 
 # The inverse core builds on this module, so it is imported once this
 # module is complete: an Inverse node's evaluation runs on it.
-from .inverse import DEFAULT_GRID, _axis_points, _pruned_roots  # noqa: E402
+from .inverse import DEFAULT_GRID, _pruned_roots  # noqa: E402

@@ -72,6 +72,7 @@ from .expr_core import (
     Prim,
     Primitive,
     StructureError,
+    _axis_points,
     lowered,
     lowered_enclosure,
 )
@@ -136,22 +137,9 @@ class PiecewiseInverse:
     domain: BoxDomain
 
 
-def _axis_points(lo: float, hi: float, count: int) -> list[float]:
-    if count < 2 or hi == lo:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    pts = [lo + k * step for k in range(count)]
-    pts[-1] = hi
-    return pts
-
-
 def _fibers(d: BoxDomain, i: int, grid: int):
-    """All grid assignments of the slots other than i, ascending slot order."""
-    other_axes = [d.axis(k) for k in range(1, d.dim + 1) if k != i]
-    if not other_axes:
-        yield ()
-        return
-    yield from product(*(_axis_points(lo, hi, grid) for lo, hi in other_axes))
+    """All grid assignments of the slots other than i, ascending slot order; () if none."""
+    return product(*(_axis_points(*d.axis(k), grid) for k in range(1, d.dim + 1) if k != i))
 
 
 def _section(f: Expr, i: int, fixed, target: float = 0.0):

@@ -43,7 +43,8 @@ precomputed psi value per coordinate: (2n+1)*n*grid inner-map calls, not
 (2n+1)*n*grid**2.  The inner sums never change during the fit, so each
 sample's bin and bin weight, and the nodes no sample reaches, are found
 once, and a step-halving trial is one vector: the residual minus the
-scaled step.
+scaled step.  Only the fit computes with arrays, and `decompose` imports
+numpy when called; outer functions, reconstruction and files are plain Python.
 """
 
 from __future__ import annotations
@@ -52,17 +53,18 @@ import base64
 import copy
 import json
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .expr_core import (
+    ConfigError,
     EvalDomainError,
     EvalError,
     Expr,
     MvfaError,
     StructureError,
+    _axis_points,
     lowered,
 )
 
@@ -124,30 +126,27 @@ def inner_psi(q: int, p: int, x: float) -> float:
 class OuterFunction:
     """A sampled unary function on a uniform knot grid, linearly interpolated.
 
-    Calls give `np.interp(s, knots, values)` bitwise, without a numpy call.
-    Calls read knot and value lists made here, so an instance is immutable:
-    its fields cannot be assigned, and `values` and `knots` are read-only
-    arrays of its own.  Build a new instance to change them.
+    Immutable; `values` and `knots` are float tuples, the knots those of
+    `_axis_points(lo, hi, len(values))`.  Calls give `numpy.interp(s, knots,
+    values)` bitwise, in plain Python.
     """
 
     lo: float
     hi: float
-    values: np.ndarray
+    values: tuple[float, ...]
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or len(values) < 2:
-            raise StructureError("outer function needs at least two knots")
-        knots = np.linspace(self.lo, self.hi, len(values))
-        values.flags.writeable = knots.flags.writeable = False
-        for name, value in (("values", values), ("knots", knots),
-                            ("_xs", knots.tolist()), ("_ys", values.tolist())):
-            object.__setattr__(self, name, value)
+        values = tuple(map(float, self.values))
+        if not (len(values) >= 2 and self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise StructureError(f"outer function needs two knots or more on lo < hi of finite "
+                                 f"width, got {len(values)} on [{self.lo!r}, {self.hi!r}]")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "knots", tuple(_axis_points(self.lo, self.hi, len(values))))
 
     def __call__(self, s: float) -> float:
         # numpy's interp, step for step: clamp at the ends, the knot's own
         # value on a knot, and its two fallbacks when the line gives NaN
-        xs, ys = self._xs, self._ys
+        xs, ys = self.knots, self.values
         if s != s:
             return s
         j = bisect_right(xs, s) - 1
@@ -220,9 +219,9 @@ class KstRep:
                 history=[_number(h, "history entry") for h in doc["history"]],
                 grid=_count(doc, "grid", 2),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"malformed representation document: {exc}") from exc
-        if not np.isfinite(rep.history).all():
+        if not all(map(math.isfinite, rep.history)):
             raise FormatError("residual history holds a value that is not finite")
         if len(rep.history) != rep.iterations + 1:
             raise FormatError("residual history needs one entry per iteration, plus one")
@@ -252,12 +251,12 @@ class KstRep:
         return cls.from_dict(doc)
 
 
-def _pack(values: np.ndarray) -> str:
+def _pack(values) -> str:
     """Base64 of the values' little-endian float64 bytes: exact and compact."""
-    return base64.b64encode(values.astype("<f8", copy=False).tobytes()).decode("ascii")
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
-def _unpack(text: str) -> np.ndarray:
+def _unpack(text: str) -> tuple[float, ...]:
     """The float64 values of a `_pack` string."""
     try:
         raw = base64.b64decode(text, validate=True)
@@ -265,7 +264,7 @@ def _unpack(text: str) -> np.ndarray:
         raise FormatError(f"outer values are not valid base64: {exc}") from exc
     if len(raw) % 8:
         raise FormatError(f"outer values take {len(raw)} bytes, not 8 per knot")
-    return np.frombuffer(raw, dtype="<f8").astype(float)
+    return struct.unpack(f"<{len(raw) // 8}d", raw)
 
 
 def _count(doc: dict, key: str, least: int) -> int:
@@ -285,8 +284,8 @@ def _number(value, what: str) -> float:
 
 def _outer_from_doc(o: dict) -> OuterFunction:
     lo, hi, values = _number(o["lo"], "lo"), _number(o["hi"], "hi"), _unpack(o["values"])
-    if not (math.isfinite(lo) and math.isfinite(hi) and np.isfinite(values).all()):
-        raise FormatError("outer function holds a value that is not finite")
+    if not (math.isfinite(hi - lo) and all(map(math.isfinite, values))):
+        raise FormatError("outer function holds a value or a knot range width that is not finite")
     if not lo < hi:
         raise FormatError(f"outer function knot range [{lo!r}, {hi!r}] is empty")
     if len(values) != DEFAULT_BINS:
@@ -320,9 +319,13 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
         raise StructureError("training grid needs at least 2 points per axis")
     if iters < 0:
         raise StructureError("iteration count must be nonnegative")
+    try:   # the fit is the one part of mvfa that computes with arrays
+        import numpy as np
+    except ImportError as exc:
+        raise ConfigError(f"decompose needs numpy, which cannot be imported: {exc}") from exc
 
     q_count = 2 * n + 1
-    axis = np.linspace(0.0, 1.0, grid).tolist()
+    axis = _axis_points(0.0, 1.0, grid)
     fn = lowered(f)
     F = np.array([fn(x1, x2) for x1 in axis for x2 in axis])
     if not np.isfinite(F).all():
@@ -343,7 +346,7 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
     los, his = S[:, 0].copy(), S[:, -1].copy()
 
     bins = DEFAULT_BINS
-    node_xs = [np.linspace(los[q], his[q], bins) for q in range(q_count)]
+    node_xs = [np.array(_axis_points(los[q], his[q], bins)) for q in range(q_count)]
     share = 2.0 * DEFAULT_DAMPING / q_count
 
     # The inner sums never change, so the binning is computed once: each

@@ -1,6 +1,7 @@
 """CLI contract: JSON in and out, exit codes, byte-identical reruns."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -13,6 +14,10 @@ MVFA = [sys.executable, "-m", "mvfa"]
 
 def run(*args):
     return subprocess.run(MVFA + list(args), capture_output=True, text=True)
+
+
+def run_python(source, *args):
+    return subprocess.run([sys.executable, "-c", source, *args], capture_output=True, text=True)
 
 
 def run_json(*args, **kw):
@@ -231,6 +236,22 @@ def test_structure_error_exit_code():
     assert code == 1 and out["error"]["kind"] == "structure"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "add(x,0) = 1"],
+    ["solve", "mul(x,x) = 1"],
+    ["invert", "add", "1", "--target", "1", "--fixed", "2=1"],
+], ids=["solve-add", "solve-mul", "invert"])
+def test_axis_wider_than_the_largest_float_is_structure_error(argv, capsys):
+    # both ends are finite, but hi - lo overflows: the scan points would be
+    # NaN and inf, so no root could be found
+    from mvfa import cli
+
+    domain = "-1e308:1e308" + (",0:2" if argv[0] == "invert" else "")
+    assert cli.main(argv + [f"--domain={domain}"]) == 1
+    error = strict_json(capsys.readouterr().out)["error"]
+    assert error["kind"] == "structure" and "finite width" in error["message"]
+
+
 # --- kst ---
 
 def test_kst_decompose_and_reconstruct(tmp_path):
@@ -318,6 +339,52 @@ def test_kst_decompose_unwritable_output_is_format_error(tmp_path):
 def test_kst_decompose_needs_output(tmp_path):
     proc = run("kst", "decompose", "add(x,y)")
     assert proc.returncode == 2
+
+
+# Run with numpy blocked: `import numpy` raises ImportError.  argv[1] is the
+# golden-output file, argv[2] a representation file.  Prints what differs
+# from the recorded goldens, the value `kst reconstruct` reads, and the
+# error of `kst decompose`, the one command that needs numpy.
+WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from mvfa import cli
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    golden = json.load(fh)
+bad = []
+for case in golden["solve"] + golden["invert"]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(case["argv"])
+    if (code, out.getvalue()) != (case["exit"], case["stdout"]):
+        bad.append(case["argv"])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["kst", "reconstruct", sys.argv[2], "--at", "0.3,0.6"])
+value = json.loads(out.getvalue())["value"]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    fit = cli.main(["kst", "decompose", "add(x,y)", "-o", sys.argv[2] + ".new"])
+print(json.dumps({"bad": bad, "code": code, "value": value,
+                  "fit": [fit, json.loads(out.getvalue())["error"]["kind"]]}))
+"""
+
+
+def test_solve_invert_and_reconstruct_run_without_numpy(tmp_path):
+    from mvfa import decompose, parse, reconstruct, to_structural
+
+    proc = run_python("import sys, mvfa.cli; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    rep = decompose(to_structural(parse("mul(x,add(y,1.9))")).expr, grid=17, iters=10)
+    path = tmp_path / "rep.json"
+    rep.save(path)
+    golden = os.path.join(os.path.dirname(__file__), "golden_solve.json")
+    proc = run_python(WITHOUT_NUMPY, golden, str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert strict_json(proc.stdout) == {
+        "bad": [], "code": 0, "value": reconstruct(rep, [0.3, 0.6]), "fit": [1, "config"]}
+    assert not (tmp_path / "rep.json.new").exists()
 
 
 DEEP = 1200  # nesting levels, past the interpreter's default recursion limit

@@ -281,6 +281,13 @@ def test_inverse_node_needs_axis():
         Inverse(x_pow(1, 1, 2.0), 1)
 
 
+@pytest.mark.parametrize("axis", [(-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0), (2.0, 1.0)])
+def test_inverse_node_needs_an_axis_of_finite_width(axis):
+    # (-1e308, 1e308) has finite ends, but its width overflows to inf
+    with pytest.raises(StructureError, match="bad inverse search interval"):
+        Inverse(x_pow(1, 1, 2.0), 1, axis)
+
+
 def test_inverse_formula_stops_at_its_first_root(monkeypatch):
     # x/2 = 0.25 on [0, 10]: the only root, 0.5, lies in the first tenth
     from mvfa import expr_core

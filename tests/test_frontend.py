@@ -256,6 +256,12 @@ def test_inverse_notation_refuses_an_empty_interval():
         parse_structural("I_{1}(add,2:1)")
 
 
+def test_inverse_notation_refuses_an_interval_wider_than_the_largest_float():
+    # each end is finite, but the width overflows to inf
+    with pytest.raises(StructureError, match="search interval"):
+        parse_structural("I_{1}(add,-1e308:1e308)")
+
+
 # One sample of each node kind, every one of which has a text form.
 NODE_SAMPLES = {
     Const: Const(-2.5e-320),

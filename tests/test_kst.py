@@ -150,7 +150,7 @@ def test_zero_iterations():
     assert rep.iterations == 0
     assert rep.history == [2.0]  # max|x+y| on the unit square
     for fn in rep.outer:
-        assert np.all(fn.values == 0.0)
+        assert fn.values == (0.0,) * kst.DEFAULT_BINS
     assert reconstruct(rep, [0.5, 0.5]) == 0.0
 
 
@@ -223,6 +223,9 @@ GOLDEN_FITS = [
 def test_golden_fit(text, grid, iters, digest):
     rep = decompose(expr_of(text), grid=grid, iters=iters)
     assert hashlib.sha256(v1_text(rep).encode()).hexdigest() == digest
+    for fn in rep.outer:   # the knots are numpy's, bitwise
+        assert len(fn.knots) == len(fn.values) == kst.DEFAULT_BINS
+        assert np.array(fn.knots).tobytes() == np.linspace(fn.lo, fn.hi, kst.DEFAULT_BINS).tobytes()
 
 
 # history[-1], sum(history) and each outer function's storage_knots(fn).sum()
@@ -304,29 +307,21 @@ def test_shorter_fit_is_a_prefix_of_a_longer_one(text, grid, iters, digest):
 
 # --- work counts: a fit ends at its first stalled iteration ---
 
-class _CountingNumpy:
-    """numpy, recording each max the fit takes: max|F| for history[0],
-    then one per step-halving trial."""
-
-    def __init__(self):
-        self.maxima = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def max(self, a):
-        self.maxima.append(float(np.max(a)))
-        return self.maxima[-1]
-
-
 def test_fit_ends_at_its_first_stalled_iteration(monkeypatch):
     # this fit accepts its last step at iteration 9; each of the 41
-    # iterations after it would reject the same 24 halvings (996 trials)
-    counting = _CountingNumpy()
-    monkeypatch.setattr(kst, "np", counting)
+    # iterations after it would reject the same 24 halvings (996 trials).
+    # numpy.max records each max the fit takes: max|F| for history[0], then
+    # one per step-halving trial
+    maxima, real_max = [], np.max
+
+    def recording_max(a):
+        maxima.append(float(real_max(a)))
+        return maxima[-1]
+
+    monkeypatch.setattr(np, "max", recording_max)
     rep = decompose(expr_of("mul(x,add(y,1.9))"), grid=33, iters=50)
     monkeypatch.undo()
-    best, *trials = counting.maxima
+    best, *trials = maxima
     accepted, since = [best], 0   # history entries, trials since the last one
     for m in trials:
         if m <= accepted[-1]:
@@ -414,18 +409,25 @@ def test_outer_function_is_np_interp_bitwise(text, grid, iters, digest):
         ends = [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo),
                 math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
         drawn = [rng.uniform(lo - 0.1 * width, hi + 0.1 * width) for _ in range(500)]
-        for s in fn.knots.tolist() + ends + drawn:
+        for s in list(fn.knots) + ends + drawn:
             assert fn(s).hex() == interp_hex(fn, s), s
 
 
 def test_outer_function_is_immutable():
-    # calls read the knot and value lists made at construction, so neither
+    # calls read the knot and value tuples made at construction, so neither
     # an assignment nor an in-place write may change what they interpolate
     fn = decompose(ADD_XY, grid=9, iters=1).outer[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         fn.lo = 0.0
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(TypeError):
         fn.values[0] = 1.0
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0), (-1e308, 1e308),
+                                   (0.0, math.inf), (math.nan, 1.0)])
+def test_outer_function_needs_a_knot_range_of_finite_width(lo, hi):
+    with pytest.raises(StructureError, match="on lo < hi of finite width"):
+        kst.OuterFunction(lo, hi, [0.0, 1.0])
 
 
 def test_outer_function_follows_np_interp_where_a_cell_gives_nan():
@@ -450,8 +452,7 @@ def test_rep_round_trip(tmp_path):
     # bitwise, -0.0 and subnormals included
     rep = decompose(ADD_XY, grid=17, iters=5)
     fn = rep.outer[1]
-    values = fn.values.copy()
-    values[:3] = (-0.0, 5e-324, -2.2250738585072e-309)
+    values = (-0.0, 5e-324, -2.2250738585072e-309) + fn.values[3:]
     rep.outer[1] = kst.OuterFunction(fn.lo, fn.hi, values)
     path = tmp_path / "rep.json"
     rep.save(path)
@@ -462,7 +463,7 @@ def test_rep_round_trip(tmp_path):
     assert back.iterations == rep.iterations
     for f1, f2 in zip(rep.outer, back.outer):
         assert f1.lo == f2.lo and f1.hi == f2.hi
-        assert f2.values.tobytes() == f1.values.tobytes()
+        assert np.array(f2.values, "<f8").tobytes() == np.array(f1.values, "<f8").tobytes()
     assert math.copysign(1.0, back.outer[1].values[0]) == -1.0
     assert reconstruct(back, [0.3, 0.6]) == reconstruct(rep, [0.3, 0.6])
 
@@ -480,7 +481,7 @@ def test_rep_file_is_the_json_document(tmp_path):
         assert (entry["lo"], entry["hi"]) == (fn.lo, fn.hi)
         # one base64 string of little-endian float64s, 8 bytes per knot
         raw = base64.b64decode(entry["values"], validate=True)
-        assert raw == fn.values.astype("<f8").tobytes()
+        assert raw == np.array(fn.values, "<f8").tobytes()
         assert len(raw) == 8 * kst.DEFAULT_BINS
 
 
@@ -557,6 +558,11 @@ BAD_DOCUMENTS = [
     ("lo", "-1e999", "not finite"),   # overflows to -inf without a constant
     ("hi", "1e999", "not finite"),
     ("history", "1e999", "history holds a value that is not finite"),
+    # a JSON integer beyond float range, which float() cannot convert
+    pytest.param("history", "1" + "0" * 400, "malformed .*too large to convert to float",
+                 id="history-401-digit-integer"),
+    pytest.param("lo", "-1" + "0" * 400, "malformed .*too large to convert to float",
+                 id="lo-401-digit-integer"),
     ("values", json.dumps(packed(0.0, float("nan"), 1.0)), "not finite"),
     ("values", json.dumps(packed(0.0, float("inf"))), "not finite"),
     ("values", json.dumps(packed(0.0, 1.0)[:8] + "!" + packed(0.0, 1.0)[8:]),
@@ -587,6 +593,11 @@ def three_dimensional(doc):
     doc["outer"] += doc["outer"][:2]   # 2n+1 = 7 outer functions
 
 
+def wide_range(doc):
+    # finite ends, but hi - lo overflows
+    doc["outer"][2].update(lo=-1e308, hi=1e308)
+
+
 def two_knots(doc):
     for o in doc["outer"]:
         o["values"] = packed(0.0, 1.0)
@@ -600,11 +611,12 @@ FOREIGN_DOCUMENTS = [
     (lambda doc: doc["inner_params"].update(depth=3), "do not match the fixed family"),
     (lambda doc: doc.pop("grid"), "malformed .*'grid'"),
     (two_knots, "has 2 knots, not 64"),
+    (wide_range, "knot range width that is not finite"),
 ]
 
 
 @pytest.mark.parametrize("edit,message", FOREIGN_DOCUMENTS,
-                         ids=["dimension-3", "depth-3", "no-grid", "two-knots"])
+                         ids=["dimension-3", "depth-3", "no-grid", "two-knots", "wide-range"])
 def test_rep_refuses_documents_decompose_cannot_write(tmp_path, capsys, edit, message):
     doc = decompose(ADD_XY, grid=9, iters=1).to_dict()
     edit(doc)
