@@ -43,7 +43,6 @@ from .frontend import (
 )
 from .inverse import (
     DegenerateInputError,
-    UnsupportedInverseError,
     invert_at,
 )
 from .kst import FormatError, KstRep, decompose, reconstruct
@@ -185,7 +184,7 @@ def _cmd_lift(args) -> int:
 def _cmd_compose(args) -> int:
     f = parse_structural(args.f)
     g = parse_structural(args.g)
-    positions = _parse_positions(args.positions) if args.positions else None
+    positions = None if args.positions is None else _parse_positions(args.positions)
     return _emit_expr(compose_at(f, args.slot, g, positions), args)
 
 
@@ -199,14 +198,15 @@ def _cmd_invert(args) -> int:
         raise UsageError("invert needs --domain with one lo:hi per axis")
     d = _parse_box(args.domain)
     fixed_map = _parse_assignments(args.fixed, "--fixed") if args.fixed else {}
-    fixed = []
-    for slot in range(1, f.arity + 1):
-        if slot == args.slot:
-            continue
-        key = str(slot)
+    others = [str(slot) for slot in range(1, f.arity + 1) if slot != args.slot]
+    for key in fixed_map:
+        if key not in others:
+            raise UsageError(f"--fixed names {key!r}, which is not a slot other than "
+                             f"{args.slot} of a function of arity {f.arity}")
+    for key in others:
         if key not in fixed_map:
-            raise UsageError(f"no --fixed value for slot {slot}")
-        fixed.append(fixed_map[key])
+            raise UsageError(f"no --fixed value for slot {key}")
+    fixed = [fixed_map[key] for key in others]
     if not math.isfinite(args.target):
         raise UsageError(f"--target must be finite, got {args.target}")
     warnings: list[str] = []
@@ -255,7 +255,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of `main`, built once per process: building it costs
+    milliseconds, a large share of a short command run in-process."""
     parser = _Parser(prog="mvfa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -325,18 +328,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> _Parser:
-    """The parser of `main`, built once per process: building it costs
-    milliseconds, a large share of a short command run in-process."""
-    return build_parser()
-
-
 _ERROR_KINDS = (  # first match wins; usage and parse errors are caught before
     (NoSolutionError, "no-solution"),
     (EvalDomainError, "domain"),
     (EvalError, "evaluation"),
-    (UnsupportedInverseError, "unsupported"),
     (DegenerateInputError, "degenerate"),
     (FormatError, "format"),
     (StructureError, "structure"),
@@ -350,7 +345,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     pretty = "--pretty" in argv
     try:
-        args = _shared_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         _emit(_error_obj("usage", str(exc)), pretty)
         return 2

@@ -250,28 +250,25 @@ def to_structural(ast: PointfulAst) -> StructuralForm:
     binding: dict[int, str] = {}
 
     def compile_node(node, start):
-        """Returns (kind, expr-or-value, representative slot, next free slot, trace)."""
+        """Returns (expr, or None for a symbol; representative slot; next free slot; trace)."""
         if isinstance(node, AstSymbol):
             binding[start] = node.name
-            return "sym", None, start, start + 1, []
+            return None, start, start + 1, []
         if isinstance(node, AstConst):
-            return "const", node.value, start, start + 1, []
-        lkind, lval, lrep, mid, ltrace = compile_node(node.left, start)
-        rkind, rval, rrep, end, rtrace = compile_node(node.right, mid)
+            return Const(node.value), start, start + 1, []
+        lexpr, lrep, mid, ltrace = compile_node(node.left, start)
+        rexpr, rrep, end, rtrace = compile_node(node.right, mid)
         expr = Lift(Prim(node.prim), n, (lrep, rrep))
         trace = [f"A{n}_{{{lrep},{rrep}}}({node.prim.value})"]
-        for kind, val, rep, sub in ((lkind, lval, lrep, ltrace),
-                                    (rkind, rval, rrep, rtrace)):
-            if kind == "call":
-                expr = Compose(expr, rep, val)
+        for sub, rep, subtrace in ((lexpr, lrep, ltrace),
+                                   (rexpr, rrep, rtrace)):
+            if sub is not None:
+                expr = Compose(expr, rep, sub)
                 trace.append(f"C{n}_{{{rep}}}")
-                trace.extend(sub)
-            elif kind == "const":
-                expr = Compose(expr, rep, Const(val))
-                trace.append(f"C{n}_{{{rep}}}")
-        return "call", expr, lrep, end, trace
+                trace.extend(subtrace)
+        return expr, lrep, end, trace
 
-    _, expr, _, end, trace = compile_node(ast, 1)
+    expr, _, end, trace = compile_node(ast, 1)
     assert end == n + 1
     if len(binding) != n:  # constants occupied slots; compact them away
         expr, mapping = normalize(expr)

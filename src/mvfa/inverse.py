@@ -10,8 +10,9 @@ every preimage is reported (the multivalued reading).
 Every entry point runs on one small core.  `_check_slot` validates the
 arguments; `_values`, the one place where a scan evaluates its points,
 pairs each scan point with the section's value there, or None where it
-does not evaluate; `_scan_fiber` finds a fiber's flat steps and turning
-points; `_bisect` is the one bisection (roots, and the equal-value
+does not evaluate; `_fiber_scans` walks the fibers of a probe or a split,
+and `_scan_fiber` finds each one's flat steps, turning points and first
+direction; `_bisect` is the one bisection (roots, and the equal-value
 witnesses of a turning point); `_edge_root` searches a scan interval with
 one undefined end up to the gap edge; and `_roots` is the sign-change
 scan, bracketing and root grouping shared by `invert_at`, `inverse_fn` and
@@ -137,11 +138,6 @@ class PiecewiseInverse:
     domain: BoxDomain
 
 
-def _fibers(d: BoxDomain, i: int, grid: int):
-    """All grid assignments of the slots other than i, ascending slot order; () if none."""
-    return product(*(_axis_points(*d.axis(k), grid) for k in range(1, d.dim + 1) if k != i))
-
-
 def _section(f: Expr, i: int, fixed, target: float = 0.0):
     """The one-variable section t -> f(fixed, with t at slot i) - target.
 
@@ -200,8 +196,9 @@ def _values(section, ts, notes: list | None = None):
 
 def _scan_fiber(section, ts):
     """The section's values at `ts`, the index k of its first flat step
-    (vals[k] == vals[k+1]) or None, and the indices of its turning points
-    (where the discrete slope changes sign) before that step.
+    (vals[k] == vals[k+1]) or None, and before that step, the indices of
+    its turning points (where the discrete slope changes sign) and the
+    direction of its first step between two finite values (±1, or None).
 
     A point that does not evaluate has the value None and ends a run: no
     step or turn spans it.  A non-finite value takes part in neither test:
@@ -210,7 +207,7 @@ def _scan_fiber(section, ts):
     """
     vals = [v for _, v in _values(section, ts)]
     turns = []
-    rising = prev = None
+    rising = prev = step = None
     for k, v in enumerate(vals):
         if v is None or prev is None:
             rising, prev = None, v
@@ -218,12 +215,25 @@ def _scan_fiber(section, ts):
         up = v > prev
         if v == prev:
             if math.isfinite(v):
-                return vals, k - 1, turns
+                return vals, k - 1, turns, step
         elif up != rising and rising is not None:
             if all(map(math.isfinite, vals[k - 2: k + 1])):
                 turns.append(k - 1)
+        if step is None and math.isfinite(v) and math.isfinite(prev):
+            step = 1 if up else -1
         rising, prev = up, v
-    return vals, None, turns
+    return vals, None, turns, step
+
+
+def _fiber_scans(f: Expr, i: int, d: BoxDomain, grid: int):
+    """Yield, for each grid assignment of the slots other than i in
+    ascending slot order (one empty assignment where there are none), its
+    coordinates, the section along axis i, the scan points of that axis and
+    `_scan_fiber`'s scan of them."""
+    ts = _axis_points(*d.axis(i), grid)
+    for fixed in product(*(_axis_points(*d.axis(k), grid) for k in range(1, d.dim + 1) if k != i)):
+        section = _section(f, i, fixed)
+        yield fixed, section, ts, _scan_fiber(section, ts)
 
 
 def _bisect(h, a, b, ha, hb, tol, notes: list) -> tuple[float, float]:
@@ -447,16 +457,13 @@ def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
 
 
 def _probe(f: Expr, i: int, d: BoxDomain, grid: int,
-           tol: float = DEFAULT_TOL) -> tuple[InvertVerdict, int, list[float], list]:
+           tol: float) -> tuple[InvertVerdict, int, list[float], list]:
     """check_invertible without the argument check; also the direction of the
     first step between two finite values it computed (+1 if there is none),
     its scan points along axis i, and the values of the last fiber it
     scanned (for a unary f, its only one)."""
-    ts = _axis_points(*d.axis(i), grid)
     sign = None
-    for fixed in _fibers(d, i, grid):
-        section = _section(f, i, fixed)
-        vals, flat, turns = _scan_fiber(section, ts)
+    for fixed, section, ts, (vals, flat, turns, step) in _fiber_scans(f, i, d, grid):
         if flat is not None:
             witness = Witness(tuple(fixed), ts[flat], ts[flat + 1], vals[flat], vals[flat + 1])
             return InvertVerdict(False, witness), 1, ts, vals
@@ -471,17 +478,8 @@ def _probe(f: Expr, i: int, d: BoxDomain, grid: int,
             if max(err1, err2) < math.inf:
                 witness = Witness(tuple(fixed), t1, t2, section(t1), section(t2))
                 return InvertVerdict(False, witness), 1, ts, vals
-        if sign is None:
-            sign = _first_step(vals)
+        sign = sign or step
     return InvertVerdict(True, None), sign or 1, ts, vals
-
-
-def _first_step(vals) -> int | None:
-    """+1 or -1, the direction of the first step between two finite values
-    of a fiber's scan values, or None where there is none."""
-    return next((1 if b > a else -1 for a, b in zip(vals, vals[1:])
-                 if a is not None and b is not None
-                 and math.isfinite(a) and math.isfinite(b)), None)
 
 
 # Closed-form partial inverses.  Convention: the result has the primitive's
@@ -575,14 +573,11 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
     values along the branch at `grid` points, as `_values` yields them."""
     _check_slot(f, i, d, grid)
     lo, hi = d.axis(i)
-    ts = _axis_points(lo, hi, grid)
     cell = (hi - lo) / (grid - 1)
 
     cuts: list[float] = []
     first = None
-    for fixed in _fibers(d, i, grid):
-        section = _section(f, i, fixed)
-        vals, flat, turns = _scan_fiber(section, ts)
+    for _, section, ts, (vals, flat, turns, step) in _fiber_scans(f, i, d, grid):
         if flat is not None:
             raise DegenerateInputError(
                 f"flat section segment on axis {i} near t={ts[flat]!r}: "
@@ -590,8 +585,7 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
         for k in turns:
             cuts.append(_refine_extremum(section, ts[k - 1], ts[k + 1],
                                          peak=vals[k] > vals[k - 1], tol=tol))
-        if first is None:
-            first = _first_step(vals)
+        first = first or step
 
     merged: list[float] = []
     for c in sorted(cuts):
@@ -609,7 +603,7 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
         if cuts:
             # a fiber turned: even where every cut was dropped, the probe
             # may find a witness
-            verdict, sign, *scan = _probe(f, i, d.with_axis(i, (a, b)), grid)
+            verdict, sign, *scan = _probe(f, i, d.with_axis(i, (a, b)), grid, tol)
             if not verdict.invertible:
                 raise DegenerateInputError(
                     f"branch {bid} [{a!r}, {b!r}] is not monotone at grid {grid}")

@@ -33,7 +33,7 @@ class Equation:
     parameter value is the unknown.  Parameter names may not repeat across
     slots (the inverse's argument order would be ambiguous); the unknown may
     occupy any number of slots.  `domain` is the search interval for the
-    unknown, given as a 1-axis box or a (lo, hi) pair.
+    unknown, a 1-axis `BoxDomain`.
     """
 
     lhs: Expr
@@ -43,10 +43,8 @@ class Equation:
     domain: BoxDomain
 
     def __post_init__(self):
-        if not isinstance(self.domain, BoxDomain):
-            self.domain = BoxDomain((tuple(self.domain),))
-        if self.domain.dim != 1:
-            raise ConfigError("the unknown's domain must be a single interval")
+        if not (isinstance(self.domain, BoxDomain) and self.domain.dim == 1):
+            raise ConfigError("the unknown's domain must be a 1-axis BoxDomain")
         self.rhs = float(self.rhs)
         self.params = {str(k): float(v) for k, v in self.params.items()}
         n = self.lhs.arity

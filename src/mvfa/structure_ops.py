@@ -21,9 +21,10 @@ from .expr_core import (
 )
 
 
-def lift(f: Expr, n: int, positions) -> Lift:
-    """Embed `f` at arity `n`, routing its k-th variable to positions[k-1]."""
-    return Lift(f, n, tuple(positions))
+# Arity lift and oblique projection are their node constructors:
+# lift(f, n, positions) and diagonal(f, i, j).
+lift = Lift
+diagonal = Diagonal
 
 
 def lift_count(m: int, n: int) -> int:
@@ -38,14 +39,18 @@ def compose_at(f: Expr, i: int, g: Expr, positions=None) -> Compose:
 
     Both operands must share an arity, with two escapes: a nullary operand
     embeds at any arity, and a smaller `g` is lifted to f's arity first when
-    an explicit position list is supplied.  Positions are never guessed.
+    an explicit position list is supplied.  Positions are never guessed, and
+    positions for any other `g` are a `StructureError`, not ignored.
     """
     nf, ng = f.arity, g.arity
     if 0 < ng < nf:
         if positions is None:
             raise StructureError(
                 f"g has arity {ng} < {nf}; supply lift positions explicitly")
-        g = Lift(g, nf, tuple(positions))
+        g = Lift(g, nf, positions)
+    elif positions is not None:
+        raise StructureError(
+            f"lift positions given, but g of arity {ng} is not lifted to arity {nf}")
     return Compose(f, i, g)
 
 
@@ -58,12 +63,6 @@ def substitute_const(f: Expr, i: int, value: float) -> Compose:
     if not 1 <= i <= f.arity:
         raise StructureError(f"slot {i} out of range 1..{f.arity}")
     return Compose(f, i, Const(value))
-
-
-def diagonal(f: Expr, i: int, j: int) -> Diagonal:
-    """Oblique projection: substitute coordinate j for coordinate i, then
-    delete slot i (remaining slots renumbered order-preservingly)."""
-    return Diagonal(f, i, j)
 
 
 def normalize(e: Expr) -> tuple[Expr, dict[int, int]]:

@@ -236,6 +236,29 @@ def test_structure_error_exit_code():
     assert code == 1 and out["error"]["kind"] == "structure"
 
 
+@pytest.mark.parametrize("g, positions, code, kind", [
+    ("add", "2,1", 1, "structure"),
+    ("3", "2", 1, "structure"),
+    ("add", "", 2, "usage"),
+], ids=["same-arity", "constant", "empty"])
+def test_compose_positions_that_lift_nothing_are_refused(g, positions, code, kind, capsys):
+    from mvfa import cli
+
+    assert cli.main(["compose", "add", "1", g, "--positions", positions]) == code
+    error = strict_json(capsys.readouterr().out)["error"]
+    assert error["kind"] == kind and "positions" in error["message"]
+
+
+@pytest.mark.parametrize("fixed", ["2=1,3=4", "1=0,2=1"], ids=["no-such-slot", "inverted-slot"])
+def test_invert_fixed_value_for_no_other_slot_is_usage_error(fixed, capsys):
+    from mvfa import cli
+
+    argv = ["invert", "add", "1", "--target", "1", "--fixed", fixed, "--domain", "0:2,0:2"]
+    assert cli.main(argv) == 2
+    error = strict_json(capsys.readouterr().out)["error"]
+    assert error["kind"] == "usage" and "--fixed" in error["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "add(x,0) = 1"],
     ["solve", "mul(x,x) = 1"],

@@ -299,6 +299,24 @@ def test_split_branch_budget(monkeypatch):
         piecewise_split(sq, 1, BoxDomain(((-1.0, 1.0),)), grid=33)
 
 
+def test_split_probes_each_branch_at_its_own_tolerance(monkeypatch):
+    # (x - 1)^2 over 0:2 turns once, so each of its two branches is probed;
+    # the probe's witness bisections must run at the split's tolerance
+    import mvfa.inverse as inverse
+
+    tols = []
+    probe = inverse._probe
+
+    def spy(f, i, d, grid, *rest, **kw):
+        tols.append(kw.get("tol", rest[0] if rest else None))
+        return probe(f, i, d, grid, *rest, **kw)
+
+    monkeypatch.setattr(inverse, "_probe", spy)
+    f = to_structural(parse("pow(add(x,-1),2)")).expr
+    pw = piecewise_split(f, 1, BoxDomain(((0.0, 2.0),)), grid=65, tol=1e-6)
+    assert len(pw.branches) == 2 and tols == [1e-6, 1e-6]
+
+
 # --- inverse_fn ---
 
 def test_inverse_fn_pow_cube_root():

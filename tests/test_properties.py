@@ -44,14 +44,15 @@ from mvfa.frontend import (
     AstCall, AstConst, AstSymbol, format_expr, parse_structural, to_structural,
 )
 from mvfa.inverse import (
-    DEFAULT_GRID, DegenerateInputError, _axis_points, _section, _values, check_invertible,
-    inverse_fn, invert_at,
+    DEFAULT_GRID, DegenerateInputError, _axis_points, _scan_fiber, _section, _values,
+    check_invertible, inverse_fn, invert_at,
 )
 from mvfa.solver import Equation, solve
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
 
 from util import (
-    ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, count_symbols, full_scan_roots, scan_roots,
+    ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, count_symbols, first_step, full_scan_roots,
+    scan_roots,
 )
 
 # Seeded, so tier-1 runs are reproducible, and without a deadline, so a
@@ -418,6 +419,31 @@ def test_inverse_core_skips_undefined_points(ast, data):
     for root in fn(*fixed[: i - 1], target, *fixed[i - 1:]):
         assert lo <= root <= hi
         assert abs(evaluate(f, fixed[: i - 1] + [root] + fixed[i - 1:]) - target) <= DEFAULT_TOL
+
+
+# A fiber's value at one scan point: a few exact repeats, any finite float,
+# NaN, an infinity, or None for a point where the section raises EvalError.
+FIBER_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, -2.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, None]),
+)
+
+
+@PROPERTY
+@given(values=st.lists(FIBER_VALUE, min_size=1, max_size=12))
+def test_scan_fiber_direction_is_its_first_finite_step(values):
+    # the direction that _scan_fiber finds in its one loop is the first step
+    # between two finite values, up to its flat step where there is one
+    def section(t):
+        v = values[int(t)]
+        if v is None:
+            raise EvalError("undefined", point=(t,))
+        return v
+
+    vals, flat, _, step = _scan_fiber(section, [float(k) for k in range(len(values))])
+    assert len(vals) == len(values)
+    assert step == first_step(vals if flat is None else vals[:flat + 1])
 
 
 def tower(draw, leaves):

@@ -45,6 +45,14 @@ def test_equation_requires_total_binding():
         Equation(form.expr, {1: "x"}, 1.0, {"a": 1.0}, BoxDomain(((0, 1),)))
 
 
+@pytest.mark.parametrize("domain", [(0.0, 1.0), BoxDomain(((0, 1), (0, 1)))],
+                         ids=["pair", "two-axes"])
+def test_equation_domain_is_a_one_axis_box(domain):
+    form = to_structural(parse("add(x,a)"))
+    with pytest.raises(ConfigError, match="1-axis BoxDomain"):
+        Equation(form.expr, form.binding, 1.0, {"a": 1.0}, domain)
+
+
 # --- collapse_unknowns ---
 
 def test_collapse_repeated_unknown():

@@ -144,6 +144,15 @@ def test_compose_requires_positions_for_smaller_g():
     assert evaluate(e, [0, 5, 7]) == 12  # x3 + x2
 
 
+@pytest.mark.parametrize("g, positions", [(Prim(ADD), [2, 1]), (Const(3.0), [2])],
+                         ids=["same-arity", "nullary"])
+def test_compose_refuses_positions_it_would_not_use(g, positions):
+    # positions lift only a g of smaller nonzero arity; for any other g they
+    # were dropped without a word
+    with pytest.raises(StructureError, match="lift positions"):
+        compose_at(Prim(ADD), 1, g, positions)
+
+
 # --- substitute_const ---
 
 def test_substitute_drops_live_variable():
