@@ -331,7 +331,8 @@ def lowered_enclosure(e: Expr, slot: int):
     the range (a divisor range that holds 0, a base or logarithm argument
     not > 0, a logarithm base range that holds 1), a bound that overflows
     or is NaN, a nested Inverse, or a non-finite target or fixed
-    coordinate.
+    coordinate.  The same lowering gives the section along `slot`, as the
+    function's `section` attribute: see `lowered_section`.
     """
     enclosures = e.__dict__.setdefault("_enclosures", {})
     if slot not in enclosures:
@@ -339,9 +340,19 @@ def lowered_enclosure(e: Expr, slot: int):
     return enclosures[slot]
 
 
+def lowered_section(e: Expr, slot: int):
+    """`section(target, *fixed)`, which returns the one-variable function
+    t -> e(..., t, ...) - target with t in `slot` and the other coordinates
+    `fixed` (ascending slot order): bitwise `lowered(e)` at that point minus
+    the target, and the same error, node and point where it raises.  It
+    comes from the lowering of `lowered_enclosure`, so a scan that encloses
+    and evaluates along one slot lowers `e` once."""
+    return lowered_enclosure(e, slot).section
+
+
 def _lower(e: Expr, slot: int | None = None):
     """Compile `e` once into a flat Python function of its coordinates, or,
-    given a `slot`, into its range enclosure along it.
+    given a `slot`, into its range enclosure and its section along it.
 
     Slot routing (Lift, Diagonal, and a Compose whose slot f ignores)
     only renames arguments and emits no code.  Each arithmetic primitive
@@ -349,40 +360,48 @@ def _lower(e: Expr, slot: int | None = None):
     function), a Compose computes g before f, and an Inverse calls
     `_eval_inverse`: the same float operations in the same order as a walk
     of the tree, so results and errors (node and local point) are unchanged.
-    The enclosure is the same routing over pairs of names, each the lower
-    and upper bound of a value, where each primitive calls its `_enclose_*`
-    function, a nested Inverse gives up, and the scanned slot holds the
-    range [lo, hi].  Constants and nodes reach the code through its
-    namespace, never through its text.
+    Given a `slot`, the text holds two functions.  `section(target,
+    *fixed)` returns a closure over the other coordinates that runs those
+    same lines on t and subtracts the target.  `enclose(lo, hi, target,
+    *fixed)` is the same routing over pairs of names, each the lower and
+    upper bound of a value, the scanned slot holding the range [lo, hi]; it
+    is written out inline, with no call per primitive but `**`, `log` and
+    `nextafter`.  Each primitive is monotone in each argument where its
+    domain check passes, so its bounds are its least and greatest corner
+    (a corner that a fixed coordinate repeats is computed once); a domain
+    check that may fail in the range, or a nested Inverse, gives up
+    (returns (-inf, inf)); and each bound is pushed outward by one ulp per
+    float operation, and by two for a libm call (`**`, `math.log`), which
+    is assumed accurate to within one ulp, and must then be finite and
+    ordered, or the enclosure gives up as it does where `**` overflows.
+    Constants and nodes reach the code through its namespace, never
+    through its text.
 
-    So the source text depends only on the shape of `e`, and it is compiled
-    once per text: the code objects of the last `_CODE_CACHE_SIZE` (256)
-    texts are kept and run in each lowering's own fresh namespace.  Sharing
-    a code object is safe because it holds no constant and no node; the
-    function, which binds them, is never shared.
+    So the source text depends only on the shape of `e` (and `slot`), and
+    it is compiled once per text: the code objects of the last
+    `_CODE_CACHE_SIZE` (256) texts are kept and run in each lowering's own
+    fresh namespace.  Sharing a code object is safe because it holds no
+    constant and no node; the function, which binds them, is never shared.
     """
     namespace = {"_checked_div": _checked_div, "_checked_pow": _checked_pow,
                  "_checked_root": _checked_root, "_checked_log": _checked_log,
                  "_eval_inverse": _eval_inverse,
-                 "_enclose_add": _enclose_add, "_enclose_mul": _enclose_mul,
-                 "_enclose_div": _enclose_div, "_enclose_pow": _enclose_pow,
-                 "_enclose_root": _enclose_root, "_enclose_log": _enclose_log,
-                 "_outward": _outward, "_Unbounded": _Unbounded, "inf": math.inf}
+                 "log": math.log, "nextafter": math.nextafter, "inf": math.inf}
 
     def bind(obj) -> str:
         name = f"o{len(namespace)}"
         namespace[name] = obj
         return name
 
-    def emit(node: Expr, args: list[str], lines: list[str], bounds: bool) -> str:
-        """Emit the code for `node` over argument names into `lines`; return
-        its value's name.  With `bounds`, each name is a pair "lo, hi"."""
+    def emit(node: Expr, args: list, lines: list[str], bounds: bool):
+        """Emit the code for `node` over its arguments into `lines`; return
+        its value's name, or with `bounds`, where each argument is a pair
+        of names, the pair of its bounds."""
         if isinstance(node, Const):
             if not bounds:
                 return bind(node.value)
             v = node.value
-            lo, hi = (v, v) if math.isfinite(v) else (-math.inf, math.inf)
-            return f"{bind(lo)}, {bind(hi)}"
+            return (bind(v), bind(v)) if math.isfinite(v) else (bind(-math.inf), bind(math.inf))
         if isinstance(node, Lift):
             return emit(node.inner, [args[p - 1] for p in node.positions], lines, bounds)
         if isinstance(node, Diagonal):
@@ -398,15 +417,14 @@ def _lower(e: Expr, slot: int | None = None):
             routed = list(args)
             routed[node.slot - 1] = emit(node.g, args if node.g.arity else [], lines, bounds)
             return emit(node.f, routed, lines, bounds)
-        n = len(lines)
-        out = f"l{n}, h{n}" if bounds else f"t{n}"
         if isinstance(node, Prim):
             if node.op is Primitive.IDENTITY:
                 return args[0]
-            a, b = args
             if bounds:
-                lines.append(f"{out} = _enclose_{node.op.value}({a}, {b})")
-            elif node.op is Primitive.ADD:
+                return _enclose_lines(node.op, *args, lines)
+            a, b = args
+            out = f"t{len(lines)}"
+            if node.op is Primitive.ADD:
                 lines.append(f"{out} = {a} + {b}")
             elif node.op is Primitive.MUL:
                 lines.append(f"{out} = {a} * {b}")
@@ -415,36 +433,109 @@ def _lower(e: Expr, slot: int | None = None):
             return out
         if isinstance(node, Inverse):
             if bounds:
-                lines.append("raise _Unbounded")
-            else:
-                point = "".join(f"{a}, " for a in args)
-                lines.append(f"{out} = _eval_inverse({bind(node)}, ({point}))")
+                lines.append("return -inf, inf")
+                return "inf", "inf"    # never reached
+            out = f"t{len(lines)}"
+            point = "".join(f"{a}, " for a in args)
+            lines.append(f"{out} = _eval_inverse({bind(node)}, ({point}))")
             return out
         raise StructureError(f"unknown node type: {type(node).__name__}")
 
     params = [f"x{k}" for k in range(e.arity)]
     lines: list[str] = []
+    result = emit(e, params, lines, False)
     if slot is None:
-        result = emit(e, params, lines, False)
-        body = "".join(f"    {line}\n" for line in lines)
-        source = f"def lowered({', '.join(params)}):\n{body}    return {result}\n"
+        source = f"def lowered({', '.join(params)}):\n{_indent(lines, 1)}    return {result}\n"
     else:
-        params.pop(slot - 1)
-        args = [f"{p}, {p}" for p in params]
-        args.insert(slot - 1, "lo, hi")
-        low, high = emit(e, args, lines, True).split(", ")
-        body = "".join(f"        {line}\n" for line in lines)
-        source = (f"def enclose({', '.join(['lo', 'hi', 'target', *params])}):\n"
+        fixed = params[: slot - 1] + params[slot:]
+        bounds: list[str] = []
+        args = [(p, p) for p in fixed]
+        args.insert(slot - 1, ("lo", "hi"))
+        low, high = emit(e, args, bounds, True)
+        low, high = _outward_lines(f"{low} - target", f"{high} - target", 1, bounds)
+        inputs = " + ".join(["lo", "hi", "target", *fixed])
+        source = (f"def section({', '.join(['target', *fixed])}):\n"
+                  f"    def h({params[slot - 1]}):\n{_indent(lines, 2)}"
+                  f"        return {result} - target\n"
+                  "    return h\n"
+                  f"def enclose({', '.join(['lo', 'hi', 'target', *fixed])}):\n"
                   # a non-finite input makes the sum inf or NaN, which fail the
                   # test; so does, harmlessly, a sum of finite inputs that overflows
-                  f"    if not -inf < {' + '.join(['lo', 'hi', 'target', *params])} < inf:\n"
+                  f"    if not -inf < {inputs} < inf:\n"
                   "        return -inf, inf\n"
-                  f"    try:\n{body}"
-                  f"        return _outward({low} - target, {high} - target)\n"
-                  "    except _Unbounded:\n"
+                  f"    try:\n{_indent(bounds, 2)}"
+                  f"        return {low}, {high}\n"
+                  "    except OverflowError:   # from **\n"
                   "        return -inf, inf\n")
     exec(_compile(source), namespace)
-    return namespace["lowered" if slot is None else "enclose"]
+    if slot is None:
+        return namespace["lowered"]
+    enclose = namespace["enclose"]
+    enclose.section = namespace["section"]
+    return enclose
+
+
+def _indent(lines: list[str], depth: int) -> str:
+    return "".join(f"{'    ' * depth}{line}\n" for line in lines)
+
+
+# The enclosure's lines, as `_lower` emits them: each takes the names of the
+# bounds of its arguments and appends lines to `lines` that bind the bounds
+# of its value to new names, which it returns.  A name is "v" and the index
+# of the line that binds it, so it is new in its function.
+
+def _let(lines: list[str], value: str) -> str:
+    name = f"v{len(lines)}"
+    lines.append(f"{name} = {value}")
+    return name
+
+
+def _outward_lines(lo: str, hi: str, ulps: int, lines: list[str]) -> tuple[str, str]:
+    """The bounds lo and hi (expressions) pushed outward by `ulps` ulps
+    each, and the check that they are finite and ordered."""
+    if lo == hi and not lo.isidentifier():
+        lo = hi = _let(lines, lo)   # one expression for both bounds: compute it once
+    for _ in range(ulps):
+        lo, hi = f"nextafter({lo}, -inf)", f"nextafter({hi}, inf)"
+    low, high = _let(lines, lo), _let(lines, hi)
+    lines.append(f"if not -inf < {low} <= {high} < inf: return -inf, inf")
+    return low, high
+
+
+def _corner_lines(a, op: str, b, ulps: int, lines: list[str]) -> tuple[str, str]:
+    """The least and the greatest of a op b over the corners of the ranges a
+    and b, in the order and with the ties of `min` and `max`, pushed outward
+    by `ulps` ulps."""
+    values = [_let(lines, text) for text in dict.fromkeys(f"{x} {op} {y}" for x in a for y in b)]
+    least = most = values[0]
+    if len(values) > 1:
+        least, most = _let(lines, values[0]), _let(lines, values[0])
+        for v in values[1:]:
+            lines += [f"if {v} < {least}: {least} = {v}", f"if {v} > {most}: {most} = {v}"]
+    return _outward_lines(least, most, ulps, lines)
+
+
+def _enclose_lines(op: Primitive, a, b, lines: list[str]) -> tuple[str, str]:
+    """The bounds of op over the ranges a and b, giving up (returning
+    (-inf, inf)) where its `_checked_*` twin may raise."""
+    (al, ah), (bl, bh) = a, b
+    if op is Primitive.ADD:
+        return _outward_lines(f"{al} + {bl}", f"{ah} + {bh}", 1, lines)
+    if op is Primitive.MUL:
+        return _corner_lines(a, "*", b, 1, lines)
+    if op is Primitive.DIV:
+        lines.append(f"if {bl} <= 0 <= {bh}: return -inf, inf")
+        return _corner_lines(a, "/", b, 1, lines)
+    if op is Primitive.POW:
+        lines.append(f"if not {al} > 0: return -inf, inf")
+        return _corner_lines(a, "**", b, 2, lines)
+    if op is Primitive.ROOT:
+        return _enclose_lines(Primitive.POW, a,
+                              _enclose_lines(Primitive.DIV, ("1.0", "1.0"), b, lines), lines)
+    # LOG: math.log(a, b) divides the two natural logarithms
+    lines.append(f"if not ({al} > 0 and {bl} > 0): return -inf, inf")
+    return _enclose_lines(Primitive.DIV, _outward_lines(f"log({al})", f"log({ah})", 2, lines),
+                          _outward_lines(f"log({bl})", f"log({bh})", 2, lines), lines)
 
 
 @functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
@@ -508,68 +599,6 @@ def _checked_log(a: float, b: float, node) -> float:
     if b <= 0 or b == 1:
         raise EvalDomainError("logarithm base must be positive and not 1", node, (a, b))
     return math.log(a, b)
-
-
-# The enclosures of the primitives, as the enclosure form emits them: each
-# takes the bounds of its two arguments, every one finite, and returns the
-# bounds of every value its `_checked_*` twin can return for arguments in
-# those ranges, or raises `_Unbounded`.  Each primitive is monotone in each
-# argument where its domain check passes, so its extremes lie at the
-# corners.  A bound is pushed outward by one ulp per float operation, and
-# by two for a libm call (`**`, `math.log`), which is assumed accurate to
-# within one ulp.
-
-class _Unbounded(Exception):
-    """An enclosure that cannot bound its values."""
-
-
-def _outward(lo: float, hi: float) -> tuple[float, float]:
-    lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-    if -math.inf < lo <= hi < math.inf:   # NaN fails too
-        return lo, hi
-    raise _Unbounded
-
-
-def _outward_libm(lo: float, hi: float) -> tuple[float, float]:
-    return _outward(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
-
-
-def _enclose_add(al, ah, bl, bh):
-    return _outward(al + bl, ah + bh)
-
-
-def _enclose_mul(al, ah, bl, bh):
-    corners = (al * bl, al * bh, ah * bl, ah * bh)
-    return _outward(min(corners), max(corners))
-
-
-def _enclose_div(al, ah, bl, bh):
-    if bl <= 0 <= bh:
-        raise _Unbounded
-    corners = (al / bl, al / bh, ah / bl, ah / bh)
-    return _outward(min(corners), max(corners))
-
-
-def _enclose_pow(al, ah, bl, bh):
-    if not al > 0:
-        raise _Unbounded
-    try:
-        corners = (al ** bl, al ** bh, ah ** bl, ah ** bh)
-    except OverflowError:
-        raise _Unbounded from None
-    return _outward_libm(min(corners), max(corners))
-
-
-def _enclose_root(al, ah, bl, bh):
-    return _enclose_pow(al, ah, *_enclose_div(1.0, 1.0, bl, bh))
-
-
-def _enclose_log(al, ah, bl, bh):
-    # math.log(a, b) divides the two natural logarithms
-    if not (al > 0 and bl > 0):
-        raise _Unbounded
-    return _enclose_div(*_outward_libm(math.log(al), math.log(ah)),
-                        *_outward_libm(math.log(bl), math.log(bh)))
 
 
 def equivalent_on(e1: Expr, e2: Expr, domain: BoxDomain, samples: int = 100,

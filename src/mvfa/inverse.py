@@ -25,8 +25,12 @@ turning point is its one branch's probe, so it is not probed again, and
 for a unary function the branch scans at the split's resolution take the
 values of the scan that checked the branch, minus the target.
 `invert_at` and Inverse nodes, which have no split, run one search of a
-1 024-point grid through the same point function (`_pruned_roots`).  It
-evaluates only the points that can matter to its roots, which
+1 024-point grid (`_pruned_roots`).  It takes its range enclosure and its
+section from one lowering of the function along the slot
+(`lowered_enclosure`, `lowered_section`): the section is bitwise the point
+function minus the target, with the other coordinates bound once, not
+passed at every point.  It evaluates only the points that can matter to
+its roots, which
 `_pruned_points` chooses without evaluating any: a block of the grid
 whose range enclosure lies beyond tol on one side holds no root, no
 bracket end and no point that fails, so it is dropped but for its ends,
@@ -76,6 +80,7 @@ from .expr_core import (
     _axis_points,
     lowered,
     lowered_enclosure,
+    lowered_section,
 )
 
 DEFAULT_GRID = 1024        # scan points of invert_at and Inverse nodes, which have no split
@@ -134,12 +139,13 @@ class PiecewiseInverse:
 
     axis: int
     branches: tuple[Branch, ...]
-    source: Expr
-    domain: BoxDomain
 
 
 def _section(f: Expr, i: int, fixed, target: float = 0.0):
-    """The one-variable section t -> f(fixed, with t at slot i) - target.
+    """The one-variable section t -> f(fixed, with t at slot i) - target,
+    for the probe, the split and `inverse_fn`, which share f's point
+    function with `evaluate` (the pruned search lowers its own section
+    along the slot: `lowered_section`).
 
     It calls f's lowered function directly, with no argument tuple to build
     for a unary f: the callers validate their inputs once, not at every
@@ -375,8 +381,9 @@ def _pruned_roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: f
                   notes: list):
     """`_roots` of f - target along slot i (the other slots at `fixed`) at
     the scan points of `ts` that `_pruned_points` keeps: the scan of
-    `invert_at` and of Inverse nodes, which have no branch split."""
-    h = _section(f, i, fixed, target)
+    `invert_at` and of Inverse nodes, which have no branch split.  Its
+    section and `_pruned_points`'s enclosure come from one lowering."""
+    h = lowered_section(f, i)(target, *fixed)
     return _roots(h, _values(h, _pruned_points(f, i, fixed, ts, target, tol), notes), tol, notes)
 
 
@@ -612,7 +619,7 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
             sign, scan = first or 1, (ts, vals)
         branches.append(Branch((a, b), sign, bid))
         scans.append(scan)
-    return PiecewiseInverse(axis=i, branches=tuple(branches), source=f, domain=d), scans
+    return PiecewiseInverse(axis=i, branches=tuple(branches)), scans
 
 
 def _refine_extremum(section, a, b, peak: bool, tol: float) -> float:

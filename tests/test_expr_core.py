@@ -356,7 +356,7 @@ def test_enclosure_gives_up_where_it_cannot_bound():
 
 def _count_lowerings(monkeypatch):
     """Record (expression, slot) for every lowering: slot None for a point
-    function, the scanned slot for a range enclosure."""
+    function, the scanned slot for a range enclosure and its section."""
     from mvfa import expr_core
 
     lowered = []
@@ -384,8 +384,9 @@ def test_invert_at_scan_lowers_once(monkeypatch):
     for _ in range(2):
         roots = invert_at(sq, 1, 0.25, [], BoxDomain(((-1.0, 1.0),)), grid=1024)
         assert roots == pytest.approx([-0.5, 0.5], abs=1e-8)
-    # one point function for the scan and bisection, one enclosure
-    assert _once_each(lowered, (sq, 1), (sq, None))
+    # one lowering along the slot: the enclosure, and the section that the
+    # scan and bisection evaluate
+    assert _once_each(lowered, (sq, 1))
 
 
 def test_inverse_formula_lowers_inner_once(monkeypatch):
@@ -393,12 +394,13 @@ def test_inverse_formula_lowers_inner_once(monkeypatch):
     sq = x_pow(1, 1, 2.0)
     inv = Inverse(sq, 1, axis=(-1.0, 1.0))
     assert evaluate(inv, [0.25]) == evaluate(inv, [0.25])
-    assert _once_each(lowered, (inv, None), (sq, 1), (sq, None))
+    assert _once_each(lowered, (inv, None), (sq, 1))
 
 
 def test_solve_lowers_its_bound_expression_once(monkeypatch):
     # the branch scans run through the point function the split lowered;
-    # invert_at and Inverse nodes, which have no split, add an enclosure
+    # invert_at and Inverse nodes, which have no split, lower the slot's
+    # enclosure and section instead
     from mvfa.frontend import parse, to_structural
     from mvfa.inverse import invert_at
     from mvfa.solver import Equation, solve
@@ -416,8 +418,9 @@ def test_solve_lowers_its_bound_expression_once(monkeypatch):
     lowered.clear()
     formula = report.formula
     assert evaluate(formula, [9.0, 1.0, 1.0]) == pytest.approx(2.0, abs=1e-6)
-    # the scan evaluates the inner point function, and encloses it
-    assert _once_each(lowered, (formula, None), (formula.inner, 1), (formula.inner, None))
+    # the scan encloses the inner function and evaluates its section, both
+    # from one lowering along the slot
+    assert _once_each(lowered, (formula, None), (formula.inner, 1))
 
 
 # --- code shared by expressions of one shape ---

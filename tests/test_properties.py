@@ -7,7 +7,9 @@ formula, whose scan stops early and skips the blocks that its range
 enclosure rules out, must give invert_at's first root exactly, and
 invert_at, which skips the same blocks, the roots and warnings of the scan
 of every point; each enclosure must hold every value of the scan it rules
-on; and the inverse core must treat every point where a function is
+on, and equal bitwise the same rules walked over the tree; the section the
+search evaluates must be the point function minus the target, errors
+included; and the inverse core must treat every point where a function is
 undefined as a gap, never as an error.  The operator notation must read
 back every expression, Inverse nodes included, as one that evaluates
 bitwise alike.
@@ -38,10 +40,12 @@ from mvfa.expr_core import (
     NoSolutionError,
     Prim,
     evaluate,
+    lowered,
     lowered_enclosure,
+    lowered_section,
 )
 from mvfa.frontend import (
-    AstCall, AstConst, AstSymbol, format_expr, parse_structural, to_structural,
+    AstCall, AstConst, AstSymbol, format_expr, parse, parse_structural, to_structural,
 )
 from mvfa.inverse import (
     DEFAULT_GRID, DegenerateInputError, _axis_points, _scan_fiber, _section, _values,
@@ -52,7 +56,7 @@ from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute
 
 from util import (
     ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, count_symbols, first_step, full_scan_roots,
-    scan_roots,
+    reference_enclosure, scan_roots,
 )
 
 # Seeded, so tier-1 runs are reproducible, and without a deadline, so a
@@ -311,6 +315,85 @@ def test_enclosure_holds_every_scan_value(ast, data):
     notes = []
     for t, v in _values(_section(f, i, fixed, target), ts[a:b + 1], notes):
         assert v is not None and low <= v <= high, (t, v, notes)
+
+
+# log/root/div/pow towers over positive constants, on positive ranges: the
+# logarithm and root rules give finite bounds here, not only (-inf, inf).
+POSITIVE = asts((LOG, ROOT, DIV, POW, MUL), rounded(0.25, 3.0), 6)
+NONFINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def hexes(bounds):
+    return [v.hex() for v in bounds]
+
+
+@PROPERTY
+@given(ast=st.one_of(EDGE, MIXED, PARTIAL, POSITIVE), data=st.data())
+def test_enclosure_is_the_reference_enclosure(ast, data):
+    # the enclosure, written out inline, must give bitwise the bounds of the
+    # rules walked over the tree, where they give up as well
+    f = structural(ast)
+    assume(f.arity >= 1)
+    i = data.draw(st.integers(1, f.arity))
+    axis = data.draw(st.sampled_from([(-3.0, 3.0), (0.25, 3.0)]))
+    lo, hi = sorted(data.draw(st.tuples(rounded(*axis), rounded(*axis))))
+    fixed = data.draw(st.lists(st.one_of(MIXED_VALUE, rounded(0.25, 3.0)),
+                               min_size=f.arity - 1, max_size=f.arity - 1))
+    target = data.draw(st.one_of(rounded(-4.0, 4.0), EDGE_CONSTANTS))
+    # now and then a target or a fixed coordinate that is not finite
+    k = data.draw(st.integers(0, 9))
+    if k == 0:
+        target = data.draw(NONFINITE)
+    elif k <= len(fixed) and k < 3:
+        fixed[k - 1] = data.draw(NONFINITE)
+    got = lowered_enclosure(f, i)(lo, hi, target, *fixed)
+    assert hexes(got) == hexes(reference_enclosure(f, i, lo, hi, target, *fixed))
+
+
+@pytest.mark.parametrize("text, lo, hi, target, fixed", [
+    ("div(1,add(x,y))", -1.0, 1.0, 0.0, [0.5]),       # a divisor range that holds 0
+    ("pow(add(x,y),2)", -1.0, 1.0, 0.0, [0.5]),       # a base not above 0
+    ("log(3,x)", 0.5, 2.0, 0.0, []),                  # a log base range that holds 1
+    ("root(3,add(x,-1))", 0.5, 2.0, 0.0, []),         # a root index range that holds 0
+    ("pow(x,mul(y,1000))", 1.0, 2.0, 0.0, [3.0]),     # overflow in **
+    ("mul(x,mul(y,1e300))", 1e10, 2e10, 0.0, [3.0]),  # a product that overflows
+    ("add(x,y)", 0.0, 1.0, math.inf, [1.0]),          # a target that is not finite
+    ("add(x,y)", 0.0, 1.0, math.nan, [1.0]),
+    ("add(x,y)", 0.0, 1.0, 0.0, [-math.inf]),         # a fixed value that is not finite
+    ("add(x,y)", 0.0, 1.0, 0.0, [math.nan]),
+])
+def test_enclosure_gives_up_as_the_reference_does(text, lo, hi, target, fixed):
+    f = to_structural(parse(text)).expr
+    got = lowered_enclosure(f, 1)(lo, hi, target, *fixed)
+    assert got == (-math.inf, math.inf)
+    assert hexes(got) == hexes(reference_enclosure(f, 1, lo, hi, target, *fixed))
+
+
+@PROPERTY
+@given(ast=EDGE, values=st.lists(rounded(-3.0, 3.0), min_size=8, max_size=8, unique=True),
+       target=st.one_of(rounded(-4.0, 4.0), EDGE_CONSTANTS))
+# (u + v) / w: its section along slot 1 tells its fixed coordinates apart
+@example(ast=AstCall(DIV, AstCall(ADD, AstSymbol("u"), AstSymbol("v")), AstSymbol("w")),
+         values=[0.5, 1.5, 2.5, 0.0, 0.0, 0.0, 0.0, 0.0], target=0.25)
+def test_section_is_the_point_function_minus_the_target(ast, values, target):
+    # at every slot, the section of the pruned search is the point function
+    # at that point minus the target, bitwise, or raises its error at the
+    # same node and point; the coordinates differ, so the section must not
+    # mix up its fixed ones
+    f = structural(ast)
+    assume(f.arity >= 1)
+    point = values[: f.arity]
+
+    def result(value):
+        try:
+            return value().hex()
+        except EvalError as exc:
+            return type(exc), str(exc), id(exc.node), exc.point
+
+    want = result(lambda: lowered(f)(*point) - target)
+    for i in range(1, f.arity + 1):
+        section = lowered_section(f, i)(target, *point[: i - 1], *point[i:])
+        assert result(lambda: section(point[i - 1])) == want, i
 
 
 @PROPERTY

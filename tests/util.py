@@ -5,6 +5,9 @@ written against plain Python floats, independent of the expression
 pipeline, so they can serve as oracles for it.  `full_scan_roots` is the
 1 024-point search of `invert_at` and Inverse nodes without its enclosures:
 the scan of every point, which the pruned scan must match bitwise.
+`reference_enclosure` is the range enclosure as a walk of the tree, one
+function per primitive: the rules that `lowered_enclosure` writes out
+inline, which it must match bitwise.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ import json
 import math
 import random
 
-import numpy as np
-
 from mvfa import inverse
 from mvfa.expr_core import (
-    BoxDomain, Compose, ConfigError, Const, EvalError, Expr, Inverse, Lift, Prim, Primitive, evaluate,
+    BoxDomain, Compose, ConfigError, Const, Diagonal, EvalError, Expr, Inverse, Lift, Prim, Primitive,
+    evaluate,
 )
 from mvfa.frontend import AstCall, AstConst, AstSymbol, _format_number
 from mvfa.kst import DEFAULT_DEPTH, inner_psi
@@ -31,8 +33,6 @@ ADD, MUL, DIV, POW, ROOT, LOG, E = (
 
 def x_pow(n: int, slot: int, exponent: float) -> Expr:
     """x_slot ** exponent as an n-ary expression using only `slot`."""
-    from mvfa.expr_core import Diagonal
-
     if n == 1:
         pinned = Compose(Lift(Prim(POW), 2, (1, 2)), 2, Const(exponent))
         return Diagonal(pinned, 2, 1)  # spare slot is unused; drop it
@@ -230,9 +230,117 @@ def reconstruct_reference(rep, point) -> float:
     """`kst.reconstruct` at a point of the unit square, by its definition:
     each inner sum through the checked `inner_psi`, and each outer function
     through `np.interp` over its knots, after the clamp to its knot range."""
+    import numpy as np   # only here: the rest of the helpers run without numpy
+
     total = 0.0
     for q, fn in enumerate(rep.outer):
         s = sum((inner_psi(q, 1, point[0]), inner_psi(q, 2, point[1])))
         s = min(max(s, fn.lo), fn.hi)
         total += float(np.interp(s, fn.knots, fn.values))
     return total
+
+
+# The range enclosure, walked over the tree.  Each primitive's rule takes
+# the bounds of its two arguments, every one finite, and returns the bounds
+# of every value its `_checked_*` twin can return for arguments in those
+# ranges, or raises `Unbounded`.  Each primitive is monotone in each
+# argument where its domain check passes, so its extremes lie at the
+# corners.  A bound is pushed outward by one ulp per float operation, and
+# by two for a libm call (`**`, `math.log`).
+
+class Unbounded(Exception):
+    """An enclosure that cannot bound its values."""
+
+
+def _outward(lo: float, hi: float) -> tuple[float, float]:
+    lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    if -math.inf < lo <= hi < math.inf:   # NaN fails too
+        return lo, hi
+    raise Unbounded
+
+
+def _outward_libm(lo: float, hi: float) -> tuple[float, float]:
+    return _outward(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+
+
+def _enclose_add(al, ah, bl, bh):
+    return _outward(al + bl, ah + bh)
+
+
+def _enclose_mul(al, ah, bl, bh):
+    corners = (al * bl, al * bh, ah * bl, ah * bh)
+    return _outward(min(corners), max(corners))
+
+
+def _enclose_div(al, ah, bl, bh):
+    if bl <= 0 <= bh:
+        raise Unbounded
+    corners = (al / bl, al / bh, ah / bl, ah / bh)
+    return _outward(min(corners), max(corners))
+
+
+def _enclose_pow(al, ah, bl, bh):
+    if not al > 0:
+        raise Unbounded
+    try:
+        corners = (al ** bl, al ** bh, ah ** bl, ah ** bh)
+    except OverflowError:
+        raise Unbounded from None
+    return _outward_libm(min(corners), max(corners))
+
+
+def _enclose_root(al, ah, bl, bh):
+    return _enclose_pow(al, ah, *_enclose_div(1.0, 1.0, bl, bh))
+
+
+def _enclose_log(al, ah, bl, bh):
+    # math.log(a, b) divides the two natural logarithms
+    if not (al > 0 and bl > 0):
+        raise Unbounded
+    return _enclose_div(*_outward_libm(math.log(al), math.log(ah)),
+                        *_outward_libm(math.log(bl), math.log(bh)))
+
+
+_ENCLOSE = {ADD: _enclose_add, MUL: _enclose_mul, DIV: _enclose_div,
+            POW: _enclose_pow, ROOT: _enclose_root, LOG: _enclose_log}
+
+
+def _enclose_node(e: Expr, args: list) -> tuple[float, float]:
+    """The bounds of e over argument ranges `args`, one (lo, hi) per slot."""
+    if isinstance(e, Const):
+        return (e.value, e.value) if math.isfinite(e.value) else (-math.inf, math.inf)
+    if isinstance(e, Lift):
+        return _enclose_node(e.inner, [args[p - 1] for p in e.positions])
+    if isinstance(e, Diagonal):
+        jj = e.j - 1 if e.j > e.i else e.j
+        return _enclose_node(e.inner, args[: e.i - 1] + [args[jj - 1]] + args[e.i - 1:])
+    if isinstance(e, Compose):
+        if e.slot not in e.f.used_slots:
+            return _enclose_node(e.f, args[: e.f.arity])
+        routed = list(args)
+        routed[e.slot - 1] = _enclose_node(e.g, args if e.g.arity else [])
+        return _enclose_node(e.f, routed)
+    if isinstance(e, Prim):
+        if e.op is E:
+            return args[0]
+        return _ENCLOSE[e.op](*args[0], *args[1])
+    raise Unbounded   # a nested Inverse
+
+
+def reference_enclosure(e: Expr, slot: int, lo: float, hi: float, target: float,
+                        *fixed: float) -> tuple[float, float]:
+    """What `lowered_enclosure(e, slot)(lo, hi, target, *fixed)` returns: the
+    bounds of e - target with [lo, hi] in `slot`, or (-inf, inf) where the
+    inputs, summed left to right, are not finite, or a rule gives up."""
+    total = lo + hi + target
+    for v in fixed:
+        total += v
+    if not -math.inf < total < math.inf:
+        return -math.inf, math.inf
+    args = [(v, v) for v in fixed]
+    args.insert(slot - 1, (lo, hi))
+    try:
+        low, high = _enclose_node(e, args)
+        return _outward(low - target, high - target)
+    except Unbounded:
+        return -math.inf, math.inf
