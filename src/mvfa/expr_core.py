@@ -255,10 +255,6 @@ class BoxDomain:
             if not math.isfinite(hi - lo) or lo > hi:
                 raise StructureError(f"axis {k} must be lo <= hi of finite width, got [{lo}, {hi}]")
 
-    @classmethod
-    def unit(cls, n: int) -> "BoxDomain":
-        return cls(((0.0, 1.0),) * n)
-
     @property
     def dim(self) -> int:
         return len(self.axes)
@@ -271,11 +267,6 @@ class BoxDomain:
     def with_axis(self, k: int, interval: tuple[float, float]) -> "BoxDomain":
         lo, hi = float(interval[0]), float(interval[1])
         return BoxDomain(self.axes[: k - 1] + ((lo, hi),) + self.axes[k:])
-
-    def contains(self, point: Sequence[float], slack: float = 0.0) -> bool:
-        if len(point) != self.dim:
-            return False
-        return all(lo - slack <= v <= hi + slack for v, (lo, hi) in zip(point, self.axes))
 
 
 def _axis_points(lo: float, hi: float, count: int) -> list[float]:

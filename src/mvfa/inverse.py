@@ -12,12 +12,14 @@ arguments; `_values`, the one place where a scan evaluates its points,
 pairs each scan point with the section's value there, or None where it
 does not evaluate; `_fiber_scans` walks the fibers of a probe or a split,
 and `_scan_fiber` finds each one's flat steps, turning points and first
-direction; `_bisect` is the one bisection (roots, and the equal-value
-witnesses of a turning point); `_edge_root` searches a scan interval with
-one undefined end up to the gap edge; and `_roots` is the sign-change
-scan, bracketing and root grouping shared by `invert_at`, `inverse_fn` and
-the evaluation of Inverse nodes: one lazy pass over a stream of scan
-values, so the evaluation of an Inverse node stops at its first root.
+direction; `_refine_root` is the one root-bracket refiner (Illinois regula
+falsi, with bisection steps as its safeguard), and `_bisect` bisects only
+the equal-value witnesses of a turning point; `_edge_root` searches a scan
+interval with one undefined end up to the gap edge; and `_roots` is the
+sign-change scan, bracketing and root grouping shared by `invert_at`,
+`inverse_fn` and the evaluation of Inverse nodes: one lazy pass over a
+stream of scan values, so the evaluation of an Inverse node stops at its
+first root.
 `inverse_fn` scans each branch at 65 points by default, the split's probe
 count, through the point function the split already lowered.  Each of
 those points is evaluated once per solve: a split whose fibers have no
@@ -35,7 +37,7 @@ its roots, which
 whose range enclosure lies beyond tol on one side holds no root, no
 bracket end and no point that fails, so it is dropped but for its ends,
 and where the left half of a block is dropped, the right half is halved
-without an enclosure of its own.  The roots, bisections included, and the
+without an enclosure of its own.  The roots, refinements included, and the
 notes are bitwise those of the scan of every point.  An Inverse node stops
 at its first root.  The default tolerance is the package's `DEFAULT_TOL`
 (1e-9).
@@ -44,11 +46,12 @@ The core has one failure rule.  A point where the section does not
 evaluate (log, root or division outside its domain, overflow in a power,
 a nested Inverse at a non-finite argument or without a preimage) is a
 gap: it ends a run of the scan, takes part in no flat-step,
-turning-point or sign test, ends a bisection or an extremum refinement
-where it stands, and is noted where a notes list exists (`invert_at`'s
-`warnings`).  It is never raised out of `check_invertible`,
-`piecewise_split`, `invert_at` or `inverse_fn`: the stretches where the
-function is undefined are skipped, and the defined runs are searched.
+turning-point or sign test, ends a root refinement, a bisection or an
+extremum refinement where it stands, and is noted where a notes list
+exists (`invert_at`'s `warnings`).  It is never raised out of
+`check_invertible`, `piecewise_split`, `invert_at` or `inverse_fn`: the
+stretches where the function is undefined are skipped, and the defined
+runs are searched.
 No values are compared across a gap, so a verdict holds run by run: on
 0:4, log2((x-1)(x-3)) falls on [0, 1) and rises on (3, 4], and it is
 reported invertible as one branch.  A solve still finds both of its
@@ -126,7 +129,6 @@ class Branch:
     # in the branch's own invertibility probe (the first fiber that has
     # one), or +1 where the section is nowhere finite twice in a row
     sign: int
-    branch_id: int
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,10 @@ def _bisect(h, a, b, ha, hb, tol, notes: list) -> tuple[float, float]:
 
     A point that does not evaluate ends the search with an infinite
     residual: the bracket spans a gap.  That, and a search that ends above
-    `tol`, is noted.
+    `tol`, is noted.  Only `_probe`'s equal-value witnesses are bisected:
+    a turning point whose witness bracket holds a pole must meet the pole
+    to give no witness, and a midpoint lands on it where a secant point
+    need not.  Root brackets are refined by `_refine_root`.
     """
     best_t, best_err = a, abs(ha)
     if abs(hb) < best_err:
@@ -278,14 +283,69 @@ def _bisect(h, a, b, ha, hb, tol, notes: list) -> tuple[float, float]:
     return best_t, best_err
 
 
+def _refine_root(h, a, b, ha, hb, tol, notes: list) -> tuple[float, float]:
+    """Refine the root bracket between a and b, in either order, where
+    ha = h(a) and hb = h(b) lie on opposite sides of zero; return (t,
+    |h(t)|) for the first t with |h(t)| <= tol, else for the best t seen,
+    with the notes of `_bisect`: a point that does not evaluate aborts the
+    search, and a midpoint equal to an end, or `MAX_BISECT_STEPS` steps,
+    stall it.
+
+    Each step takes the secant point of the two ends, where the value of an
+    end kept twice in a row is halved (the Illinois method), or the
+    midpoint where that point is not strictly inside the bracket (a NaN, an
+    overflow or a halved value that underflowed in the secant formula) or
+    where the last two steps did not halve the bracket, so its width halves
+    at least every 3 evaluations.
+    """
+    best_t, best_err = a, abs(ha)
+    if abs(hb) < best_err:
+        best_t, best_err = b, abs(hb)
+    neg_a = ha < 0
+    kept = 0            # the end the last step kept: -1 for a, 1 for b
+    w1 = w2 = math.inf  # the bracket's width one and two steps ago
+    for _ in range(MAX_BISECT_STEPS):
+        m = 0.5 * a + 0.5 * b   # a + b may overflow
+        if m == a or m == b:
+            break
+        w = abs(b - a)
+        if w <= 0.5 * w2 and ha != hb:
+            s = (a * hb - b * ha) / (hb - ha)
+            if a < s < b or b < s < a:
+                m = s
+        w2, w1 = w1, w
+        try:
+            hm = h(m)
+        except EvalError as exc:
+            notes.append(f"bisection aborted near t={m!r}: {exc}")
+            return m, math.inf
+        err = abs(hm)
+        if err < best_err:
+            best_t, best_err = m, err
+        if err <= tol:
+            return m, err
+        if (hm < 0) == neg_a:
+            if kept == 1:
+                hb *= 0.5
+            a, ha, kept = m, hm, 1
+        else:
+            if kept == -1:
+                ha *= 0.5
+            b, hb, kept = m, hm, -1
+    if not best_err <= tol:
+        notes.append(f"bisection stalled near t={best_t!r} (residual {best_err!r})")
+    return best_t, best_err
+
+
 def _edge_root(h, t, v, gap, tol, notes: list) -> tuple[float, float]:
     """Search from t, where h(t) = v lies beyond tol, toward `gap`, a point
     where h does not evaluate, for a root before the gap edge; return
-    (t, |h(t)|) as `_bisect` does, for the root or for the last defined
-    point of the walk.
+    (t, |h(t)|) as `_refine_root` does, for the root or for the last
+    defined point of the walk.
 
     The defined end walks toward the gap by bisection until h is within
-    tol there, or changes sign, which brackets a root for `_bisect`; the
+    tol there, or changes sign, which brackets a root for `_refine_root`
+    (its ends in descending order where the gap lies to the left); the
     walk ends when the two ends are within tol of each other.  A NaN value
     counts as a gap.
     """
@@ -302,7 +362,7 @@ def _edge_root(h, t, v, gap, tol, notes: list) -> tuple[float, float]:
         elif abs(hm) <= tol:
             return m, abs(hm)
         elif (hm < 0) != (v < 0):
-            return _bisect(h, t, m, v, hm, tol, notes)
+            return _refine_root(h, t, m, v, hm, tol, notes)
         else:
             t, v = m, hm
     return t, abs(v)
@@ -315,14 +375,14 @@ def _roots(h, points, tol: float, notes: list):
 
     `points` yields the pairs (t, h(t)) for ascending t, with None for
     h(t) where it does not evaluate.  One pass over the values brackets
-    sign changes, bisection refines each bracket, and roots closer than
-    10*tol keep the one of least residual.  An interval with one end
+    sign changes, `_refine_root` refines each bracket, and roots closer
+    than 10*tol keep the one of least residual.  An interval with one end
     undefined is searched from its defined end to the gap edge
     (`_edge_root`), so a root between the last scan point of a run and the
     end of the run is found too.  A group's root is yielded once the scan
     is past it by more than 10*tol, so a caller that needs the first root
     stops there.  Points and brackets where evaluation fails are skipped
-    and noted; the notes on intervals and bisections follow any that the
+    and noted; the notes on intervals and refinements follow any that the
     value stream itself appends.
     """
     later: list[str] = []
@@ -347,7 +407,7 @@ def _roots(h, points, tol: float, notes: list):
                         found = (err, m)
         elif abs(a) > tol and abs(b) > tol:
             if (a < 0) != (b < 0):
-                m, err = _bisect(h, ta, t, a, b, tol, later)
+                m, err = _refine_root(h, ta, t, a, b, tol, later)
                 if err <= tol:
                     found = (err, m)
         else:
@@ -536,8 +596,9 @@ def invert_at(f: Expr, i: int, target: float, fixed, d: BoxDomain,
     """All axis-i values t in d with |f(..., t, ...) - target| <= tol.
 
     `fixed` gives the values of the other slots in ascending slot order.
-    Roots are isolated by a sign-change scan at `grid` points and refined by
-    bisection until the residual meets `tol`; the returned list is ascending
+    Roots are isolated by a sign-change scan at `grid` points and each
+    bracket is refined (`_refine_root`: Illinois regula falsi, safeguarded by
+    bisection) until the residual meets `tol`; the returned list is ascending
     and deduplicated within 10*tol.  The scan is the one of Inverse nodes:
     it evaluates only the points that range enclosures cannot rule out,
     and finds the roots and warnings that a scan of every point finds.
@@ -617,7 +678,7 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
         else:
             # the one branch [lo, hi]: its probe is the scan just made
             sign, scan = first or 1, (ts, vals)
-        branches.append(Branch((a, b), sign, bid))
+        branches.append(Branch((a, b), sign))
         scans.append(scan)
     return PiecewiseInverse(axis=i, branches=tuple(branches)), scans
 
@@ -655,12 +716,12 @@ def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,
     resolution, the scan evaluates nothing: its values are the ones that
     checked the branch (the split's scan, or the branch's probe) minus the
     target, bitwise what the point function would give.  A sign change
-    between scan points is bisected, and an interval with one undefined end
-    is searched up to the gap edge.  Two roots in one scan cell, where the
-    ends show no sign change, are missed: the split saw each branch
-    monotone only at its own probe points, and for arity > 1 only on its
-    grid fibers, so pass a larger `grid` where a branch may turn between
-    them.  The branch decomposition is exposed on the returned callable as
+    between scan points is refined as in `invert_at`, and an interval with
+    one undefined end is searched up to the gap edge.  Two roots in one
+    scan cell, where the ends show no sign change, are missed: the split
+    saw each branch monotone only at its own probe points, and for arity
+    > 1 only on its grid fibers, so pass a larger `grid` where a branch may
+    turn between them.  The branch decomposition is exposed on the returned callable as
     `.pieces`.
     """
     _check_slot(f, i, d, grid)

@@ -32,6 +32,8 @@ from mvfa.inverse import (
     InvertVerdict,
     UnsupportedInverseError,
     _axis_points,
+    _bisect,
+    _refine_root,
     _section,
     check_invertible,
     inverse_fn,
@@ -413,7 +415,8 @@ def test_two_branch_solve_evaluates_each_scan_grid_once(monkeypatch):
 
 # --- work counts: an Inverse formula scans only the blocks that can hold a root ---
 
-def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_root=False):
+def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_root=False,
+                    refine=False):
     """The first root of formula's Inverse node at point (None where there
     is none), with the number of scan points its scan evaluated and of
     enclosures it used (not those of a nested Inverse): through `evaluate`,
@@ -423,14 +426,16 @@ def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_
     With `every_root`, the scan is that of `invert_at` on the formula's
     axis, which goes on past the first root.  `blocks`, when a list,
     receives the grid indices (a, b) of each block enclosed, with whether
-    its enclosure dropped it."""
+    its enclosure dropped it.  With `refine`, the counts also hold the
+    evaluations of the pruned search's section outside `_values`: those of
+    the bracket refinement."""
     import mvfa.inverse as inverse
 
     counts = Counter()
     i = formula.slot
     ts = _axis_points(*formula.axis, DEFAULT_GRID)
     points_of, values_of = inverse._pruned_points, inverse._values
-    enclosure_of = inverse.lowered_enclosure
+    enclosure_of, section_of = inverse.lowered_enclosure, inverse.lowered_section
 
     def counted(items):
         for item in items:
@@ -457,9 +462,23 @@ def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_
             return low, high
         return counted if e is formula.inner else enclose
 
+    def counting_section(e, slot):
+        bind = section_of(e, slot)
+
+        def bound(*args):
+            h = bind(*args)
+
+            def counted(t):
+                counts["refine"] += 1
+                return h(t)
+            return counted
+        return bound if e is formula.inner else bind
+
     monkeypatch.setattr(inverse, "_pruned_points", counting_points)
     monkeypatch.setattr(inverse, "_values", counting_values)
     monkeypatch.setattr(inverse, "lowered_enclosure", counting_enclosure)
+    if refine:
+        monkeypatch.setattr(inverse, "lowered_section", counting_section)
     if every_root:
         box = BoxDomain(tuple(formula.axis if k == i else (v, v)
                               for k, v in enumerate(point, start=1)))
@@ -474,6 +493,9 @@ def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_
         root = next(full_scan_roots(formula.inner, i, point[: i - 1] + point[i:], ts,
                                     point[i - 1], DEFAULT_TOL, []), None)
     monkeypatch.undo()
+    if refine:
+        # `_values` evaluates each point that `_pruned_points` yields once
+        counts["refine"] -= counts["points"]
     return root, counts
 
 
@@ -590,6 +612,76 @@ def test_formula_stops_enclosing_where_no_block_drops(monkeypatch):
     assert counts == {"points": DEFAULT_GRID, "enclosures": PRUNE_MISSES}
 
 
+# --- root refinement: Illinois steps, with bisection as the safeguard ---
+
+def test_replay_root_bracket_is_refined_in_two_evaluations(monkeypatch):
+    # at the seeded formula-replay point, the one bracket around the root
+    # costs 2 evaluations of the section beyond its scan points, where
+    # bisection cost 21; for the formula (first root) and invert_at alike
+    formula, point, x = _replay_formula()
+    for every_root, pruned in ((False, {"points": 16, "enclosures": 7, "refine": 2}),
+                               (True, {"points": 23, "enclosures": 11, "refine": 2})):
+        root, counts = _formula_counts(monkeypatch, formula, point, every_root=every_root,
+                                       refine=True)
+        assert root == pytest.approx(x, abs=1e-8) and counts == pruned
+
+
+def _refined(search, h, a, b, tol=DEFAULT_TOL):
+    """`search`'s (t, |h(t)|) on the bracket (a, b), its notes and the
+    number of evaluations of h it made."""
+    calls, notes = [], []
+
+    def counted(t):
+        calls.append(t)
+        return h(t)
+    t, err = search(counted, a, b, h(a), h(b), tol, notes)
+    return t, err, notes, len(calls)
+
+
+@pytest.mark.parametrize("h, a, b", [
+    (lambda t: math.exp(40 * t) - 2, -1.0, 1.0),
+    (lambda t: t ** 15 - 1e-3, 0.0, 2.0),
+    (lambda t: math.tanh(1e4 * (t - 0.3)), 0.0, 1.0),
+    (lambda t: math.copysign(abs(t - 0.7) ** (1 / 3), t - 0.7), -1.0, 2.0),
+], ids=["exp", "t^15", "tanh-step", "cube-root-kink"])
+def test_refinement_makes_no_more_evaluations_than_bisection(h, a, b):
+    # brackets where a secant step gains little: the midpoint safeguard
+    # keeps the refinement within bisection's count
+    t, err, notes, refined = _refined(_refine_root, h, a, b)
+    t0, err0, notes0, bisected = _refined(_bisect, h, a, b)
+    assert err <= DEFAULT_TOL and a < t < b and notes == notes0 == []
+    assert refined <= bisected
+
+
+def _gap_at_half(t):
+    if 0.45 < t < 0.55:
+        raise EvalDomainError("undefined near 0.5")
+    return t - 0.5
+
+
+ONE_ULP = math.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("h, a, b, t, notes, evaluations", [
+    # a*hb - b*ha overflows: the steps are midpoints until the secant fits
+    (lambda t: (t - 1.5e308) / 1e300, 1e308, 1.7e308, 1.5e308, [], 29),
+    (lambda t: (t + 1.5e308) / 1e300, -1.7e308, -1e308, -1.5e308, [], 29),
+    # ends in descending order, as `_edge_root` passes them walking left
+    (lambda t: t * t - 2, 2.0, 0.0, 1.4142135622801104, [], 7),
+    # the first secant point does not evaluate
+    (_gap_at_half, 0.0, 1.0, 0.5, ["bisection aborted near t=0.5: undefined near 0.5"], 1),
+    # the midpoint of a bracket one ulp wide is an end: a stall, at once
+    (lambda t: -2.0 if t == 1.0 else 1.0, 1.0, ONE_ULP, ONE_ULP,
+     [f"bisection stalled near t={ONE_ULP!r} (residual 1.0)"], 0),
+], ids=["overflow-high", "overflow-low", "descending", "eval-error", "one-ulp"])
+def test_refinement_edge_cases(h, a, b, t, notes, evaluations):
+    got, err, got_notes, count = _refined(_refine_root, h, a, b)
+    assert (got, got_notes, count) == (t, notes, evaluations)
+    assert err <= DEFAULT_TOL or notes
+    # the same bracket with its ends swapped is refined alike
+    assert _refined(_refine_root, h, b, a) == (got, err, got_notes, count)
+
+
 # --- undefined stretches: a gap in every scan, never an error ---
 
 RECIP, _ = normalize(Compose(Lift(Prim(DIV), 2, (1, 2)), 1, Const(1.0)))    # 1/x1
@@ -651,7 +743,7 @@ def test_undefined_stretch_is_skipped_not_cut(text, lo, hi, sign):
     box = BoxDomain(((lo, hi),))
     assert check_invertible(f, 1, box, grid=65).invertible
     # the sign is the first finite step of the branch's probe, past the gap
-    assert piecewise_split(f, 1, box, grid=65).branches == (Branch((lo, hi), sign, 1),)
+    assert piecewise_split(f, 1, box, grid=65).branches == (Branch((lo, hi), sign),)
 
 
 def test_extremum_refinement_stops_at_a_gap():
@@ -660,7 +752,7 @@ def test_extremum_refinement_stops_at_a_gap():
     f = unary("root(mul(add(x,-0.3),add(x,-0.4)),2)", -1.0, 1.0)
     box = BoxDomain(((-1.0, 1.0),))
     assert piecewise_split(f, 1, box, grid=5).branches == (
-        Branch((-1.0, 0.5), -1, 1), Branch((0.5, 1.0), 1, 2))
+        Branch((-1.0, 0.5), -1), Branch((0.5, 1.0), 1))
     roots = inverse_fn(f, 1, box, split_grid=5)(0.2)
     assert roots == pytest.approx([0.35 - math.sqrt(0.0425), 0.35 + math.sqrt(0.0425)], abs=1e-8)
 
@@ -691,15 +783,17 @@ GOLDEN = {
     "bisected-root": (
         lambda: _invert_with_warnings(Prim(POW), 1, 9.0, [2.0],
                                       BoxDomain(((0.0, 5.0), (2.0, 2.0))), tol=1e-12, grid=10),
-        "([3.00000000000005], [])"),
+        "([2.9999999999999956], [])"),
+    # a root bracket that spans the pole at 0: the refinement stalls next to
+    # it on [-1, 1], and its second secant point meets it on [-1, 0.5]
     "bisection-abort": (
         lambda: _invert_with_warnings(Prim(DIV), 2, 0.5, [1.0],
                                       BoxDomain(((1.0, 1.0), (-1.0, 3.0))), tol=1e-9, grid=3),
-        "([2.0], ['bisection aborted near t=0.0: division by zero'])"),
+        "([2.00000000352902], ['bisection stalled near t=1.0 (residual 0.5)'])"),
     "bisection-stall": (
         lambda: _invert_with_warnings(Prim(DIV), 2, 0.0, [1.0],
                                       BoxDomain(((1.0, 1.0), (-1.0, 0.5))), tol=1e-9, grid=3),
-        "([], ['bisection stalled near t=0.5 (residual 2.0)'])"),
+        "([], ['bisection aborted near t=0.0: division by zero'])"),
     "skipped-interval": (
         lambda: _invert_with_warnings(LOG2, 1, 3.0, [], BoxDomain(((-4.0, 16.0),)),
                                       tol=1e-9, grid=11),
@@ -716,10 +810,10 @@ GOLDEN = {
     "close-roots-one-group": (
         lambda: _invert_with_warnings(WELL, 1, 1e-5, [], BoxDomain(((0.4999, 0.5001),)),
                                       tol=1e-9, grid=41),
-        "([0.5000000031623244], [])"),
+        "([0.5000000031622229], [])"),
     "formula-close-roots": (
         lambda: evaluate(Inverse(WELL, 1, axis=(0.499489, 0.500512)), [1e-5]),
-        "0.5000000031623839"),
+        "0.5000000031621702"),
     "flat-step-witness": (
         lambda: check_invertible(FLAT_IN_2, 2, UNIT_SQUARE, grid=5, tol=1e-9),
         "InvertVerdict(invertible=False, witness=Witness(fixed=(0.0,), t1=0.0, t2=0.25, "
@@ -734,9 +828,9 @@ GOLDEN = {
         "InvertVerdict(invertible=True, witness=None)"),
     "three-branch-split": (
         lambda: piecewise_split(CUBIC, 1, BoxDomain(((-2.0, 2.0),)), grid=65, tol=1e-10).branches,
-        "(Branch(interval=(-2.0, -0.5773502731187958), sign=1, branch_id=1), "
-        "Branch(interval=(-0.5773502731187958, 0.5773502731187958), sign=-1, branch_id=2), "
-        "Branch(interval=(0.5773502731187958, 2.0), sign=1, branch_id=3))"),
+        "(Branch(interval=(-2.0, -0.5773502731187958), sign=1), "
+        "Branch(interval=(-0.5773502731187958, 0.5773502731187958), sign=-1), "
+        "Branch(interval=(0.5773502731187958, 2.0), sign=1))"),
     "flat-split": (
         lambda: piecewise_split(FLAT_IN_2, 2, UNIT_SQUARE, grid=5, tol=1e-9),
         "DegenerateInputError: flat section segment on axis 2 near t=0.0: "
@@ -744,12 +838,12 @@ GOLDEN = {
     "two-dim-split": (
         lambda: piecewise_split(SQUARE_PLUS, 1, BoxDomain(((-1.0, 1.0), (0.0, 1.0))),
                                 grid=17, tol=1e-9).branches,
-        "(Branch(interval=(-1.0, -7.032441786194785e-11), sign=-1, branch_id=1), "
-        "Branch(interval=(-7.032441786194785e-11, 1.0), sign=1, branch_id=2))"),
+        "(Branch(interval=(-1.0, -7.032441786194785e-11), sign=-1), "
+        "Branch(interval=(-7.032441786194785e-11, 1.0), sign=1))"),
     "multi-branch-inverse-fn": (
         lambda: inverse_fn(CUBIC, 1, BoxDomain(((-2.0, 2.0),)), tol=1e-10, grid=257,
                            split_grid=33)(0.1),
-        "[-0.94564927392914, -0.1010312578288459, 1.0466805317940984]"),
+        "[-0.9456492739227879, -0.10103125788101082, 1.0466805318044134]"),
     "two-dim-inverse-fn": (
         lambda: inverse_fn(SQUARE_PLUS, 1, BoxDomain(((-1.0, 1.0), (0.0, 1.0))), tol=1e-9,
                            grid=129, split_grid=17)(0.75, 0.5),

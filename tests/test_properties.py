@@ -16,6 +16,8 @@ bitwise alike.
 Expressions of one shape share their compiled code, and each must still
 evaluate as its own fresh compile does, constants, error node and point
 included.
+A root bracket's refinement must end strictly inside it within tol, or
+note why, and halve it at least every 3 evaluations.
 A solve, which scans each monotone branch only at its split's resolution,
 must find the roots an independent dense scan finds, next to the stretches
 where a function is undefined too.
@@ -48,8 +50,8 @@ from mvfa.frontend import (
     AstCall, AstConst, AstSymbol, format_expr, parse, parse_structural, to_structural,
 )
 from mvfa.inverse import (
-    DEFAULT_GRID, DegenerateInputError, _axis_points, _scan_fiber, _section, _values,
-    check_invertible, inverse_fn, invert_at,
+    DEFAULT_GRID, DegenerateInputError, _axis_points, _refine_root, _scan_fiber, _section,
+    _values, check_invertible, inverse_fn, invert_at,
 )
 from mvfa.solver import Equation, solve
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
@@ -527,6 +529,47 @@ def test_scan_fiber_direction_is_its_first_finite_step(values):
     vals, flat, _, step = _scan_fiber(section, [float(k) for k in range(len(values))])
     assert len(vals) == len(values)
     assert step == first_step(vals if flat is None else vals[:flat + 1])
+
+
+@PROPERTY
+@given(root=rounded(-3.0, 3.0), powers=st.tuples(st.floats(0.2, 8.0), st.floats(0.2, 8.0)),
+       scales=st.tuples(st.integers(-3, 6), st.integers(-3, 6)),
+       reach=st.tuples(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0)),
+       falling=st.booleans(), descending=st.booleans())
+def test_root_refinement_converges_inside_and_halves_its_bracket(root, powers, scales, reach,
+                                                                 falling, descending):
+    # a monotone section with its root inside the bracket, of a different
+    # power and scale on each side: the refinement returns a point strictly
+    # inside with |h| <= tol, or notes why not, and the bracket that its
+    # evaluations keep halves at least every 3 evaluations
+    sign = -1.0 if falling else 1.0
+
+    def h(t):
+        if t >= root:
+            return sign * 10.0 ** scales[1] * (t - root) ** powers[1]
+        return -sign * 10.0 ** scales[0] * (root - t) ** powers[0]
+
+    a, b = root - reach[0], root + reach[1]
+    if descending:
+        a, b = b, a
+    ha, hb = h(a), h(b)
+    assume(abs(ha) > DEFAULT_TOL and abs(hb) > DEFAULT_TOL)
+    calls, notes = [], []
+
+    def counted(t):
+        calls.append(t)
+        return h(t)
+    t, err = _refine_root(counted, a, b, ha, hb, DEFAULT_TOL, notes)
+    assert notes or (err <= DEFAULT_TOL and min(a, b) < t < max(a, b))
+    widths = [abs(b - a)]
+    for m in calls:
+        assert min(a, b) < m < max(a, b)
+        if (h(m) < 0) == (ha < 0):
+            a = m
+        else:
+            b = m
+        widths.append(abs(b - a))
+    assert all(w <= 0.5 * before for before, w in zip(widths, widths[3:]))
 
 
 def tower(draw, leaves):
