@@ -11,8 +11,8 @@ Every entry point runs on one small core.  `_check_slot` validates the
 arguments; `_values`, the one place where a scan evaluates its points,
 pairs each scan point with the section's value there, or None where it
 does not evaluate; `_fiber_scans` walks the fibers of a probe or a split,
-and `_scan_fiber` finds each one's flat steps, turning points and first
-direction; `_refine_root` is the one root-bracket refiner (Illinois regula
+and `_scan_fiber` finds each one's flat steps and turning points;
+`_refine_root` is the one root-bracket refiner (Illinois regula
 falsi, with bisection steps as its safeguard), and `_bisect` bisects only
 the equal-value witnesses of a turning point; `_edge_root` searches a scan
 interval with one undefined end up to the gap edge; and `_roots` is the
@@ -125,10 +125,6 @@ class Branch:
     """One monotone piece of an axis interval."""
 
     interval: tuple[float, float]
-    # +1 increasing, -1 decreasing: the first step between two finite values
-    # in the branch's own invertibility probe (the first fiber that has
-    # one), or +1 where the section is nowhere finite twice in a row
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,6 @@ class PiecewiseInverse:
     and cover the axis interval exactly.
     """
 
-    axis: int
     branches: tuple[Branch, ...]
 
 
@@ -205,8 +200,7 @@ def _values(section, ts, notes: list | None = None):
 def _scan_fiber(section, ts):
     """The section's values at `ts`, the index k of its first flat step
     (vals[k] == vals[k+1]) or None, and before that step, the indices of
-    its turning points (where the discrete slope changes sign) and the
-    direction of its first step between two finite values (±1, or None).
+    its turning points (where the discrete slope changes sign).
 
     A point that does not evaluate has the value None and ends a run: no
     step or turn spans it.  A non-finite value takes part in neither test:
@@ -215,7 +209,7 @@ def _scan_fiber(section, ts):
     """
     vals = [v for _, v in _values(section, ts)]
     turns = []
-    rising = prev = step = None
+    rising = prev = None
     for k, v in enumerate(vals):
         if v is None or prev is None:
             rising, prev = None, v
@@ -223,14 +217,12 @@ def _scan_fiber(section, ts):
         up = v > prev
         if v == prev:
             if math.isfinite(v):
-                return vals, k - 1, turns, step
+                return vals, k - 1, turns
         elif up != rising and rising is not None:
             if all(map(math.isfinite, vals[k - 2: k + 1])):
                 turns.append(k - 1)
-        if step is None and math.isfinite(v) and math.isfinite(prev):
-            step = 1 if up else -1
         rising, prev = up, v
-    return vals, None, turns, step
+    return vals, None, turns
 
 
 def _fiber_scans(f: Expr, i: int, d: BoxDomain, grid: int):
@@ -251,7 +243,8 @@ def _bisect(h, a, b, ha, hb, tol, notes: list) -> tuple[float, float]:
 
     A point that does not evaluate ends the search with an infinite
     residual: the bracket spans a gap.  That, and a search that ends above
-    `tol`, is noted.  Only `_probe`'s equal-value witnesses are bisected:
+    `tol` (at a midpoint equal to an end, or after `MAX_BISECT_STEPS`
+    steps), is noted.  Only `_probe`'s equal-value witnesses are bisected:
     a turning point whose witness bracket holds a pole must meet the pole
     to give no witness, and a midpoint lands on it where a secant point
     need not.  Root brackets are refined by `_refine_root`.
@@ -261,7 +254,9 @@ def _bisect(h, a, b, ha, hb, tol, notes: list) -> tuple[float, float]:
         best_t, best_err = b, abs(hb)
     neg_left = ha < 0
     for _ in range(MAX_BISECT_STEPS):
-        m = 0.5 * (a + b)
+        m = 0.5 * a + 0.5 * b   # a + b may overflow
+        if m == a or m == b:
+            break
         try:
             hm = h(m)
         except EvalError as exc:
@@ -276,8 +271,6 @@ def _bisect(h, a, b, ha, hb, tol, notes: list) -> tuple[float, float]:
             a = m
         else:
             b = m
-        if a == b:
-            break
     if not best_err <= tol:
         notes.append(f"bisection stalled near t={best_t!r} (residual {best_err!r})")
     return best_t, best_err
@@ -352,7 +345,7 @@ def _edge_root(h, t, v, gap, tol, notes: list) -> tuple[float, float]:
     for _ in range(MAX_BISECT_STEPS):
         if abs(gap - t) <= tol:
             break
-        m = 0.5 * (t + gap)
+        m = 0.5 * t + 0.5 * gap   # t + gap may overflow
         try:
             hm = h(m)
         except EvalError:
@@ -524,16 +517,14 @@ def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,
 
 
 def _probe(f: Expr, i: int, d: BoxDomain, grid: int,
-           tol: float) -> tuple[InvertVerdict, int, list[float], list]:
-    """check_invertible without the argument check; also the direction of the
-    first step between two finite values it computed (+1 if there is none),
-    its scan points along axis i, and the values of the last fiber it
-    scanned (for a unary f, its only one)."""
-    sign = None
-    for fixed, section, ts, (vals, flat, turns, step) in _fiber_scans(f, i, d, grid):
+           tol: float) -> tuple[InvertVerdict, list[float], list]:
+    """check_invertible without the argument check; also its scan points
+    along axis i, and the values of the last fiber it scanned (for a unary
+    f, its only one)."""
+    for fixed, section, ts, (vals, flat, turns) in _fiber_scans(f, i, d, grid):
         if flat is not None:
             witness = Witness(tuple(fixed), ts[flat], ts[flat + 1], vals[flat], vals[flat + 1])
-            return InvertVerdict(False, witness), 1, ts, vals
+            return InvertVerdict(False, witness), ts, vals
         for k in turns:
             # vals[k] is a local extremum; any level strictly between it and
             # the nearer neighbour value is crossed on both sides.
@@ -544,9 +535,8 @@ def _probe(f: Expr, i: int, d: BoxDomain, grid: int,
             t2, err2 = _bisect(h, ts[k], ts[k + 1], vb - level, vc - level, tol / 2.0, [])
             if max(err1, err2) < math.inf:
                 witness = Witness(tuple(fixed), t1, t2, section(t1), section(t2))
-                return InvertVerdict(False, witness), 1, ts, vals
-        sign = sign or step
-    return InvertVerdict(True, None), sign or 1, ts, vals
+                return InvertVerdict(False, witness), ts, vals
+    return InvertVerdict(True, None), ts, vals
 
 
 # Closed-form partial inverses.  Convention: the result has the primitive's
@@ -621,11 +611,9 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
     every probed fiber and localized by ternary refinement, which stops at
     its current bracket where the section does not evaluate; cut points
     from all fibers are merged within one grid cell.  Each resulting branch
-    must pass check_invertible at the same resolution, and its sign is the
-    direction of the first finite step that probe computed.  Where no fiber
+    must pass check_invertible at the same resolution.  Where no fiber
     turns, the one branch is the whole axis and that probe would repeat the
-    split's own scan point for point, so it is not run: the branch's sign
-    is the first finite step of the split's values, in fiber order.
+    split's own scan point for point, so it is not run.
     Stretches where the section does not evaluate are skipped, never cut
     at and never an error: a branch may hold several runs separated by such
     gaps, and the root scan searches all of them.  More than `MAX_BRANCHES`
@@ -644,8 +632,7 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
     cell = (hi - lo) / (grid - 1)
 
     cuts: list[float] = []
-    first = None
-    for _, section, ts, (vals, flat, turns, step) in _fiber_scans(f, i, d, grid):
+    for _, section, ts, (vals, flat, turns) in _fiber_scans(f, i, d, grid):
         if flat is not None:
             raise DegenerateInputError(
                 f"flat section segment on axis {i} near t={ts[flat]!r}: "
@@ -653,7 +640,6 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
         for k in turns:
             cuts.append(_refine_extremum(section, ts[k - 1], ts[k + 1],
                                          peak=vals[k] > vals[k - 1], tol=tol))
-        first = first or step
 
     merged: list[float] = []
     for c in sorted(cuts):
@@ -671,16 +657,16 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
         if cuts:
             # a fiber turned: even where every cut was dropped, the probe
             # may find a witness
-            verdict, sign, *scan = _probe(f, i, d.with_axis(i, (a, b)), grid, tol)
+            verdict, *scan = _probe(f, i, d.with_axis(i, (a, b)), grid, tol)
             if not verdict.invertible:
                 raise DegenerateInputError(
                     f"branch {bid} [{a!r}, {b!r}] is not monotone at grid {grid}")
         else:
             # the one branch [lo, hi]: its probe is the scan just made
-            sign, scan = first or 1, (ts, vals)
-        branches.append(Branch((a, b), sign))
+            scan = ts, vals
+        branches.append(Branch((a, b)))
         scans.append(scan)
-    return PiecewiseInverse(axis=i, branches=tuple(branches)), scans
+    return PiecewiseInverse(tuple(branches)), scans
 
 
 def _refine_extremum(section, a, b, peak: bool, tol: float) -> float:

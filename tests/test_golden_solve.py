@@ -50,6 +50,6 @@ def test_two_dimensional_inverse_fn_is_unchanged():
     fn = inverse_fn(to_structural(parse(spec["expr"])).expr, spec["slot"],
                     BoxDomain(tuple(map(tuple, spec["domain"]))), tol=spec["tol"],
                     grid=spec["grid"], split_grid=spec["split_grid"])
-    assert [[*b.interval, b.sign] for b in fn.pieces.branches] == spec["branches"]
+    assert [[*b.interval] for b in fn.pieces.branches] == spec["branches"]
     for call in spec["calls"]:
         assert fn(*call["args"]) == call["roots"]

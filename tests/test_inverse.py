@@ -248,14 +248,12 @@ def test_split_square_two_branches():
     assert b1.interval[0] == -1.0 and b2.interval[1] == 1.0
     assert b1.interval[1] == b2.interval[0]            # shared endpoint
     assert abs(b1.interval[1]) < 1e-6                  # split near zero
-    assert b1.sign == -1 and b2.sign == 1
 
 
 def test_split_cube_one_branch():
     cube = x_pow(1, 1, 3.0)
     pw = piecewise_split(cube, 1, BoxDomain(((-1.0, 1.0),)), grid=33)
     assert len(pw.branches) == 1
-    assert pw.branches[0].sign == 1
     assert pw.branches[0].interval == (-1.0, 1.0)
 
 
@@ -284,7 +282,6 @@ def test_split_cubic_three_branches():
     cuts = [b.interval[1] for b in pw.branches[:-1]]
     assert cuts[0] == pytest.approx(-expected, abs=1e-4)
     assert cuts[1] == pytest.approx(expected, abs=1e-4)
-    assert [b.sign for b in pw.branches] == [1, -1, 1]
     # branch coverage: intervals tile the axis exactly
     assert pw.branches[0].interval[0] == -2.0
     assert pw.branches[-1].interval[1] == 2.0
@@ -340,7 +337,6 @@ def test_split_two_dimensional():
     pw = piecewise_split(f, 1, BoxDomain(((-1.0, 1.0), (0.0, 1.0))), grid=17)
     assert len(pw.branches) == 2
     assert abs(pw.branches[0].interval[1]) < 1e-6
-    assert pw.branches[0].sign == -1 and pw.branches[1].sign == 1
 
 
 def test_inverse_fn_two_dimensional_multivalued():
@@ -682,6 +678,22 @@ def test_refinement_edge_cases(h, a, b, t, notes, evaluations):
     assert _refined(_refine_root, h, b, a) == (got, err, got_notes, count)
 
 
+def test_bisection_of_a_one_ulp_bracket_stalls_at_once():
+    # the midpoint rounds to an end, so no step can narrow the bracket
+    h = lambda t: (t - 1.0) * 1e20 - 5e3
+    assert _refined(_bisect, h, 1.0, ONE_ULP) == (
+        1.0, 5000.0, ["bisection stalled near t=1.0 (residual 5000.0)"], 0)
+
+
+def test_witness_bisection_near_the_top_of_the_float_range():
+    # ((x - 1.5e308) / 1e300)^2 turns at 1.5e308; the sum of two ends near
+    # 1.7e308 overflows, and each witness end must still be a midpoint
+    f = unary("pow(div(add(x,-1.5e308),1e300),2)", 1e308, 1.7e308)
+    w = check_invertible(f, 1, BoxDomain(((1e308, 1.7e308),)), grid=9).witness
+    assert w.t1 < 1.5e308 < w.t2
+    assert w.v1 == pytest.approx(2.265625e13) and abs(w.v1 - w.v2) <= DEFAULT_TOL
+
+
 # --- undefined stretches: a gap in every scan, never an error ---
 
 RECIP, _ = normalize(Compose(Lift(Prim(DIV), 2, (1, 2)), 1, Const(1.0)))    # 1/x1
@@ -704,6 +716,15 @@ def test_invert_at_searches_up_to_the_gap_edge():
     assert roots == pytest.approx([2 - half_width, 2 + half_width], abs=1e-8)
     assert "skipped interval [0.9375, 1.0]" in warnings
     assert "skipped interval [3.0, 3.0625]" in warnings
+
+
+def test_gap_edge_walk_near_the_top_of_the_float_range():
+    # sqrt((x - 1.6e308) / 1e308) = 0.005 between the gap edge at 1.6e308
+    # and the first defined scan point; the sum of two points of the walk
+    # toward the gap overflows, and each must still be a midpoint
+    f = unary("root(div(add(x,-1.6e308),1e308),2)", 1e308, 1.7e308)
+    roots = invert_at(f, 1, 0.005, [], BoxDomain(((1e308, 1.7e308),)))
+    assert roots == [pytest.approx(1.600025e308, rel=1e-12)]
 
 
 def test_nested_inverse_at_a_non_finite_argument_is_a_gap():
@@ -731,19 +752,18 @@ def test_witness_bisection_into_a_pole_gives_no_witness():
     assert verdict == InvertVerdict(True, None)
 
 
-@pytest.mark.parametrize("text, lo, hi, sign", [
-    ("log(x,2)", -4.0, 16.0, 1),
-    ("log(x,0.5)", -4.0, 16.0, -1),
+@pytest.mark.parametrize("text, lo, hi", [
+    ("log(x,2)", -4.0, 16.0),
+    ("log(x,0.5)", -4.0, 16.0),
     # falls on [0, 1), undefined on [1, 3], rises on (3, 4]: no values are
     # compared across the gap, so the two runs make one branch
-    ("log(mul(add(x,-1),add(x,-3)),2)", 0.0, 4.0, -1),
+    ("log(mul(add(x,-1),add(x,-3)),2)", 0.0, 4.0),
 ], ids=["log2", "log-half", "two-runs"])
-def test_undefined_stretch_is_skipped_not_cut(text, lo, hi, sign):
+def test_undefined_stretch_is_skipped_not_cut(text, lo, hi):
     f = unary(text, lo, hi)
     box = BoxDomain(((lo, hi),))
     assert check_invertible(f, 1, box, grid=65).invertible
-    # the sign is the first finite step of the branch's probe, past the gap
-    assert piecewise_split(f, 1, box, grid=65).branches == (Branch((lo, hi), sign),)
+    assert piecewise_split(f, 1, box, grid=65).branches == (Branch((lo, hi)),)
 
 
 def test_extremum_refinement_stops_at_a_gap():
@@ -752,7 +772,7 @@ def test_extremum_refinement_stops_at_a_gap():
     f = unary("root(mul(add(x,-0.3),add(x,-0.4)),2)", -1.0, 1.0)
     box = BoxDomain(((-1.0, 1.0),))
     assert piecewise_split(f, 1, box, grid=5).branches == (
-        Branch((-1.0, 0.5), -1), Branch((0.5, 1.0), 1))
+        Branch((-1.0, 0.5)), Branch((0.5, 1.0)))
     roots = inverse_fn(f, 1, box, split_grid=5)(0.2)
     assert roots == pytest.approx([0.35 - math.sqrt(0.0425), 0.35 + math.sqrt(0.0425)], abs=1e-8)
 
@@ -828,9 +848,9 @@ GOLDEN = {
         "InvertVerdict(invertible=True, witness=None)"),
     "three-branch-split": (
         lambda: piecewise_split(CUBIC, 1, BoxDomain(((-2.0, 2.0),)), grid=65, tol=1e-10).branches,
-        "(Branch(interval=(-2.0, -0.5773502731187958), sign=1), "
-        "Branch(interval=(-0.5773502731187958, 0.5773502731187958), sign=-1), "
-        "Branch(interval=(0.5773502731187958, 2.0), sign=1))"),
+        "(Branch(interval=(-2.0, -0.5773502731187958)), "
+        "Branch(interval=(-0.5773502731187958, 0.5773502731187958)), "
+        "Branch(interval=(0.5773502731187958, 2.0)))"),
     "flat-split": (
         lambda: piecewise_split(FLAT_IN_2, 2, UNIT_SQUARE, grid=5, tol=1e-9),
         "DegenerateInputError: flat section segment on axis 2 near t=0.0: "
@@ -838,8 +858,8 @@ GOLDEN = {
     "two-dim-split": (
         lambda: piecewise_split(SQUARE_PLUS, 1, BoxDomain(((-1.0, 1.0), (0.0, 1.0))),
                                 grid=17, tol=1e-9).branches,
-        "(Branch(interval=(-1.0, -7.032441786194785e-11), sign=-1), "
-        "Branch(interval=(-7.032441786194785e-11, 1.0), sign=1))"),
+        "(Branch(interval=(-1.0, -7.032441786194785e-11)), "
+        "Branch(interval=(-7.032441786194785e-11, 1.0)))"),
     "multi-branch-inverse-fn": (
         lambda: inverse_fn(CUBIC, 1, BoxDomain(((-2.0, 2.0),)), tol=1e-10, grid=257,
                            split_grid=33)(0.1),

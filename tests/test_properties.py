@@ -57,7 +57,7 @@ from mvfa.solver import Equation, solve
 from mvfa.structure_ops import compose_at, diagonal, lift, normalize, substitute_const
 
 from util import (
-    ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, count_symbols, first_step, full_scan_roots,
+    ADD, DIV, E, LOG, MUL, POW, ROOT, ast_eval, count_symbols, full_scan_roots,
     reference_enclosure, scan_roots,
 )
 
@@ -517,18 +517,26 @@ FIBER_VALUE = st.one_of(
 
 @PROPERTY
 @given(values=st.lists(FIBER_VALUE, min_size=1, max_size=12))
-def test_scan_fiber_direction_is_its_first_finite_step(values):
-    # the direction that _scan_fiber finds in its one loop is the first step
-    # between two finite values, up to its flat step where there is one
+def test_scan_fiber_finds_the_first_flat_step_and_the_turns_before_it(values):
+    # _scan_fiber against a plain reference: one value per point, None where
+    # the section raises; its flat step is the first equal pair of finite
+    # values; its turns are the slope sign changes of finite triples, up to
+    # that pair
     def section(t):
         v = values[int(t)]
         if v is None:
             raise EvalError("undefined", point=(t,))
         return v
 
-    vals, flat, _, step = _scan_fiber(section, [float(k) for k in range(len(values))])
-    assert len(vals) == len(values)
-    assert step == first_step(vals if flat is None else vals[:flat + 1])
+    vals, flat, turns = _scan_fiber(section, [float(k) for k in range(len(values))])
+    assert len(vals) == len(values) and all(v is w for v, w in zip(vals, values))
+    finite = [v is not None and math.isfinite(v) for v in values]
+    first = next((k for k in range(len(values) - 1)
+                  if finite[k] and finite[k + 1] and values[k] == values[k + 1]), None)
+    assert flat == first
+    end = len(values) - 1 if first is None else first
+    assert turns == [k for k in range(1, end) if all(finite[k - 1:k + 2])
+                     and (values[k + 1] > values[k]) != (values[k] > values[k - 1])]
 
 
 @PROPERTY

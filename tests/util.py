@@ -149,15 +149,6 @@ def full_scan_roots(f: Expr, i: int, fixed, ts, target: float, tol: float, notes
     return inverse._roots(h, inverse._values(h, ts, notes), tol, notes)
 
 
-def first_step(vals) -> int | None:
-    """+1 or -1, the direction of the first step between two finite values
-    of a fiber's scan values, or None where there is none: the reference
-    for the direction that `inverse._scan_fiber` finds in its own loop."""
-    return next((1 if b > a else -1 for a, b in zip(vals, vals[1:])
-                 if a is not None and b is not None
-                 and math.isfinite(a) and math.isfinite(b)), None)
-
-
 # Independent dense-scan + bisection root oracle over plain callables.
 
 def scan_roots(fn, lo: float, hi: float, points: int = 100_000,
