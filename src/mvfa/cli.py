@@ -258,9 +258,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> _Parser:
     """The parser of `main`, built once per process: building it costs
-    milliseconds, a large share of a short command run in-process."""
+    milliseconds, a large share of a short command run in-process.  Its
+    `commands` maps each command name to that command's own parser."""
     parser = _Parser(prog="mvfa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("eval", help="evaluate a pointful expression")
     p.add_argument("expr")
@@ -344,8 +346,12 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     pretty = "--pretty" in argv
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in parser.commands:   # one pass, by the command's parser
+            args = parser.commands[argv[0]].parse_args(argv[1:])
+        else:   # no command named: a usage error, or help
+            args = parser.parse_args(argv)
     except UsageError as exc:
         _emit(_error_obj("usage", str(exc)), pretty)
         return 2

@@ -77,6 +77,10 @@ class Primitive(Enum):
         return 1 if self is Primitive.IDENTITY else 2
 
 
+# Each primitive's used slots, 1..arity: `Prim` reads its arity from here.
+_PRIM_USED = {p: frozenset(range(1, p.arity + 1)) for p in Primitive}
+
+
 @dataclass(frozen=True)
 class Expr:
     """Abstract base node.  Subclasses populate arity and used slots."""
@@ -105,9 +109,10 @@ class Expr:
             state.pop(cache, None)
         return state
 
-    def _derive(self, arity: int, used) -> None:
-        object.__setattr__(self, "_arity", arity)
-        object.__setattr__(self, "_used", frozenset(used))
+    def _derive(self, arity: int, used: frozenset[int]) -> None:
+        fields = self.__dict__
+        fields["_arity"] = arity
+        fields["_used"] = used
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ class Const(Expr):
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
-        self._derive(0, ())
+        self._derive(0, frozenset())
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,8 @@ class Prim(Expr):
     def __post_init__(self):
         if not isinstance(self.op, Primitive):
             raise StructureError(f"not a primitive: {self.op!r}")
-        self._derive(self.op.arity, range(1, self.op.arity + 1))
+        used = _PRIM_USED[self.op]
+        self._derive(len(used), used)
 
 
 @dataclass(frozen=True)
@@ -142,21 +148,23 @@ class Lift(Expr):
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
-        m = self.inner.arity
+        positions = tuple(map(int, self.positions))
+        object.__setattr__(self, "positions", positions)
+        m = self.inner._arity
         n = self.target_arity
         if not isinstance(n, int) or n < 0:
             raise StructureError(f"lift target arity must be a nonnegative integer, got {n!r}")
         if m > n:
             raise StructureError(f"cannot lift arity {m} down to arity {n}")
-        if len(self.positions) != m:
+        if len(positions) != m:
             raise StructureError(
-                f"lift needs one position per inner variable: got {len(self.positions)} for arity {m}")
-        if len(set(self.positions)) != len(self.positions):
-            raise StructureError(f"lift positions must be distinct, got {self.positions}")
-        if any(p < 1 or p > n for p in self.positions):
-            raise StructureError(f"lift position out of range 1..{n}: {self.positions}")
-        self._derive(n, (self.positions[k - 1] for k in self.inner.used_slots))
+                f"lift needs one position per inner variable: got {len(positions)} for arity {m}")
+        if len(set(positions)) != m:
+            raise StructureError(f"lift positions must be distinct, got {positions}")
+        for p in positions:
+            if not 1 <= p <= n:
+                raise StructureError(f"lift position out of range 1..{n}: {positions}")
+        self._derive(n, frozenset([positions[k - 1] for k in self.inner._used]))
 
 
 @dataclass(frozen=True)
@@ -174,19 +182,19 @@ class Compose(Expr):
     g: Expr
 
     def __post_init__(self):
-        nf, ng = self.f.arity, self.g.arity
-        n = max(nf, ng)
+        nf, ng = self.f._arity, self.g._arity
+        n = nf if nf > ng else ng
         if n == 0:
             raise StructureError("cannot compose two nullary expressions")
         if nf not in (0, n) or ng not in (0, n):
             raise StructureError(
                 f"composition operands must share arity or be nullary; got {nf} and {ng} (lift first)")
-        if not isinstance(self.slot, int) or not 1 <= self.slot <= n:
-            raise StructureError(f"composition slot {self.slot!r} out of range 1..{n}")
-        if self.slot in self.f.used_slots:
-            used = (self.f.used_slots - {self.slot}) | self.g.used_slots
-        else:
-            used = self.f.used_slots
+        slot = self.slot
+        if not isinstance(slot, int) or not 1 <= slot <= n:
+            raise StructureError(f"composition slot {slot!r} out of range 1..{n}")
+        used = self.f._used
+        if slot in used:
+            used = (used - {slot}) | self.g._used
         self._derive(n, used)
 
 
@@ -200,18 +208,19 @@ class Diagonal(Expr):
     j: int
 
     def __post_init__(self):
-        n = self.inner.arity
+        n = self.inner._arity
         if n < 2:
             raise StructureError(f"oblique projection needs arity >= 2, got {n}")
-        for s in (self.i, self.j):
+        i, j = self.i, self.j
+        for s in (i, j):
             if not isinstance(s, int) or not 1 <= s <= n:
                 raise StructureError(f"projection slot {s!r} out of range 1..{n}")
-        if self.i == self.j:
+        if i == j:
             raise StructureError("projection slots must differ")
-        s = self.inner.used_slots
-        if self.i in s:
-            s = (s - {self.i}) | {self.j}
-        self._derive(n - 1, (k - 1 if k > self.i else k for k in s))
+        s = self.inner._used
+        if i in s:
+            s = (s - {i}) | {j}
+        self._derive(n - 1, frozenset([k - 1 if k > i else k for k in s]))
 
 
 @dataclass(frozen=True)
@@ -281,16 +290,17 @@ def _axis_points(lo: float, hi: float, count: int) -> list[float]:
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
-    """Evaluate `e` at `point` (length must equal the arity).
+    """Evaluate `e` at `point` (length must equal the arity): the checked
+    entry to `lowered(e)`, which converts each coordinate to float.
 
     Deterministic: the same expression and point always give the bitwise
     identical result.  Domain violations raise :class:`EvalDomainError`
     carrying the offending node and point.
     """
-    pt = tuple(float(v) for v in point)
-    if len(pt) != e.arity:
-        raise StructureError(f"point has {len(pt)} coordinates, expression expects {e.arity}")
-    return lowered(e)(*pt)
+    pt = tuple(map(float, point))
+    if len(pt) != e._arity:
+        raise StructureError(f"point has {len(pt)} coordinates, expression expects {e._arity}")
+    return (e.__dict__.get("_lowered") or lowered(e))(*pt)
 
 
 def lowered(e: Expr):
@@ -387,28 +397,30 @@ def _lower(e: Expr, slot: int | None = None):
     def emit(node: Expr, args: list, lines: list[str], bounds: bool):
         """Emit the code for `node` over its arguments into `lines`; return
         its value's name, or with `bounds`, where each argument is a pair
-        of names, the pair of its bounds."""
-        if isinstance(node, Const):
+        of names, the pair of its bounds.  It dispatches on the exact type."""
+        kind = type(node)
+        if kind is Const:
             if not bounds:
                 return bind(node.value)
             v = node.value
             return (bind(v), bind(v)) if math.isfinite(v) else (bind(-math.inf), bind(math.inf))
-        if isinstance(node, Lift):
+        if kind is Lift:
             return emit(node.inner, [args[p - 1] for p in node.positions], lines, bounds)
-        if isinstance(node, Diagonal):
+        if kind is Diagonal:
             # coordinate j, found at index jj once slot i is deleted, fills slot i
             jj = node.j - 1 if node.j > node.i else node.j
             routed = list(args)
             routed.insert(node.i - 1, args[jj - 1])
             return emit(node.inner, routed, lines, bounds)
-        if isinstance(node, Compose):
-            if node.slot not in node.f.used_slots:
+        if kind is Compose:
+            f, g = node.f, node.g
+            if node.slot not in f._used:
                 # no replacement: behaves as f, g never evaluated
-                return emit(node.f, args[: node.f.arity], lines, bounds)
+                return emit(f, args[: f._arity], lines, bounds)
             routed = list(args)
-            routed[node.slot - 1] = emit(node.g, args if node.g.arity else [], lines, bounds)
-            return emit(node.f, routed, lines, bounds)
-        if isinstance(node, Prim):
+            routed[node.slot - 1] = emit(g, args if g._arity else [], lines, bounds)
+            return emit(f, routed, lines, bounds)
+        if kind is Prim:
             if node.op is Primitive.IDENTITY:
                 return args[0]
             if bounds:
@@ -422,7 +434,7 @@ def _lower(e: Expr, slot: int | None = None):
             else:
                 lines.append(f"{out} = _checked_{node.op.value}({a}, {b}, {bind(node)})")
             return out
-        if isinstance(node, Inverse):
+        if kind is Inverse:
             if bounds:
                 lines.append("return -inf, inf")
                 return "inf", "inf"    # never reached
@@ -432,7 +444,7 @@ def _lower(e: Expr, slot: int | None = None):
             return out
         raise StructureError(f"unknown node type: {type(node).__name__}")
 
-    params = [f"x{k}" for k in range(e.arity)]
+    params = [f"x{k}" for k in range(e._arity)]
     lines: list[str] = []
     result = emit(e, params, lines, False)
     if slot is None:
@@ -599,22 +611,24 @@ def equivalent_on(e1: Expr, e2: Expr, domain: BoxDomain, samples: int = 100,
     True iff |e1(x) - e2(x)| <= tol at every sampled x at which both sides
     evaluate.  A point where exactly one side raises an evaluation error is
     a counterexample; a point where both raise is skipped.  Sampling is
-    uniform and deterministic for a given seed.
+    uniform and deterministic for a given seed.  The arities are checked
+    once; each sample, floats of the right count, goes to `lowered` directly.
     """
     if e1.arity != e2.arity:
         raise StructureError(f"arity mismatch: {e1.arity} vs {e2.arity}")
     if e1.arity != domain.dim:
         raise StructureError(f"domain has {domain.dim} axes, expressions have arity {e1.arity}")
+    f1, f2 = lowered(e1), lowered(e2)
     rng = random.Random(seed)
     for _ in range(samples):
         x = [rng.uniform(lo, hi) for lo, hi in domain.axes]
         try:
-            v1 = evaluate(e1, x)
+            v1 = f1(*x)
             ok1 = True
         except EvalError:
             ok1 = False
         try:
-            v2 = evaluate(e2, x)
+            v2 = f2(*x)
             ok2 = True
         except EvalError:
             ok2 = False

@@ -339,13 +339,15 @@ def _edge_root(h, t, v, gap, tol, notes: list) -> tuple[float, float]:
     The defined end walks toward the gap by bisection until h is within
     tol there, or changes sign, which brackets a root for `_refine_root`
     (its ends in descending order where the gap lies to the left); the
-    walk ends when the two ends are within tol of each other.  A NaN value
-    counts as a gap.
+    walk ends when the two ends are within tol of each other, or where the
+    midpoint equals an end.  A NaN value counts as a gap.
     """
     for _ in range(MAX_BISECT_STEPS):
         if abs(gap - t) <= tol:
             break
         m = 0.5 * t + 0.5 * gap   # t + gap may overflow
+        if m == t or m == gap:   # tol is below the float spacing here
+            break
         try:
             hm = h(m)
         except EvalError:

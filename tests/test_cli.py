@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from util import strict_json
+from util import needs_numpy, strict_json
 
 MVFA = [sys.executable, "-m", "mvfa"]
 
@@ -184,6 +184,7 @@ COMMANDS = {
 }
 
 
+@needs_numpy
 @pytest.mark.parametrize("option", [["--seed", "1"], ["--tol", "1e-9"]], ids=["seed", "tol"])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_option_a_command_does_not_read_is_usage_error(command, option, tmp_path,
@@ -277,6 +278,7 @@ def test_axis_wider_than_the_largest_float_is_structure_error(argv, capsys):
 
 # --- kst ---
 
+@needs_numpy
 def test_kst_decompose_and_reconstruct(tmp_path):
     rep = tmp_path / "rep.json"
     code, out = run_json("kst", "decompose", "add(x,y)", "--grid", "17",
@@ -291,6 +293,7 @@ def test_kst_decompose_and_reconstruct(tmp_path):
     assert abs(out["value"] - 1.0) <= json.loads(rep.read_text())["history"][-1] + 1e-9
 
 
+@needs_numpy
 def test_kst_zero_iters_residual_is_max(tmp_path):
     rep = tmp_path / "rep.json"
     code, out = run_json("kst", "decompose", "add(x,y)", "--grid", "9",
@@ -298,6 +301,7 @@ def test_kst_zero_iters_residual_is_max(tmp_path):
     assert code == 0 and out["final_residual"] == 2.0
 
 
+@needs_numpy
 def test_kst_reconstruct_non_finite_point_is_usage_error(tmp_path, capsys):
     from mvfa import cli
 
@@ -309,6 +313,7 @@ def test_kst_reconstruct_non_finite_point_is_usage_error(tmp_path, capsys):
     assert strict_json(capsys.readouterr().out)["error"]["kind"] == "usage"
 
 
+@needs_numpy
 @pytest.mark.parametrize("at", ["0.5", "0.5,0.5,0.5"])
 def test_kst_reconstruct_wrong_coordinate_count_is_usage_error(at, tmp_path, capsys):
     from mvfa import cli
@@ -322,6 +327,7 @@ def test_kst_reconstruct_wrong_coordinate_count_is_usage_error(at, tmp_path, cap
     assert error["kind"] == "usage" and "takes 2 coordinates" in error["message"]
 
 
+@needs_numpy
 def test_kst_decompose_non_finite_target_writes_nothing(tmp_path, capsys):
     from mvfa import cli
 
@@ -334,6 +340,7 @@ def test_kst_decompose_non_finite_target_writes_nothing(tmp_path, capsys):
     assert not rep.exists()
 
 
+@needs_numpy
 def test_kst_decompose_file_is_byte_identical_across_runs(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     outs = [run("kst", "decompose", "mul(x,add(y,1.9))", "--grid", "17", "--iters", "10",
@@ -349,6 +356,7 @@ def test_kst_reconstruct_bad_file(tmp_path):
     assert code == 1 and out["error"]["kind"] == "format"
 
 
+@needs_numpy
 def test_kst_decompose_unwritable_output_is_format_error(tmp_path):
     path = tmp_path / "no-such-dir" / "rep.json"
     proc = run("kst", "decompose", "add(x,y)", "--grid", "9", "--iters", "1", "-o", str(path))
@@ -394,6 +402,7 @@ print(json.dumps({"bad": bad, "code": code, "value": value,
 """
 
 
+@needs_numpy
 def test_solve_invert_and_reconstruct_run_without_numpy(tmp_path):
     from mvfa import decompose, parse, reconstruct, to_structural
 
@@ -446,3 +455,135 @@ def test_in_process_argv_alone_decides_pretty(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1 and not out.startswith("{\n")
     assert json.loads(out)["error"]["kind"] == "usage"
+
+
+# --- one argv pass: the texts argparse prints stay as they were ---
+
+# Usage errors as `main` prints them, each from the parser that meets it:
+# the top-level parser where argv names no command, else the command's own.
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'eval', 'solve', "
+                "'lift', 'compose', 'diag', 'invert', 'kst')"),
+    (["solve"], "the following arguments are required: equation"),
+    (["eval", "x", "--at", "x=1", "--bogus"], "unrecognized arguments: --bogus"),
+    (["lift", "add", "four", "--positions", "1,2"], "argument arity: invalid int value: 'four'"),
+    (["invert", "pow", "1"], "the following arguments are required: --target"),
+    (["kst"], "the following arguments are required: kst_command"),
+    (["kst", "bogus"], "argument kst_command: invalid choice: 'bogus' "
+                       "(choose from 'decompose', 'reconstruct')"),
+    (["--pretty", "solve", "add(x,a) = c"], "unrecognized arguments: --pretty"),
+    (["solve", "add(x,a) = c", "--domain"], "argument --domain: expected one argument"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_texts(argv, message, capsys):
+    from mvfa import cli
+
+    assert cli.main(argv) == 2
+    error = {"error": {"kind": "usage", "message": message, "location": None}}
+    indent = 2 if "--pretty" in argv else None
+    assert capsys.readouterr().out == json.dumps(error, indent=indent) + "\n"
+
+
+HELP_TEXTS = {
+    "mvfa": """\
+usage: mvfa [-h] {eval,solve,lift,compose,diag,invert,kst} ...
+
+Command-line surface. Every command prints one JSON document on stdout, on
+success and on failure alike, and is fully deterministic: identical
+invocations are byte-identical. Exit codes: 0 success (including a solve with
+no roots), 1 computation error, 2 usage error. The `eval`, `solve` and `kst
+decompose` commands take pointful DSL text (see the frontend grammar); `lift`,
+`compose`, `diag` and `invert` speak the canonical operator notation that
+`format`/solve output, e.g. "A4_{1,2}(add)".
+
+positional arguments:
+  {eval,solve,lift,compose,diag,invert,kst}
+    eval                evaluate a pointful expression
+    solve               solve lhs = rhs for its unknown
+    lift                embed a function at a larger arity
+    compose             replace one slot by another function
+    diag                oblique projection: slot j replaces slot i
+    invert              numeric partial inverse about one slot
+    kst                 superposition decomposition
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "mvfa solve": """\
+usage: mvfa solve [-h] [--param PARAM] [--domain DOMAIN] [--tol TOL]
+                  [--pretty]
+                  equation
+
+positional arguments:
+  equation
+
+options:
+  -h, --help       show this help message and exit
+  --param PARAM    name=value (repeatable)
+  --domain DOMAIN  search interval lo:hi for the unknown
+  --tol TOL        tolerance (default 1e-9)
+  --pretty         indent the JSON output
+""",
+    # argparse 3.13 lists an option's value once for all its spellings
+    "mvfa kst decompose": """\
+usage: mvfa kst decompose [-h] [--grid GRID] [--iters ITERS] [-o OUTPUT]
+                          [--pretty]
+                          expr
+
+positional arguments:
+  expr
+
+options:
+""" + ("""\
+  -h, --help           show this help message and exit
+  --grid GRID
+  --iters ITERS
+  -o, --output OUTPUT
+  --pretty             indent the JSON output
+""" if sys.version_info >= (3, 13) else """\
+  -h, --help            show this help message and exit
+  --grid GRID
+  --iters ITERS
+  -o OUTPUT, --output OUTPUT
+  --pretty              indent the JSON output
+"""),
+}
+
+
+@pytest.mark.parametrize("command", HELP_TEXTS)
+def test_help_texts(command, monkeypatch, capsys):
+    from mvfa import cli
+
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as info:
+        cli.main(command.split()[1:] + ["-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXTS[command]
+
+
+def test_a_command_argv_is_parsed_by_the_command_parser_alone(monkeypatch, capsys):
+    from mvfa import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command's argv")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+    for argv in COMMANDS.values():
+        if argv[0] != "kst":
+            assert cli.main(argv) == 0
+    assert cli.main(["kst", "decompose", "add(x,y)"]) == 2   # needs -o, before any fit
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="top-level parser"):
+        cli.main(["bogus"])
+
+
+def test_an_option_abbreviation_still_names_its_option(capsys):
+    from mvfa import cli
+
+    assert cli.main(["solve", "add(x,a) = c", "--param", "a=2", "--param", "c=5",
+                     "--dom", "0:10"]) == 0
+    out = strict_json(capsys.readouterr().out)
+    assert out["domain"] == [0.0, 10.0] and out["roots"] == [3.0]

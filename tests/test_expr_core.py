@@ -2,8 +2,12 @@
 
 import math
 import random
+import re
+from collections import Counter
 
 import pytest
+
+from mvfa import expr_core
 
 from mvfa.expr_core import (
     BoxDomain,
@@ -195,6 +199,46 @@ def test_compose_arity_validation():
         Compose(Const(1), 1, Const(2))
 
 
+def _exactly(message: str) -> str:
+    """A `match` pattern for the whole of `message`."""
+    return f"^{re.escape(message)}$"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Prim("add"), "not a primitive: 'add'"),
+    (lambda: Lift(Prim(ADD), -1, ()), "lift target arity must be a nonnegative integer, got -1"),
+    (lambda: Lift(Prim(ADD), 2.0, (1, 2)),
+     "lift target arity must be a nonnegative integer, got 2.0"),
+    (lambda: Lift(Prim(ADD), 1, (1, 2)), "cannot lift arity 2 down to arity 1"),
+    (lambda: Lift(Prim(ADD), 4, (1,)),
+     "lift needs one position per inner variable: got 1 for arity 2"),
+    (lambda: Lift(Prim(ADD), 4, (3, 3)), "lift positions must be distinct, got (3, 3)"),
+    (lambda: Lift(Prim(ADD), 4, (0, 2)), "lift position out of range 1..4: (0, 2)"),
+    (lambda: Lift(Prim(ADD), 4, (2, 5)), "lift position out of range 1..4: (2, 5)"),
+    (lambda: Compose(Const(1), 1, Const(2)), "cannot compose two nullary expressions"),
+    (lambda: Compose(Prim(ADD), 1, Prim(E)),
+     "composition operands must share arity or be nullary; got 2 and 1 (lift first)"),
+    (lambda: Compose(Prim(E), 1, Prim(ADD)),
+     "composition operands must share arity or be nullary; got 1 and 2 (lift first)"),
+    (lambda: Compose(Prim(ADD), 0, Prim(MUL)), "composition slot 0 out of range 1..2"),
+    (lambda: Compose(Prim(ADD), 3, Const(1)), "composition slot 3 out of range 1..2"),
+    (lambda: Compose(Const(1), 1.0, Prim(E)), "composition slot 1.0 out of range 1..1"),
+    (lambda: Diagonal(Prim(E), 1, 2), "oblique projection needs arity >= 2, got 1"),
+    (lambda: Diagonal(Const(1), 1, 2), "oblique projection needs arity >= 2, got 0"),
+    (lambda: Diagonal(Prim(POW), 0, 1), "projection slot 0 out of range 1..2"),
+    (lambda: Diagonal(Prim(POW), 1, 3), "projection slot 3 out of range 1..2"),
+    (lambda: Diagonal(Prim(POW), 2, "1"), "projection slot '1' out of range 1..2"),
+    (lambda: Diagonal(Prim(POW), 1, 1), "projection slots must differ"),
+    (lambda: Inverse(Const(1), 1, (0, 1)), "cannot invert a nullary expression"),
+    (lambda: Inverse(Prim(ADD), 3, (0, 1)), "inverse slot 3 out of range 1..2"),
+    (lambda: Inverse(Prim(ADD), "1", (0, 1)), "inverse slot '1' out of range 1..2"),
+    (lambda: Inverse(Prim(ADD), 1, (2, 1)), "bad inverse search interval (2.0, 1.0)"),
+])
+def test_each_structure_error_keeps_its_message(build, message):
+    with pytest.raises(StructureError, match=_exactly(message)):
+        build()
+
+
 def test_box_domain_validation():
     with pytest.raises(StructureError):
         BoxDomain(((1.0, 0.0),))
@@ -237,6 +281,21 @@ def test_error_only_one_side_false():
     ident = Lift(Prim(E), 2, (2,))
     box = BoxDomain(((0, 1), (-1, 1)))
     assert not equivalent_on(recip, ident, box, 200, 1e-9)
+
+
+def test_equivalent_on_lowers_each_side_once_and_checks_once(monkeypatch):
+    # the arities are checked once; then each sample goes straight to the
+    # two lowered functions, never through the checked entry
+    calls = Counter()
+    check, lower = expr_core.evaluate, expr_core._lower
+    monkeypatch.setattr(expr_core, "evaluate", lambda *a: calls.update(["evaluate"]) or check(*a))
+    monkeypatch.setattr(expr_core, "_lower", lambda *a: calls.update(["lower"]) or lower(*a))
+    e1, e2 = Lift(Prim(DIV), 2, (1, 2)), Lift(Prim(DIV), 2, (2, 1))
+    box = BoxDomain(((0.0, 1.0), (0.0, 1.0)))
+    assert not equivalent_on(e1, e2, box, samples=32)
+    assert calls == {"lower": 2}
+    assert equivalent_on(e1, Lift(Prim(E), 2, (1,)), BoxDomain(((0.0, 1.0), (1.0, 1.0))))
+    assert calls == {"lower": 3}
 
 
 # --- inverse node evaluation ---

@@ -33,6 +33,7 @@ from mvfa.inverse import (
     UnsupportedInverseError,
     _axis_points,
     _bisect,
+    _edge_root,
     _refine_root,
     _section,
     check_invertible,
@@ -725,6 +726,21 @@ def test_gap_edge_walk_near_the_top_of_the_float_range():
     f = unary("root(div(add(x,-1.6e308),1e308),2)", 1e308, 1.7e308)
     roots = invert_at(f, 1, 0.005, [], BoxDomain(((1e308, 1.7e308),)))
     assert roots == [pytest.approx(1.600025e308, rel=1e-12)]
+
+
+def test_gap_edge_walk_stops_where_the_midpoint_is_an_end():
+    # sqrt((x - 1.6e308) / 1e308) + 1 has no root; its gap edge at 1.6e308
+    # is first reached where tol is far below the float spacing, so the
+    # walk toward the gap ends once its midpoint rounds to an end
+    h = lowered(unary("add(root(div(add(x,-1.6e308),1e308),2),1)", 1e308, 1.7e308))
+    calls, notes = [], []
+
+    def counted(t):
+        calls.append(t)
+        return h(t)
+    start, gap = 1.60009775e308, 1.59941349e308
+    assert _edge_root(counted, start, h(start), gap, DEFAULT_TOL, notes) == (1.6e308, 1.0)
+    assert (len(calls), notes) == (41, [])
 
 
 def test_nested_inverse_at_a_non_finite_argument_is_a_gap():

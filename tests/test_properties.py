@@ -35,12 +35,16 @@ from mvfa import expr_core
 from mvfa.expr_core import (
     DEFAULT_TOL,
     BoxDomain,
+    Compose,
     Const,
+    Diagonal,
     EvalError,
     Expr,
     Inverse,
+    Lift,
     NoSolutionError,
     Prim,
+    Primitive,
     evaluate,
     lowered,
     lowered_enclosure,
@@ -659,3 +663,83 @@ def test_solve_finds_the_roots_of_a_dense_scan(request):
                       points=20_000, tol=DEFAULT_TOL)
     assert len(report.roots) == len(want)
     assert all(abs(got - r) <= 1e-6 for got, r in zip(report.roots, want))
+
+
+# --- arity and used slots, derived again by routing slots ---
+
+@st.composite
+def trees(draw, depth=4):
+    """A random valid expression tree of every node type."""
+    kind = draw(st.sampled_from(
+        ("const", "prim") if depth == 0 else
+        ("const", "prim", "lift", "compose", "diagonal", "inverse", "inverse")))
+    if kind == "const":
+        return Const(draw(rounded(-2.0, 2.0)))
+    if kind == "prim":
+        return Prim(draw(st.sampled_from(list(Primitive))))
+    inner = draw(trees(depth - 1))
+    m = inner.arity
+    if kind == "lift":
+        n = draw(st.integers(m, m + 2))
+        return Lift(inner, n, tuple(draw(st.permutations(range(1, n + 1)))[:m]))
+    if kind == "diagonal" and m >= 2:
+        i, j = draw(st.permutations(range(1, m + 1)))[:2]
+        return Diagonal(inner, i, j)
+    if kind == "inverse" and m >= 1:
+        return Inverse(inner, draw(st.integers(1, m)), (0.0, 1.0))
+    if kind != "compose":
+        return inner
+    g = draw(trees(depth - 1))
+    if 0 < g.arity < m:
+        g = Lift(g, m, tuple(draw(st.permutations(range(1, m + 1)))[: g.arity]))
+    elif 0 < m < g.arity:
+        inner = Lift(inner, g.arity, tuple(draw(st.permutations(range(1, g.arity + 1)))[:m]))
+    n = max(inner.arity, g.arity)
+    if n == 0:
+        return inner
+    return Compose(inner, draw(st.integers(1, n)), g)
+
+
+def reference_arity(e) -> int:
+    if isinstance(e, Const):
+        return 0
+    if isinstance(e, Prim):
+        return 1 if e.op is Primitive.IDENTITY else 2
+    if isinstance(e, Lift):
+        return e.target_arity
+    if isinstance(e, Compose):
+        return max(reference_arity(e.f), reference_arity(e.g))
+    if isinstance(e, Diagonal):
+        return reference_arity(e.inner) - 1
+    return reference_arity(e.inner)   # Inverse
+
+
+def reaches(e, args: list) -> set:
+    """The outer slots that reach e's value, where args[k] is the set of
+    outer slots routed to e's slot k + 1: the routing that lowering does."""
+    if isinstance(e, Const):
+        return set()
+    if isinstance(e, Prim):
+        return set().union(*args)
+    if isinstance(e, Lift):
+        return reaches(e.inner, [args[p - 1] for p in e.positions])
+    if isinstance(e, Diagonal):
+        routed = list(args)
+        routed.insert(e.i - 1, args[(e.j - 1 if e.j > e.i else e.j) - 1])
+        return reaches(e.inner, routed)
+    if isinstance(e, Compose):
+        own = [{k} for k in range(1, reference_arity(e.f) + 1)]
+        if e.slot not in reaches(e.f, own):
+            return reaches(e.f, args[: reference_arity(e.f)])
+        routed = list(args)
+        routed[e.slot - 1] = reaches(e.g, args if reference_arity(e.g) else [])
+        return reaches(e.f, routed)
+    return reaches(e.inner, args) | args[e.slot - 1]   # Inverse: its slot is the output value
+
+
+@PROPERTY
+@given(e=trees())
+def test_arity_and_used_slots_match_a_routing_derivation(e):
+    n = reference_arity(e)
+    assert e.arity == n
+    assert e.used_slots == reaches(e, [{k} for k in range(1, n + 1)])

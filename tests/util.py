@@ -16,6 +16,8 @@ import json
 import math
 import random
 
+import pytest
+
 from mvfa import inverse
 from mvfa.expr_core import (
     BoxDomain, Compose, ConfigError, Const, Diagonal, EvalError, Expr, Inverse, Lift, Prim, Primitive,
@@ -24,6 +26,16 @@ from mvfa.expr_core import (
 from mvfa.frontend import AstCall, AstConst, AstSymbol, _format_number
 from mvfa.kst import DEFAULT_DEPTH, inner_psi
 from mvfa.structure_ops import diagonal
+
+try:
+    import numpy  # noqa: F401
+    HAVE_NUMPY = True
+except ImportError:
+    HAVE_NUMPY = False
+
+# For the tests that fit a superposition (`kst decompose`, `decompose`), the
+# one computation that needs numpy: they skip where it cannot be imported.
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="the superposition fit needs numpy")
 
 ADD, MUL, DIV, POW, ROOT, LOG, E = (
     Primitive.ADD, Primitive.MUL, Primitive.DIV, Primitive.POW,
