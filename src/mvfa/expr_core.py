@@ -148,7 +148,7 @@ class Lift(Expr):
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        positions = tuple(map(int, self.positions))
+        positions = tuple(self.positions)
         object.__setattr__(self, "positions", positions)
         m = self.inner._arity
         n = self.target_arity
@@ -162,7 +162,7 @@ class Lift(Expr):
         if len(set(positions)) != m:
             raise StructureError(f"lift positions must be distinct, got {positions}")
         for p in positions:
-            if not 1 <= p <= n:
+            if not isinstance(p, int) or not 1 <= p <= n:
                 raise StructureError(f"lift position out of range 1..{n}: {positions}")
         self._derive(n, frozenset([positions[k - 1] for k in self.inner._used]))
 

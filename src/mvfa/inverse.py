@@ -32,13 +32,15 @@ section from one lowering of the function along the slot
 (`lowered_enclosure`, `lowered_section`): the section is bitwise the point
 function minus the target, with the other coordinates bound once, not
 passed at every point.  It evaluates only the points that can matter to
-its roots, which
-`_pruned_points` chooses without evaluating any: a block of the grid
-whose range enclosure lies beyond tol on one side holds no root, no
-bracket end and no point that fails, so it is dropped but for its ends,
-and where the left half of a block is dropped, the right half is halved
-without an enclosure of its own.  The roots, refinements included, and the
-notes are bitwise those of the scan of every point.  An Inverse node stops
+its roots, which `_pruned_points` chooses: a block of the grid whose range
+enclosure lies beyond tol on one side holds no root, no bracket end and no
+point that fails, so it is dropped but for its ends; a block whose
+enclosure straddles, but whose end values lie beyond tol on opposite
+sides, is split around a crossing cell that a bisection of its grid
+indices finds through the section, so that both sides of the cell can
+drop; and where the left half of a halved block is dropped, the right half
+is halved without an enclosure of its own.  The roots, refinements
+included, and the notes are bitwise those of the scan of every point.  An Inverse node stops
 at its first root.  The default tolerance is the package's `DEFAULT_TOL`
 (1e-9).
 
@@ -65,6 +67,7 @@ the numeric path agree within tolerance (tested, not assumed).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
@@ -437,38 +440,50 @@ def _pruned_roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: f
     """`_roots` of f - target along slot i (the other slots at `fixed`) at
     the scan points of `ts` that `_pruned_points` keeps: the scan of
     `invert_at` and of Inverse nodes, which have no branch split.  Its
-    section and `_pruned_points`'s enclosure come from one lowering."""
+    section and `_pruned_points`'s enclosure come from one lowering, and
+    the search places its splits with the same section."""
     h = lowered_section(f, i)(target, *fixed)
-    return _roots(h, _values(h, _pruned_points(f, i, fixed, ts, target, tol), notes), tol, notes)
+    return _roots(h, _values(h, _pruned_points(f, i, fixed, ts, target, tol, h), notes), tol,
+                  notes)
 
 
-def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float):
+def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float, h):
     """Yield, ascending, the scan points of `ts` that `_roots` needs to find
-    what it finds on all of them, for the section f - target along slot i.
-    It evaluates none of them: the caller does, through `_values`.
+    what it finds on all of them, for the section h = f - target along
+    slot i.  The caller evaluates them, through `_values`; the search itself
+    evaluates h only to place a split, inside a block whose enclosure is
+    finite, where every point evaluates, so it raises and notes nothing.
 
     After the first point, the scan is a depth-first branch-and-bound over
     the whole grid, left block first: a block whose enclosure
     (`lowered_enclosure`) lies strictly above tol or strictly below -tol
     holds values that are all defined, finite and of one sign beyond tol,
     so no scan point inside it is a root or ends a bracket, and it is
-    dropped: only its right end is kept.  Any other block is halved down to
-    `PRUNE_BLOCK` cells and then scanned point by point.  Where the left
-    half of a block whose enclosure straddled is dropped, any root of the
-    block lies in the right half, whose enclosure then straddles as well,
-    so a right half larger than `PRUNE_BLOCK` is halved there without an
-    enclosure of its own.  That is sound, since a block loses points only
-    by an enclosure that drops it; where the skipped enclosure would have
-    dropped the right half, it costs one more enclosure and one more
-    point.  The block after a dropped right half lies beyond the block that
-    was halved, and it is enclosed: a scan that goes on past its last root,
-    as `invert_at`'s does, would pay that cost at every block it drops
-    there.  Where the enclosures stop paying, the rest of the grid is
-    scanned point by point: from a block whose enclosure is (-inf, inf), so
-    an expression that cannot be bounded is scanned at every point after
-    the enclosure of the whole grid, and after `PRUNE_MISSES` enclosures in
-    a row that dropped nothing, which bounds their cost where none can drop
-    a block.
+    dropped: only its right end is kept.  A block whose enclosure is finite
+    and straddles, and whose end values lie beyond tol on opposite sides, is
+    split at a sign change: a bisection over its grid indices finds an
+    index r whose value has left the left end's side (it has the other sign
+    or lies within tol) while the value at r - 1 has not, and the block
+    becomes (a, r-1), the one cell (r-1, r) and (r, b).  A block of one cell
+    is scanned without an enclosure.  Each side is enclosed as any block
+    is, and drops unless it crosses again or its enclosure is loose; where
+    the bisection lands on a later crossing, the left side is halved as
+    below.  Any other block is halved down to `PRUNE_BLOCK` cells and then
+    scanned point by point.  Where the left half of a halved block whose
+    enclosure straddled is dropped, any root of the block lies in the right
+    half, whose enclosure then straddles as well, so a right half larger
+    than `PRUNE_BLOCK` is halved there without an enclosure of its own.  That is
+    sound, since a block loses points only by an enclosure that drops it,
+    whatever blocks are chosen; where the skipped enclosure would have
+    dropped the right half, it costs one more enclosure and one more point.
+    The block after a dropped right half lies beyond the block that was
+    halved, and it is enclosed: a scan that goes on past its last root, as
+    `invert_at`'s does, would pay that cost at every block it drops there.
+    Where the enclosures stop paying, the rest of the grid is scanned point
+    by point: from a block whose enclosure is (-inf, inf), so an expression
+    that cannot be bounded is scanned at every point after the enclosure of
+    the whole grid, and after `PRUNE_MISSES` enclosures in a row that
+    dropped nothing, which bounds their cost where none can drop a block.
     """
     enclose = lowered_enclosure(f, i)
     last = len(ts) - 1
@@ -478,6 +493,10 @@ def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: 
     left = False    # whether the block is the left half of the block halved last
     while blocks:
         a, b = blocks.pop()
+        if b - a < 2:
+            # a split's one cell, or a side of it with no cell
+            yield from ts[a + 1:b + 1]
+            continue
         lo, hi = enclose(ts[a], ts[b], target, *fixed)
         if lo > tol or hi < -tol:
             misses = 0
@@ -494,6 +513,15 @@ def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: 
         if lo == -math.inf or misses == PRUNE_MISSES:
             yield from ts[a + 1:]
             return
+        ha, hb = h(ts[a]), h(ts[b])
+        if ha > tol and hb < -tol or ha < -tol and hb > tol:
+            # the bisection keeps the value at r - 1 on a's side and the one
+            # at r off it, however often the block crosses
+            side = 1.0 if ha > 0 else -1.0
+            r = bisect_left(ts, True, a + 1, b, key=lambda t: side * h(t) <= tol)
+            blocks += (r, b), (r - 1, r), (a, r - 1)
+            left = False
+            continue
         left = b - a > PRUNE_BLOCK
         if left:
             m = (a + b) // 2

@@ -334,12 +334,14 @@ def decompose(f: Expr, grid: int = 33, iters: int = 50) -> KstRep:
         raise EvalError(f"target is not finite at {point}: {float(F[k])!r}", f, point)
 
     # The training grid is a product grid, so every inner sum is one value of
-    # psi_{q,1} plus one of psi_{q,2}: (2n+1)*n*grid scalar maps, not
-    # (2n+1)*n*grid**2.  The sums are the floats `reconstruct` adds, in its order.
+    # psi_{q,1} plus one of psi_{q,2}, and the two maps are weights times one
+    # series: (2n+1)*grid series, not (2n+1)*n*grid**2.  The sums are the
+    # floats `inner_psi` gives and `reconstruct` adds, in its order.
     S = np.empty((q_count, F.size))
     for q in range(q_count):
-        psi1, psi2 = ([inner_psi(q, p, x) for x in axis] for p in (1, 2))
-        S[q] = np.add.outer(psi1, psi2).ravel()
+        base = [_psi_base(x + q * _SHIFT) for x in axis]
+        S[q] = np.add.outer([_WEIGHTS[0] * v for v in base],
+                            [_WEIGHTS[1] * v for v in base]).ravel()
     # Exact inner-sum range over the unit box: the maps are increasing, so
     # the extremes sit at the all-zero and all-one corners, which are the
     # first and the last training point.

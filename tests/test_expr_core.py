@@ -215,6 +215,9 @@ def _exactly(message: str) -> str:
     (lambda: Lift(Prim(ADD), 4, (3, 3)), "lift positions must be distinct, got (3, 3)"),
     (lambda: Lift(Prim(ADD), 4, (0, 2)), "lift position out of range 1..4: (0, 2)"),
     (lambda: Lift(Prim(ADD), 4, (2, 5)), "lift position out of range 1..4: (2, 5)"),
+    # a position that is not an int is refused, as a slot is, not truncated
+    (lambda: Lift(Prim(E), 2, (1.9,)), "lift position out of range 1..2: (1.9,)"),
+    (lambda: Lift(Prim(ADD), 2, (1.0, 2)), "lift position out of range 1..2: (1.0, 2)"),
     (lambda: Compose(Const(1), 1, Const(2)), "cannot compose two nullary expressions"),
     (lambda: Compose(Prim(ADD), 1, Prim(E)),
      "composition operands must share arity or be nullary; got 2 and 1 (lift first)"),

@@ -421,11 +421,13 @@ def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_
     through the reference scan of every point of the same grid
     (`full_scan_roots`), which counts the values `_values` yields there.
     With `every_root`, the scan is that of `invert_at` on the formula's
-    axis, which goes on past the first root.  `blocks`, when a list,
-    receives the grid indices (a, b) of each block enclosed, with whether
-    its enclosure dropped it.  With `refine`, the counts also hold the
-    evaluations of the pruned search's section outside `_values`: those of
-    the bracket refinement."""
+    axis, which goes on past the first root, and the first value is the
+    list of all its roots.  `blocks`, when a list, receives the grid
+    indices (a, b) of each block enclosed, with whether its enclosure
+    dropped it.  With `refine`, the counts also hold the evaluations of the
+    pruned search's section outside `_values`: the probes that
+    `_pruned_points` makes to split blocks, and those of the bracket
+    refinement."""
     import mvfa.inverse as inverse
 
     counts = Counter()
@@ -440,8 +442,14 @@ def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_
             yield item
 
     def counting_points(f, *args):
-        points = points_of(f, *args)
-        return counted(points) if f is formula.inner else points
+        if f is not formula.inner:
+            return points_of(f, *args)
+        *args, h = args
+
+        def probe(t):
+            counts["probes"] += 1
+            return h(t)
+        return counted(points_of(f, *args, probe if refine else h))
 
     def counting_values(h, scan, *args):
         values = values_of(h, scan, *args)
@@ -476,23 +484,24 @@ def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_
     monkeypatch.setattr(inverse, "lowered_enclosure", counting_enclosure)
     if refine:
         monkeypatch.setattr(inverse, "lowered_section", counting_section)
-    if every_root:
+    fixed = point[: i - 1] + point[i:]
+    if not prune:
+        roots = full_scan_roots(formula.inner, i, fixed, ts, point[i - 1], DEFAULT_TOL, [])
+        root = list(roots) if every_root else next(roots, None)
+    elif every_root:
         box = BoxDomain(tuple(formula.axis if k == i else (v, v)
                               for k, v in enumerate(point, start=1)))
-        root = next(iter(invert_at(formula.inner, i, point[i - 1], point[: i - 1] + point[i:],
-                                   box)), None)
-    elif prune:
+        root = invert_at(formula.inner, i, point[i - 1], fixed, box)
+    else:
         try:
             root = evaluate(formula, point)
         except NoSolutionError:
             root = None
-    else:
-        root = next(full_scan_roots(formula.inner, i, point[: i - 1] + point[i:], ts,
-                                    point[i - 1], DEFAULT_TOL, []), None)
     monkeypatch.undo()
     if refine:
-        # `_values` evaluates each point that `_pruned_points` yields once
-        counts["refine"] -= counts["points"]
+        # `_values` evaluates each point that `_pruned_points` yields once,
+        # and each probe goes through the counted section too
+        counts["refine"] -= counts["points"] + counts["probes"]
     return root, counts
 
 
@@ -511,60 +520,83 @@ def _replay_formula(x=None):
 
 
 def test_inverse_formula_scans_a_few_points(monkeypatch):
+    # the enclosure of the whole grid straddles, and its end values lie on
+    # either side of the target: the search bisects the grid indices for
+    # the crossing cell (12 probes), whose left side drops
     for x, full, pruned in (
         # the seeded root mid-axis
-        (None, 333, {"points": 16, "enclosures": 7}),
+        (None, 333, {"points": 3, "enclosures": 2, "probes": 12, "refine": 2}),
         # a root in the first 16 cells: the scan of every point reaches it
-        # as soon, and the enclosures halve the grid down to its block
-        (0.5 + 10.3 * 2.5 / (DEFAULT_GRID - 1), 12, {"points": 12, "enclosures": 7}),
+        # soon, and the split reaches it as soon as the seeded one
+        (0.5 + 10.3 * 2.5 / (DEFAULT_GRID - 1), 12,
+         {"points": 3, "enclosures": 2, "probes": 12, "refine": 4}),
     ):
         formula, point, x = _replay_formula(x)
-        root, counts = _formula_counts(monkeypatch, formula, point)
+        root, counts = _formula_counts(monkeypatch, formula, point, refine=True)
         want, before = _formula_counts(monkeypatch, formula, point, prune=False)
         assert root.hex() == want.hex() and root == pytest.approx(x, abs=1e-8)
         assert before == {"points": full}
         assert counts == pruned
 
 
-def _after(a, b, last):
-    """The block on top of the pruned scan's stack, over a grid of last + 1
-    points, once it has taken the block (a, b) of its halving tree: the
-    right half of the lowest block whose left half holds (a, b), or None;
-    and whether that is the other half of (a, b) itself."""
-    lo, hi, after, sibling = 0, last, None, False
-    while (lo, hi) != (a, b):
-        m = (lo + hi) // 2
-        sibling = b <= m
-        if sibling:
-            hi, after = m, (m, hi)
-        else:
-            lo = m
-    return after, sibling
+LOOSE = "add(add(mul(x,x),mul(mul(x,x),-1)),x)"   # x*x - x*x + x, enclosed loosely
 
 
 def test_right_half_after_a_dropped_left_half_is_not_enclosed(monkeypatch):
-    # at the seeded formula-replay point, after each dropped block the scan
-    # encloses the block on top of its stack, except that the other half
-    # of a dropped left half is halved first where it is larger than
-    # PRUNE_BLOCK; so for the formula (first root) and for invert_at (every
-    # root) alike
-    formula, point, _ = _replay_formula()
-    for every_root, pruned in ((False, {"points": 16, "enclosures": 7}),
-                               (True, {"points": 23, "enclosures": 11})):
+    # x*x - x*x + x = 0.5 on 0:1: the enclosures of the difference are wide,
+    # so the sides of the first split, at 0.5, do not drop and are halved;
+    # where the left half of a halved block drops, the scan takes its right
+    # half, halved first where it is larger than PRUNE_BLOCK, with no
+    # enclosure of its own; for the formula (first root) and invert_at
+    # (every root) alike
+    formula = Inverse(unary(LOOSE, 0.0, 1.0), 1, axis=(0.0, 1.0))
+    for every_root, pruned, halvings in ((False, {"points": 23, "enclosures": 8}, 4),
+                                         (True, {"points": 68, "enclosures": 33}, 10)):
         blocks = []
-        root, counts = _formula_counts(monkeypatch, formula, point, blocks=blocks,
+        root, counts = _formula_counts(monkeypatch, formula, [0.5], blocks=blocks,
                                        every_root=every_root)
-        want, _ = _formula_counts(monkeypatch, formula, point, prune=False)
-        assert root.hex() == want.hex() and counts == pruned
+        want, _ = _formula_counts(monkeypatch, formula, [0.5], prune=False,
+                                  every_root=every_root)
+        assert repr(root) == repr(want) == ("[0.5]" if every_root else "0.5")
+        assert counts == pruned
         assert blocks[0][0] == (0, DEFAULT_GRID - 1) and len(blocks) == counts["enclosures"]
-        halved = 0
+        right_of, halved = {}, 0   # each halved block's left half -> its right half
         for ((a, b), dropped), (block, _) in zip(blocks, blocks[1:]):
-            if dropped:
-                after, sibling = _after(a, b, DEFAULT_GRID - 1)
-                if sibling and after[1] - after[0] > PRUNE_BLOCK:
-                    after, halved = (after[0], sum(after) // 2), halved + 1
-                assert block == after
-        assert halved == 2
+            if not dropped and block == (a, (a + b) // 2):
+                right_of[block] = ((a + b) // 2, b)
+            elif dropped and (a, b) in right_of:
+                c, d = right_of[(a, b)]
+                if d - c > PRUNE_BLOCK:
+                    right_of[(c, (c + d) // 2)] = ((c + d) // 2, d)
+                    halved += 1
+                    d = (c + d) // 2
+                assert block == (c, d)
+        assert halved == halvings
+
+
+@pytest.mark.parametrize("text, axis, pruned, first", [
+    # three roots: the bisection of the whole grid lands on the last
+    # crossing, so its left side (0, 716) crosses twice more; it is halved,
+    # and each half is split at its own crossing
+    ("mul(mul(add(x,-0.3),add(x,-0.5)),add(x,-0.7))", (0.0, 1.0),
+     {"points": 9, "enclosures": 9, "probes": 36, "refine": 5},
+     [((0, 1023), False), ((0, 716), False), ((0, 358), False)]),
+    # a root on the grid point 512: the right side of the first split starts
+    # within tol there, so it and its left halves are halved with no
+    # crossing search, 2 probes each
+    ("add(x,-512)", (0.0, 1023.0),
+     {"points": 23, "enclosures": 13, "probes": 24, "refine": 0},
+     [((0, 1023), False), ((0, 511), True), ((512, 1023), False), ((512, 767), False)]),
+], ids=["three-roots", "end-within-tol"])
+def test_split_finds_the_roots_of_the_scan_of_every_point(monkeypatch, text, axis, pruned,
+                                                          first):
+    formula = Inverse(unary(text, *axis), 1, axis=axis)
+    blocks = []
+    roots, counts = _formula_counts(monkeypatch, formula, [0.0], blocks=blocks,
+                                    every_root=True, refine=True)
+    want, _ = _formula_counts(monkeypatch, formula, [0.0], prune=False, every_root=True)
+    assert [r.hex() for r in roots] == [r.hex() for r in want] and len(roots) == text.count("add")
+    assert counts == pruned and blocks[: len(first)] == first
 
 
 @pytest.mark.parametrize("text, t, value", [
@@ -616,11 +648,13 @@ def test_replay_root_bracket_is_refined_in_two_evaluations(monkeypatch):
     # costs 2 evaluations of the section beyond its scan points, where
     # bisection cost 21; for the formula (first root) and invert_at alike
     formula, point, x = _replay_formula()
-    for every_root, pruned in ((False, {"points": 16, "enclosures": 7, "refine": 2}),
-                               (True, {"points": 23, "enclosures": 11, "refine": 2})):
+    for every_root, pruned in (
+        (False, {"points": 3, "enclosures": 2, "probes": 12, "refine": 2}),
+        (True, {"points": 4, "enclosures": 3, "probes": 12, "refine": 2}),
+    ):
         root, counts = _formula_counts(monkeypatch, formula, point, every_root=every_root,
                                        refine=True)
-        assert root == pytest.approx(x, abs=1e-8) and counts == pruned
+        assert root == pytest.approx([x] if every_root else x, abs=1e-8) and counts == pruned
 
 
 def _refined(search, h, a, b, tol=DEFAULT_TOL):
