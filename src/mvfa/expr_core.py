@@ -23,8 +23,10 @@ from typing import Sequence
 DEFAULT_TOL = 1e-9
 
 # How many lowered source texts keep their compiled code (least recently
-# used dropped first): one per expression shape in use.
-_CODE_CACHE_SIZE = 256
+# used dropped first): one per expression shape in use.  A small shape's
+# code takes about 0.7 KB for a value text and 3.7 KB for a slot text, so a
+# full cache holds a few MB.
+_CODE_CACHE_SIZE = 1024
 
 
 class MvfaError(Exception):
@@ -152,7 +154,7 @@ class Lift(Expr):
         object.__setattr__(self, "positions", positions)
         m = self.inner._arity
         n = self.target_arity
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise StructureError(f"lift target arity must be a nonnegative integer, got {n!r}")
         if m > n:
             raise StructureError(f"cannot lift arity {m} down to arity {n}")
@@ -162,7 +164,7 @@ class Lift(Expr):
         if len(set(positions)) != m:
             raise StructureError(f"lift positions must be distinct, got {positions}")
         for p in positions:
-            if not isinstance(p, int) or not 1 <= p <= n:
+            if type(p) is not int or not 1 <= p <= n:
                 raise StructureError(f"lift position out of range 1..{n}: {positions}")
         self._derive(n, frozenset([positions[k - 1] for k in self.inner._used]))
 
@@ -190,7 +192,7 @@ class Compose(Expr):
             raise StructureError(
                 f"composition operands must share arity or be nullary; got {nf} and {ng} (lift first)")
         slot = self.slot
-        if not isinstance(slot, int) or not 1 <= slot <= n:
+        if type(slot) is not int or not 1 <= slot <= n:
             raise StructureError(f"composition slot {slot!r} out of range 1..{n}")
         used = self.f._used
         if slot in used:
@@ -213,7 +215,7 @@ class Diagonal(Expr):
             raise StructureError(f"oblique projection needs arity >= 2, got {n}")
         i, j = self.i, self.j
         for s in (i, j):
-            if not isinstance(s, int) or not 1 <= s <= n:
+            if type(s) is not int or not 1 <= s <= n:
                 raise StructureError(f"projection slot {s!r} out of range 1..{n}")
         if i == j:
             raise StructureError("projection slots must differ")
@@ -242,7 +244,7 @@ class Inverse(Expr):
         n = self.inner.arity
         if n < 1:
             raise StructureError("cannot invert a nullary expression")
-        if not isinstance(self.slot, int) or not 1 <= self.slot <= n:
+        if type(self.slot) is not int or not 1 <= self.slot <= n:
             raise StructureError(f"inverse slot {self.slot!r} out of range 1..{n}")
         lo, hi = self.axis
         object.__setattr__(self, "axis", (float(lo), float(hi)))
@@ -357,10 +359,13 @@ def _lower(e: Expr, slot: int | None = None):
 
     Slot routing (Lift, Diagonal, and a Compose whose slot f ignores)
     only renames arguments and emits no code.  Each arithmetic primitive
-    emits one line (DIV, POW, ROOT and LOG a call of their `_checked_*`
-    function), a Compose computes g before f, and an Inverse calls
-    `_eval_inverse`: the same float operations in the same order as a walk
-    of the tree, so results and errors (node and local point) are unchanged.
+    emits one line: ADD and MUL take their operands in sorted name order,
+    as `+` and `*` on floats commute bitwise (but for the sign a NaN of two
+    NaN operands takes, which no output shows), and DIV, POW, ROOT and LOG
+    call their checked function from `_CHECKED`.  A Compose computes g
+    before f, and an Inverse calls `_eval_inverse`: the same float
+    operations as a walk of the tree, in the same order, so results and
+    errors (node and local point) are unchanged.
     Given a `slot`, the text holds two functions.  `section(target,
     *fixed)` returns a closure over the other coordinates that runs those
     same lines on t and subtracts the target.  `enclose(lo, hi, target,
@@ -375,18 +380,18 @@ def _lower(e: Expr, slot: int | None = None):
     float operation, and by two for a libm call (`**`, `math.log`), which
     is assumed accurate to within one ulp, and must then be finite and
     ordered, or the enclosure gives up as it does where `**` overflows.
-    Constants and nodes reach the code through its namespace, never
-    through its text.
+    Constants, nodes and each node's checked function reach the code
+    through its namespace, never through its text.
 
-    So the source text depends only on the shape of `e` (and `slot`), and
-    it is compiled once per text: the code objects of the last
-    `_CODE_CACHE_SIZE` (256) texts are kept and run in each lowering's own
-    fresh namespace.  Sharing a code object is safe because it holds no
-    constant and no node; the function, which binds them, is never shared.
+    So the source text depends only on the shape of `e` (and `slot`), up to
+    which checked primitive sits at a node and the order of a sum's or a
+    product's operands, and it is compiled once per text: the code objects
+    of the last `_CODE_CACHE_SIZE` (1 024) texts are kept and run in each
+    lowering's own fresh namespace.  Sharing a code object is safe because
+    it holds no constant, no node and no checked function; the function,
+    which binds them, is never shared.
     """
-    namespace = {"_checked_div": _checked_div, "_checked_pow": _checked_pow,
-                 "_checked_root": _checked_root, "_checked_log": _checked_log,
-                 "_eval_inverse": _eval_inverse,
+    namespace = {"_eval_inverse": _eval_inverse,
                  "log": math.log, "nextafter": math.nextafter, "inf": math.inf}
 
     def bind(obj) -> str:
@@ -427,12 +432,13 @@ def _lower(e: Expr, slot: int | None = None):
                 return _enclose_lines(node.op, *args, lines)
             a, b = args
             out = f"t{len(lines)}"
-            if node.op is Primitive.ADD:
-                lines.append(f"{out} = {a} + {b}")
-            elif node.op is Primitive.MUL:
-                lines.append(f"{out} = {a} * {b}")
+            infix = _INFIX.get(node.op)
+            if infix:
+                if b < a:   # + and * commute bitwise: one order serves both
+                    a, b = b, a
+                lines.append(f"{out} = {a} {infix} {b}")
             else:
-                lines.append(f"{out} = _checked_{node.op.value}({a}, {b}, {bind(node)})")
+                lines.append(f"{out} = {bind(_CHECKED[node.op])}({a}, {b}, {bind(node)})")
             return out
         if kind is Inverse:
             if bounds:
@@ -602,6 +608,14 @@ def _checked_log(a: float, b: float, node) -> float:
     if b <= 0 or b == 1:
         raise EvalDomainError("logarithm base must be positive and not 1", node, (a, b))
     return math.log(a, b)
+
+
+# How a lowering writes each primitive: ADD and MUL as an operator, each
+# other one as a call of its checked function, which it binds by name at
+# each node, as it binds the node itself.
+_INFIX = {Primitive.ADD: "+", Primitive.MUL: "*"}
+_CHECKED = {Primitive.DIV: _checked_div, Primitive.POW: _checked_pow,
+            Primitive.ROOT: _checked_root, Primitive.LOG: _checked_log}
 
 
 def equivalent_on(e1: Expr, e2: Expr, domain: BoxDomain, samples: int = 100,

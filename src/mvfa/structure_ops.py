@@ -29,7 +29,7 @@ diagonal = Diagonal
 
 def lift_count(m: int, n: int) -> int:
     """Number of distinct lifts of an m-ary function to arity n."""
-    if not (isinstance(m, int) and isinstance(n, int) and 1 <= m <= n):
+    if not (type(m) is int and type(n) is int and 1 <= m <= n):
         raise StructureError(f"lift_count needs 1 <= m <= n, got m={m!r}, n={n!r}")
     return math.perm(n, m)
 

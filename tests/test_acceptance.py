@@ -13,7 +13,6 @@ import sys
 import time
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from mvfa.expr_core import (
@@ -42,6 +41,7 @@ from util import (
     SAFE_LEAF_RANGE,
     ast_eval,
     assert_matches_fn,
+    needs_numpy,
     poly_sum,
     random_ast,
     scan_roots,
@@ -250,6 +250,7 @@ def test_criterion_7_lift_count_enumeration():
                 assert lift_count(m, n) == brute
 
 
+@needs_numpy
 def test_criterion_8_kst_properties():
     with criterion(8, "superposition properties"):
         start = time.perf_counter()
@@ -272,7 +273,7 @@ def test_criterion_8_kst_properties():
         assert rep_const.history[-1] <= 1e-9
         assert abs(reconstruct(rep_const, [0.31, 0.77]) - 4.25) <= 1e-9
 
-        off = (np.arange(64) + 0.5) / 64.0
+        off = [(k + 0.5) / 64 for k in range(64)]
         errs = [reconstruct(rep_mul, [a, b]) - a * b for a in off for b in off]
         rmse = math.sqrt(sum(e * e for e in errs) / len(errs))
         assert rmse <= 0.05, f"held-out RMSE {rmse}"

@@ -236,6 +236,16 @@ def _exactly(message: str) -> str:
     (lambda: Inverse(Prim(ADD), 3, (0, 1)), "inverse slot 3 out of range 1..2"),
     (lambda: Inverse(Prim(ADD), "1", (0, 1)), "inverse slot '1' out of range 1..2"),
     (lambda: Inverse(Prim(ADD), 1, (2, 1)), "bad inverse search interval (2.0, 1.0)"),
+    # True == 1, but a node built on it would not read back from its notation
+    (lambda: Compose(Prim(ADD), True, Const(2)),
+     "composition slot True out of range 1..2"),
+    (lambda: Lift(Prim(E), True, (1,)),
+     "lift target arity must be a nonnegative integer, got True"),
+    (lambda: Lift(Prim(E), 2, (True,)), "lift position out of range 1..2: (True,)"),
+    (lambda: Diagonal(Prim(ADD), True, 2), "projection slot True out of range 1..2"),
+    (lambda: Diagonal(Lift(Prim(ADD), 3, (1, 2)), 1, True),
+     "projection slot True out of range 1..3"),
+    (lambda: Inverse(Prim(ADD), True, (0, 1)), "inverse slot True out of range 1..2"),
 ])
 def test_each_structure_error_keeps_its_message(build, message):
     with pytest.raises(StructureError, match=_exactly(message)):
@@ -355,9 +365,8 @@ def test_inverse_formula_stops_at_its_first_root(monkeypatch):
     from mvfa.inverse import DEFAULT_GRID, invert_at
 
     calls = []
-    apply = expr_core._checked_div
-    monkeypatch.setattr(expr_core, "_checked_div",
-                        lambda *a: calls.append(a) or apply(*a))
+    apply = expr_core._CHECKED[DIV]
+    monkeypatch.setitem(expr_core._CHECKED, DIV, lambda *a: calls.append(a) or apply(*a))
     half = Diagonal(Compose(Lift(Prim(DIV), 2, (1, 2)), 2, Const(2.0)), 2, 1)
     value = evaluate(Inverse(half, 1, axis=(0.0, 10.0)), [0.25])
     assert 0 < len(calls) < DEFAULT_GRID // 2
@@ -506,15 +515,16 @@ def _count_compiles(monkeypatch):
     return sources
 
 
-def _log_base(c):
-    """log(x1, c) at arity 2, and its LOG node: one shape for every c."""
-    log = Prim(LOG)
-    return Compose(Lift(log, 2, (1, 2)), 2, Const(c)), log
+def _log_base(c, op=LOG):
+    """log(x1, c) at arity 2, or op(x1, c), and its primitive's node: one
+    shape for every c, and for every checked op."""
+    prim = Prim(op)
+    return Compose(Lift(prim, 2, (1, 2)), 2, Const(c)), prim
 
 
 def test_one_compile_per_shape(monkeypatch):
     from mvfa.expr_core import lowered, lowered_enclosure
-    from mvfa.frontend import format_expr, parse_structural
+    from mvfa.frontend import format_expr, parse, parse_structural, to_structural
 
     sources = _count_compiles(monkeypatch)
     f, _ = _log_base(2.0)
@@ -529,6 +539,24 @@ def test_one_compile_per_shape(monkeypatch):
     assert bounds[0] == bounds[1] != bounds[2]
     assert all(low < math.log(8.0, c) - 1.0 < high
                for (low, high), c in zip(bounds, (2.0, 2.0, 4.0)))
+    # each node's checked function reaches the code by name: one text
+    del sources[:]
+    fns = [lowered(to_structural(parse(f"{op}(x,1.3)")).expr)
+           for op in ("div", "pow", "root", "log")]
+    assert [fn(3.7).hex() for fn in fns] == [
+        v.hex() for v in (3.7 / 1.3, 3.7 ** 1.3, 3.7 ** (1.0 / 1.3), math.log(3.7, 1.3))]
+    assert len(sources) == 1
+    # a sum's or a product's operands are written in one order: a text for
+    # op(x, c) and op(c, x), and one for op(x1, x2) and op(x2, x1)
+    for op, apply in ((ADD, float.__add__), (MUL, float.__mul__)):
+        del sources[:]
+        swaps = [(to_structural(parse(f"{op.value}(x,1.3)")).expr, (3.7,), (3.7, 1.3)),
+                 (to_structural(parse(f"{op.value}(1.3,x)")).expr, (3.7,), (1.3, 3.7)),
+                 (Lift(Prim(op), 2, (1, 2)), (3.7, 1.3), (3.7, 1.3)),
+                 (Lift(Prim(op), 2, (2, 1)), (3.7, 1.3), (1.3, 3.7))]
+        assert [lowered(e)(*point).hex() for e, point, _ in swaps] == [
+            apply(*operands).hex() for _, _, operands in swaps]
+        assert len(sources) == 2
 
 
 def test_shared_code_keeps_each_expression_its_constants_and_nodes(monkeypatch):
@@ -541,6 +569,14 @@ def test_shared_code_keeps_each_expression_its_constants_and_nodes(monkeypatch):
         with pytest.raises(EvalDomainError) as info:
             evaluate(e, [-1.0, 0.0])
         assert info.value.node is log and info.value.point == (-1.0, c)
+    # a division shares the logarithm's code, and raises with its own node
+    h, h_div = _log_base(0.0, DIV)
+    with pytest.raises(EvalDomainError, match="division by zero") as info:
+        evaluate(h, [8.0, 0.0])
+    assert info.value.node is h_div and info.value.point == (8.0, 0.0)
+    with pytest.raises(EvalDomainError, match="logarithm of a non-positive") as info:
+        evaluate(f, [0.0, 0.0])
+    assert info.value.node is f_log and info.value.point == (0.0, 2.0)
     assert len(sources) == 1
 
 

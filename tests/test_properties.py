@@ -436,12 +436,35 @@ def count_constants(e):
     return 1 if isinstance(e, Const) else sum(map(count_constants, subexpressions(e).values()))
 
 
+CHECKED = (DIV, POW, ROOT, LOG)
+
+
+def count_checked(e):
+    if isinstance(e, Prim):
+        return e.op in CHECKED
+    return sum(map(count_checked, subexpressions(e).values()))
+
+
 def with_constants(e, values):
     """A copy of e, every node new, its constants taken in turn from values:
     the same shape, so the same lowered source text."""
     if isinstance(e, Const):
         return Const(next(values))
     return dataclasses.replace(e, **{name: with_constants(sub, values)
+                                     for name, sub in subexpressions(e).items()})
+
+
+def swapped(e, ops):
+    """A copy of e, every node new, each checked primitive taken in turn from
+    ops and the two operands of each sum and product swapped: the same
+    lowered value text, which calls other functions in another order."""
+    if isinstance(e, Prim):
+        if e.op in (ADD, MUL):
+            return Lift(Prim(e.op), 2, (2, 1))
+        return Prim(next(ops) if e.op in CHECKED else e.op)
+    if isinstance(e, Const):
+        return Const(e.value)
+    return dataclasses.replace(e, **{name: swapped(sub, ops)
                                      for name, sub in subexpressions(e).items()})
 
 
@@ -457,21 +480,26 @@ def lowered_outcome(e, point):
 @PROPERTY
 @given(ast=st.one_of(MIXED, EDGE, PARTIAL), data=st.data())
 def test_shared_code_evaluates_as_fresh_code(ast, data):
-    # twin differs from e only in its constants; whichever is lowered second
-    # runs the code compiled for the first, and must do what a cold compile does
+    # one twin differs from e only in its constants, the other only in its
+    # checked primitives and the operand order of its sums and products;
+    # whichever of e and a twin is lowered second runs the code compiled for
+    # the first, and must do what a cold compile does
     e = structural(ast)
-    n = count_constants(e)
-    twin = with_constants(e, iter(data.draw(st.lists(EDGE_CONSTANTS, min_size=n, max_size=n))))
+    n, k = count_constants(e), count_checked(e)
+    constants = data.draw(st.lists(EDGE_CONSTANTS, min_size=n, max_size=n))
+    checked = data.draw(st.lists(st.sampled_from(CHECKED), min_size=k, max_size=k))
+    twins = (with_constants(e, iter(constants)), swapped(e, iter(checked)))
     point = [float(v) for v in data.draw(st.lists(MIXED_VALUE, min_size=e.arity, max_size=e.arity))]
-    cold = []
-    for x in (e, twin):
-        expr_core._compile.cache_clear()
-        cold.append(lowered_outcome(x, point))
-    for order in ((e, twin), (twin, e)):
-        expr_core._compile.cache_clear()
-        warm = [lowered_outcome(x, point) for x in order]
-        assert expr_core._compile.cache_info().hits == 1
-        assert warm == (cold if order[0] is e else cold[::-1])
+    for twin in twins:
+        cold = []
+        for x in (e, twin):
+            expr_core._compile.cache_clear()
+            cold.append(lowered_outcome(x, point))
+        for order in ((e, twin), (twin, e)):
+            expr_core._compile.cache_clear()
+            warm = [lowered_outcome(x, point) for x in order]
+            assert expr_core._compile.cache_info().hits == 1
+            assert warm == (cold if order[0] is e else cold[::-1])
 
 
 @PROPERTY

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -70,6 +71,12 @@ def test_lift_count_matches_enumeration_up_to_six():
     for n in range(1, 7):
         for m in range(1, n + 1):
             assert lift_count(m, n) == brute_force_lift_count(m, n)
+
+
+@pytest.mark.parametrize("m, n", [(True, 2), (1, True), (1.0, 2)])
+def test_lift_count_refuses_what_is_not_an_int(m, n):
+    with pytest.raises(StructureError, match=re.escape(f"got m={m!r}, n={n!r}")):
+        lift_count(m, n)
 
 
 def test_lift_count_rejects_bad_input():
