@@ -12,8 +12,9 @@ arguments; `_values`, the one place where a scan evaluates its points,
 pairs each scan point with the section's value there, or None where it
 does not evaluate; `_fiber_scans` walks the fibers of a probe or a split,
 and `_scan_fiber` finds each one's flat steps and turning points;
-`_refine_root` is the one root-bracket refiner (Illinois regula
-falsi, with bisection steps as its safeguard), and `_bisect` bisects only
+`_refine_root` is the one bracket refiner (Illinois regula falsi, with
+bisection steps as its safeguard) of roots and of branch cuts, which are
+roots of a central difference of the section, and `_bisect` bisects only
 the equal-value witnesses of a turning point; `_edge_root` searches a scan
 interval with one undefined end up to the gap edge; and `_roots` is the
 sign-change scan, bracketing and root grouping shared by `invert_at`,
@@ -48,8 +49,8 @@ The core has one failure rule.  A point where the section does not
 evaluate (log, root or division outside its domain, overflow in a power,
 a nested Inverse at a non-finite argument or without a preimage) is a
 gap: it ends a run of the scan, takes part in no flat-step,
-turning-point or sign test, ends a root refinement, a bisection or an
-extremum refinement where it stands, and is noted where a notes list
+turning-point or sign test, ends a refinement (of a root or of a cut) or a
+bisection where it stands, and is noted where a notes list
 exists (`invert_at`'s `warnings`).  It is never raised out of
 `check_invertible`, `piecewise_split`, `invert_at` or `inverse_fn`: the
 stretches where the function is undefined are skipped, and the defined
@@ -559,7 +560,8 @@ def _probe(f: Expr, i: int, d: BoxDomain, grid: int,
             # vals[k] is a local extremum; any level strictly between it and
             # the nearer neighbour value is crossed on both sides.
             va, vb, vc = vals[k - 1], vals[k], vals[k + 1]
-            level = (vb + (max(va, vc) if vb > va else min(va, vc))) / 2.0
+            near = max(va, vc) if vb > va else min(va, vc)
+            level = 0.5 * vb + 0.5 * near   # vb + near may overflow
             h = _section(f, i, fixed, level)
             t1, err1 = _bisect(h, ts[k - 1], ts[k], va - level, vb - level, tol / 2.0, [])
             t2, err2 = _bisect(h, ts[k], ts[k + 1], vb - level, vc - level, tol / 2.0, [])
@@ -638,10 +640,14 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
     """Split axis `i` into monotone branches.
 
     Section extrema are detected as sign changes of the discrete slope on
-    every probed fiber and localized by ternary refinement, which stops at
-    its current bracket where the section does not evaluate; cut points
-    from all fibers are merged within one grid cell.  Each resulting branch
-    must pass check_invertible at the same resolution.  Where no fiber
+    every probed fiber.  Each is cut at the root of the central difference
+    s(t + delta) - s(t - delta), delta = 1e-6 of the axis interval
+    (one-sided at its ends), which `_refine_root` refines to float
+    resolution over the two cells around the turn, or at the grid turn
+    where the difference shows no sign change there; a refinement that
+    meets a point where s does not evaluate cuts there.  Cut points from
+    all fibers are merged within one grid cell.  Each resulting branch must
+    pass check_invertible at the same resolution.  Where no fiber
     turns, the one branch is the whole axis and that probe would repeat the
     split's own scan point for point, so it is not run.
     Stretches where the section does not evaluate are skipped, never cut
@@ -660,6 +666,7 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
     _check_slot(f, i, d, grid)
     lo, hi = d.axis(i)
     cell = (hi - lo) / (grid - 1)
+    delta = 1e-6 * (hi - lo)    # the step of the difference whose roots are the cuts
 
     cuts: list[float] = []
     for _, section, ts, (vals, flat, turns) in _fiber_scans(f, i, d, grid):
@@ -667,9 +674,16 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
             raise DegenerateInputError(
                 f"flat section segment on axis {i} near t={ts[flat]!r}: "
                 "cannot isolate strictly monotone branches")
+
+        def slope(t, s=section):   # one-sided where t +- delta leaves [lo, hi]
+            return s(min(t + delta, hi)) - s(max(t - delta, lo))
         for k in turns:
-            cuts.append(_refine_extremum(section, ts[k - 1], ts[k + 1],
-                                         peak=vals[k] > vals[k - 1], tol=tol))
+            try:
+                ga, gb = slope(ts[k - 1]), slope(ts[k + 1])
+            except EvalError:
+                ga = gb = 0.0   # no sign change: the cut is the grid turn
+            cuts.append(_refine_root(slope, ts[k - 1], ts[k + 1], ga, gb, 0.0, [])[0]
+                        if ga < 0 < gb or gb < 0 < ga else ts[k])
 
     merged: list[float] = []
     for c in sorted(cuts):
@@ -697,24 +711,6 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
         branches.append(Branch((a, b)))
         scans.append(scan)
     return PiecewiseInverse(tuple(branches)), scans
-
-
-def _refine_extremum(section, a, b, peak: bool, tol: float) -> float:
-    for _ in range(MAX_BISECT_STEPS):
-        if b - a <= tol:
-            break
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        try:
-            v1 = section(m1)
-            v2 = section(m2)
-        except EvalError:
-            break  # a gap: the extremum is cut at the current bracket
-        if (v1 < v2) == peak:
-            a = m1
-        else:
-            b = m2
-    return 0.5 * (a + b)
 
 
 def inverse_fn(f: Expr, i: int, d: BoxDomain, tol: float = DEFAULT_TOL,

@@ -20,6 +20,16 @@ changed passes only where
 - each moved root lies within 1e-6 + tol/|slope| of its old value, the
   slope taken by a central difference at the new root.
 
+A branch end that moved, in the 2-D `inverse_fn` branches or in the
+`GOLDEN` rows that print branches, passes only where the branch count is
+unchanged, the end lies within 1e-6 of its old value, and the independent
+evaluator, on one fiber, shows the slope changing sign across it: the
+differences f(e) - f(e - 1e-6) and f(e + 1e-6) - f(e) have opposite signs.
+The `degenerate` message of a solve that names a branch moves with the cut
+that ends the branch: it may change only in the cases of `CUT_MESSAGES`,
+and only within its pattern, with the exit code and the error kind
+unchanged.
+
 The two pole rows, where a bracket spans the pole of 1/t, may trade the
 note that ends that bracket ("bisection aborted" for "bisection stalled"):
 whether a search meets the pole exactly or stalls next to it depends on
@@ -60,7 +70,18 @@ ROWS = {
     "close-roots-one-group": (lambda t: (t - 0.5) ** 2 * 1e12 - 1e-5, 1e-9),
     "formula-close-roots": (lambda t: (t - 0.5) ** 2 * 1e12 - 1e-5, 1e-9),
     "multi-branch-inverse-fn": (lambda t: t ** 3 - t - 0.1, 1e-10),
+    "two-dim-inverse-fn": (lambda t: t ** 2 + 0.5 - 0.75, 1e-9),
 }
+# f along the cut axis, on one fiber, for the GOLDEN rows that print branches
+CUT_ROWS = {
+    "three-branch-split": lambda t: t ** 3 - t,
+    "two-dim-split": lambda t: t ** 2,    # x1^2 + x2 on the fiber x2 = 0
+}
+CUT_BOUND = 1e-6
+BRANCH = re.compile(r"Branch\(interval=\(([^,]+), ([^)]+)\)\)")
+# solves whose degenerate message names a branch, and so moves with its cut
+CUT_MESSAGES = {"solve[6]"}
+NOT_MONOTONE = re.compile(r"branch \d+ \[\S+, \S+\] is not monotone at grid \d+")
 POLE_ROWS = {"bisection-abort", "bisection-stall"}
 POLE_NOTE = re.compile(r"bisection (aborted|stalled) near t=")
 # `Branch.branch_id` no longer exists: old reprs are compared without it
@@ -111,6 +132,26 @@ def moved_roots(label, old, new, h, tol, failures):
             failures.append(label)
 
 
+def moved_cuts(label, old, new, s, failures):
+    """Check and print the branch ends of one case that moved; `old` and
+    `new` are lists of (a, b), and s(t) is f along the cut axis."""
+    if len(old) != len(new):
+        failures.append(f"{label}: {len(old)} branches became {len(new)}")
+        return
+    for e0, e in zip((a for a, _ in old[1:]), (a for a, _ in new[1:])):
+        if e0 == e:
+            continue
+        left, right = s(e) - s(e - CUT_BOUND), s(e + CUT_BOUND) - s(e)
+        ok = abs(e - e0) <= CUT_BOUND and (left < 0 < right or right < 0 < left)
+        print(f"  {label}: cut {e0!r} -> {e!r}  moved {abs(e - e0):.3g} (bound {CUT_BOUND:g}), "
+              f"slope {left:.3g} | {right:.3g}{'' if ok else '  FAIL'}")
+        if not ok:
+            failures.append(f"{label}: branch end {e0!r} -> {e!r}")
+    ends = [x for branch in new for x in branch]
+    if ends[0] != old[0][0] or ends[-1] != old[-1][1] or ends[1:-1:2] != ends[2:-1:2]:
+        failures.append(f"{label}: branches no longer tile the axis")
+
+
 def run_cli(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -124,6 +165,14 @@ def cli_case(section, k, case, failures):
     if (code, out) == (case["exit"], case["stdout"]):
         return case
     old, new = json.loads(case["stdout"]), json.loads(out)
+    if label in CUT_MESSAGES and "error" in old:
+        (old_error, old_message), (new_error, new_message) = (
+            ({**rec["error"], "message": None}, rec["error"]["message"]) for rec in (old, new))
+        print(f"  {label}: {old_message!r} -> {new_message!r}")
+        if (code, new_error) != (case["exit"], old_error) or not all(
+                map(NOT_MONOTONE.fullmatch, (old_message, new_message))):
+            failures.append(f"{label}: exit code, error kind or message pattern changed")
+        return {**case, "stdout": out}
     unrefined = ({k: v for k, v in rec.items() if k not in ("roots", "residuals")}
                  for rec in (old, new))
     if code != case["exit"] or next(unrefined) != next(unrefined):
@@ -156,9 +205,14 @@ def inverse_fn_case(spec, failures):
     form = to_structural(lhs)
     fn = inverse_fn(form.expr, spec["slot"], BoxDomain(tuple(map(tuple, spec["domain"]))),
                     tol=spec["tol"], grid=spec["grid"], split_grid=spec["split_grid"])
-    if [[*b.interval] for b in fn.pieces.branches] != spec["branches"]:
-        failures.append("inverse_fn: branches changed")
     names = [form.binding[k] for k in sorted(form.binding)]
+    branches = [[*b.interval] for b in fn.pieces.branches]
+    if branches != spec["branches"]:
+        # the fiber at the lower end of every other axis
+        fiber = {n: lo for n, (lo, _) in zip(names, spec["domain"])}
+        axis = names[spec["slot"] - 1]
+        moved_cuts("inverse_fn", spec["branches"], branches,
+                   lambda t: ast_eval(lhs, {**fiber, axis: t}), failures)
     calls = []
     for k, call in enumerate(spec["calls"]):
         args = call["args"]
@@ -172,7 +226,7 @@ def inverse_fn_case(spec, failures):
             return ast_eval(lhs, {**env, unknown: t}) - c
         moved_roots(f"inverse_fn[{k}]", call["roots"], roots, h, spec["tol"], failures)
         calls.append({**call, "roots": roots})
-    return {**spec, "calls": calls}
+    return {**spec, "branches": branches, "calls": calls}
 
 
 def roots_and_warnings(value):
@@ -200,6 +254,11 @@ def golden_rows(old_test_path, failures):
         if got == old[name]:
             continue
         print(f"GOLDEN[{name}]: {old[name]}\n  -> {got}")
+        if name in CUT_ROWS:
+            moved_cuts(f"GOLDEN[{name}]", *(
+                [(float(a), float(b)) for a, b in BRANCH.findall(text)]
+                for text in (old[name], got)), CUT_ROWS[name], failures)
+            continue
         if name not in ROWS:
             failures.append(f"GOLDEN[{name}] changed and has no check")
             continue

@@ -729,6 +729,15 @@ def test_witness_bisection_near_the_top_of_the_float_range():
     assert w.v1 == pytest.approx(2.265625e13) and abs(w.v1 - w.v2) <= DEFAULT_TOL
 
 
+def test_witness_level_near_the_top_of_the_float_range():
+    # 1.7e308 - 1e307 x^2 peaks at 1.7e308; the sum of the peak value and
+    # its neighbour's overflows, and the witness level must not
+    f = unary("add(1.7e308,mul(mul(x,x),-1e307))", -2.0, 2.0)
+    verdict = check_invertible(f, 1, BoxDomain(((-2.0, 2.0),)), grid=5)
+    w = verdict.witness
+    assert not verdict.invertible and w.t1 < 0 < w.t2 and w.v1 == w.v2
+
+
 # --- undefined stretches: a gap in every scan, never an error ---
 
 RECIP, _ = normalize(Compose(Lift(Prim(DIV), 2, (1, 2)), 1, Const(1.0)))    # 1/x1
@@ -816,15 +825,54 @@ def test_undefined_stretch_is_skipped_not_cut(text, lo, hi):
     assert piecewise_split(f, 1, box, grid=65).branches == (Branch((lo, hi)),)
 
 
-def test_extremum_refinement_stops_at_a_gap():
+def test_cut_refinement_stops_at_a_gap():
     # sqrt((x-0.3)(x-0.4)) is undefined on (0.3, 0.4), between grid points;
-    # the ternary search around the grid turn at 0.5 meets it at once
+    # the refinement of the slope's root around the grid turn at 0.5 meets
+    # it, and the cut falls where it stopped, inside the undefined stretch
     f = unary("root(mul(add(x,-0.3),add(x,-0.4)),2)", -1.0, 1.0)
     box = BoxDomain(((-1.0, 1.0),))
-    assert piecewise_split(f, 1, box, grid=5).branches == (
-        Branch((-1.0, 0.5)), Branch((0.5, 1.0)))
+    (a, cut), (cut_again, b) = (branch.interval
+                                for branch in piecewise_split(f, 1, box, grid=5).branches)
+    assert (a, cut_again, b) == (-1.0, cut, 1.0) and 0.3 < cut < 0.4
+    with pytest.raises(EvalDomainError):
+        evaluate(f, [cut])
     roots = inverse_fn(f, 1, box, split_grid=5)(0.2)
     assert roots == pytest.approx([0.35 - math.sqrt(0.0425), 0.35 + math.sqrt(0.0425)], abs=1e-8)
+
+
+def test_cut_is_a_root_of_the_slope_in_a_few_evaluations(monkeypatch):
+    # x^3 - x turns at -+1/sqrt(3); each cut is the root of a central
+    # difference of the section, refined to float resolution
+    import mvfa.inverse as inverse
+
+    calls = []
+    section = inverse._section
+
+    def counted(*args):
+        s, seen = section(*args), []
+        calls.append(seen)
+        return lambda t: seen.append(t) or s(t)
+
+    monkeypatch.setattr(inverse, "_section", counted)
+    branches = piecewise_split(CUBIC, 1, BoxDomain(((-2.0, 2.0),)), grid=65).branches
+    assert [branch.interval[1] for branch in branches[:-1]] == [
+        pytest.approx(-1 / math.sqrt(3), abs=DEFAULT_TOL),
+        pytest.approx(1 / math.sqrt(3), abs=DEFAULT_TOL)]
+    # the split's fiber: its 65 scan points, then the cuts, one on each side of 0
+    refined = calls[0][65:]
+    assert 0 < sum(t < 0 for t in refined) <= 30 and 0 < sum(t > 0 for t in refined) <= 30
+
+
+def test_cut_without_a_slope_sign_change_is_the_grid_turn():
+    # across the pole of 1/x on -1:0.9 the scan jumps from -49.2 to 106.7,
+    # two grid turns; the slope is negative at both ends of each bracket, so
+    # each cut is its grid turn, and the second, one cell from the first,
+    # is merged into it
+    f = unary("div(1,x)", -1.0, 0.9)
+    ts = _axis_points(-1.0, 0.9, 65)
+    with pytest.raises(DegenerateInputError) as info:
+        piecewise_split(f, 1, BoxDomain(((-1.0, 0.9),)), grid=65)
+    assert str(info.value) == f"branch 2 [{ts[33]!r}, 0.9] is not monotone at grid 65"
 
 
 # --- golden values: exact results of the scan/bisection core ---
@@ -898,9 +946,9 @@ GOLDEN = {
         "InvertVerdict(invertible=True, witness=None)"),
     "three-branch-split": (
         lambda: piecewise_split(CUBIC, 1, BoxDomain(((-2.0, 2.0),)), grid=65, tol=1e-10).branches,
-        "(Branch(interval=(-2.0, -0.5773502731187958)), "
-        "Branch(interval=(-0.5773502731187958, 0.5773502731187958)), "
-        "Branch(interval=(0.5773502731187958, 2.0)))"),
+        "(Branch(interval=(-2.0, -0.5773502691841185)), "
+        "Branch(interval=(-0.5773502691841185, 0.5773502691841185)), "
+        "Branch(interval=(0.5773502691841185, 2.0)))"),
     "flat-split": (
         lambda: piecewise_split(FLAT_IN_2, 2, UNIT_SQUARE, grid=5, tol=1e-9),
         "DegenerateInputError: flat section segment on axis 2 near t=0.0: "
@@ -908,16 +956,15 @@ GOLDEN = {
     "two-dim-split": (
         lambda: piecewise_split(SQUARE_PLUS, 1, BoxDomain(((-1.0, 1.0), (0.0, 1.0))),
                                 grid=17, tol=1e-9).branches,
-        "(Branch(interval=(-1.0, -7.032441786194785e-11)), "
-        "Branch(interval=(-7.032441786194785e-11, 1.0)))"),
+        "(Branch(interval=(-1.0, 0.0)), Branch(interval=(0.0, 1.0)))"),
     "multi-branch-inverse-fn": (
         lambda: inverse_fn(CUBIC, 1, BoxDomain(((-2.0, 2.0),)), tol=1e-10, grid=257,
                            split_grid=33)(0.1),
-        "[-0.9456492739227879, -0.10103125788101082, 1.0466805318044134]"),
+        "[-0.9456492739227879, -0.10103125788101083, 1.0466805318044134]"),
     "two-dim-inverse-fn": (
         lambda: inverse_fn(SQUARE_PLUS, 1, BoxDomain(((-1.0, 1.0), (0.0, 1.0))), tol=1e-9,
                            grid=129, split_grid=17)(0.75, 0.5),
-        "[-0.5000000000351622, 0.4999999999648378]"),
+        "[-0.5, 0.5]"),
 }
 
 
