@@ -641,11 +641,12 @@ def piecewise_split(f: Expr, i: int, d: BoxDomain, grid: int,
 
     Section extrema are detected as sign changes of the discrete slope on
     every probed fiber.  Each is cut at the root of the central difference
-    s(t + delta) - s(t - delta), delta = 1e-6 of the axis interval
-    (one-sided at its ends), which `_refine_root` refines to float
-    resolution over the two cells around the turn, or at the grid turn
-    where the difference shows no sign change there; a refinement that
-    meets a point where s does not evaluate cuts there.  Cut points from
+    s(t + delta) - s(t - delta), delta = 1e-6 of the axis interval,
+    which `_refine_root` refines to float resolution over the two cells
+    around the turn (one-sided within delta of their outer ends), or at the
+    grid turn where the difference shows no sign change there; a refinement
+    that meets a point where s does not evaluate cuts there, within delta
+    of the undefined stretch.  Cut points from
     all fibers are merged within one grid cell.  Each resulting branch must
     pass check_invertible at the same resolution.  Where no fiber
     turns, the one branch is the whole axis and that probe would repeat the
@@ -675,14 +676,16 @@ def _split(f: Expr, i: int, d: BoxDomain, grid: int, tol: float):
                 f"flat section segment on axis {i} near t={ts[flat]!r}: "
                 "cannot isolate strictly monotone branches")
 
-        def slope(t, s=section):   # one-sided where t +- delta leaves [lo, hi]
-            return s(min(t + delta, hi)) - s(max(t - delta, lo))
         for k in turns:
+            a, b = ts[k - 1], ts[k + 1]
+            # one-sided within delta of the bracket's ends, whose values the scan holds
+            def slope(t, s=section, a=a, b=b):
+                return s(min(t + delta, b)) - s(max(t - delta, a))
             try:
-                ga, gb = slope(ts[k - 1]), slope(ts[k + 1])
+                ga, gb = section(a + delta) - vals[k - 1], vals[k + 1] - section(b - delta)
             except EvalError:
                 ga = gb = 0.0   # no sign change: the cut is the grid turn
-            cuts.append(_refine_root(slope, ts[k - 1], ts[k + 1], ga, gb, 0.0, [])[0]
+            cuts.append(_refine_root(slope, a, b, ga, gb, 0.0, [])[0]
                         if ga < 0 < gb or gb < 0 < ga else ts[k])
 
     merged: list[float] = []

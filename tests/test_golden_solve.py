@@ -89,7 +89,7 @@ def test_repin_script_bounds_a_moved_cut(tmp_path, capsys, record, offset, faile
     else:
         with open(TEST_INVERSE_PATH, encoding="utf-8") as fh:
             text = fh.read()
-        cut = "-0.5773502691841185"
+        cut = "-0.5773502691832202"
         assert text.count(cut) == 2
         path = tmp_path / "test_inverse.py"
         path.write_text(text.replace(cut, repr(float(cut) + offset)), encoding="utf-8")

@@ -828,7 +828,7 @@ def test_undefined_stretch_is_skipped_not_cut(text, lo, hi):
 def test_cut_refinement_stops_at_a_gap():
     # sqrt((x-0.3)(x-0.4)) is undefined on (0.3, 0.4), between grid points;
     # the refinement of the slope's root around the grid turn at 0.5 meets
-    # it, and the cut falls where it stopped, inside the undefined stretch
+    # it, and the cut falls where it stopped, here inside the undefined stretch
     f = unary("root(mul(add(x,-0.3),add(x,-0.4)),2)", -1.0, 1.0)
     box = BoxDomain(((-1.0, 1.0),))
     (a, cut), (cut_again, b) = (branch.interval
@@ -838,6 +838,19 @@ def test_cut_refinement_stops_at_a_gap():
         evaluate(f, [cut])
     roots = inverse_fn(f, 1, box, split_grid=5)(0.2)
     assert roots == pytest.approx([0.35 - math.sqrt(0.0425), 0.35 + math.sqrt(0.0425)], abs=1e-8)
+
+
+def test_cut_next_to_a_gap_edge_on_the_grid():
+    # sqrt(x) - 3x peaks at 1/36; its grid turn is ts[33] = 0.03125, and the
+    # gap x < 0 begins just below ts[32] = 0.0, the bracket's left end, where
+    # a difference centred on that end would not evaluate
+    f = unary("add(root(x,2),mul(x,-3))", -1.0, 1.0)
+    box = BoxDomain(((-1.0, 1.0),))
+    (_, cut), _ = (branch.interval for branch in piecewise_split(f, 1, box, grid=65).branches)
+    assert cut == pytest.approx(1 / 36, abs=DEFAULT_TOL)
+    # u - 3u^2 = 0.0832 at u = sqrt(x) = 0.16 and 0.52 / 3
+    roots = inverse_fn(f, 1, box, split_grid=65)(0.0832)
+    assert roots == pytest.approx([0.0256, (0.52 / 3) ** 2], abs=1e-8)
 
 
 def test_cut_is_a_root_of_the_slope_in_a_few_evaluations(monkeypatch):
@@ -946,9 +959,9 @@ GOLDEN = {
         "InvertVerdict(invertible=True, witness=None)"),
     "three-branch-split": (
         lambda: piecewise_split(CUBIC, 1, BoxDomain(((-2.0, 2.0),)), grid=65, tol=1e-10).branches,
-        "(Branch(interval=(-2.0, -0.5773502691841185)), "
-        "Branch(interval=(-0.5773502691841185, 0.5773502691841185)), "
-        "Branch(interval=(0.5773502691841185, 2.0)))"),
+        "(Branch(interval=(-2.0, -0.5773502691832202)), "
+        "Branch(interval=(-0.5773502691832202, 0.5773502691832202)), "
+        "Branch(interval=(0.5773502691832202, 2.0)))"),
     "flat-split": (
         lambda: piecewise_split(FLAT_IN_2, 2, UNIT_SQUARE, grid=5, tol=1e-9),
         "DegenerateInputError: flat section segment on axis 2 near t=0.0: "
