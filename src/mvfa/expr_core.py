@@ -119,12 +119,16 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
-    """A real constant; a function of no variables."""
+    """A real constant; a function of no variables.  Its value is finite,
+    as the notation can write only a finite number."""
 
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        value = float(self.value)
+        if not math.isfinite(value):
+            raise StructureError(f"constant {value} is not finite")
+        object.__setattr__(self, "value", value)
         self._derive(0, frozenset())
 
 
@@ -407,8 +411,7 @@ def _lower(e: Expr, slot: int | None = None):
         if kind is Const:
             if not bounds:
                 return bind(node.value)
-            v = node.value
-            return (bind(v), bind(v)) if math.isfinite(v) else (bind(-math.inf), bind(math.inf))
+            return bind(node.value), bind(node.value)
         if kind is Lift:
             return emit(node.inner, [args[p - 1] for p in node.positions], lines, bounds)
         if kind is Diagonal:

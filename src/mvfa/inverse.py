@@ -8,7 +8,7 @@ functions are split into monotone branches along the inverted axis so that
 every preimage is reported (the multivalued reading).
 
 Every entry point runs on one small core.  `_check_slot` validates the
-arguments; `_values`, the one place where a scan evaluates its points,
+arguments; `_values`, through which a scan evaluates its runs of points,
 pairs each scan point with the section's value there, or None where it
 does not evaluate; `_fiber_scans` walks the fibers of a probe or a split,
 and `_scan_fiber` finds each one's flat steps and turning points;
@@ -28,22 +28,23 @@ turning point is its one branch's probe, so it is not probed again, and
 for a unary function the branch scans at the split's resolution take the
 values of the scan that checked the branch, minus the target.
 `invert_at` and Inverse nodes, which have no split, run one search of a
-1 024-point grid (`_pruned_roots`).  It takes its range enclosure and its
-section from one lowering of the function along the slot
-(`lowered_enclosure`, `lowered_section`): the section is bitwise the point
+1 024-point grid (`_pruned_roots`).  One lookup of the lowering of the
+function along the slot (`lowered_enclosure`) gives its range enclosure
+and its section (`enclose.section`): the section is bitwise the point
 function minus the target, with the other coordinates bound once, not
-passed at every point.  It evaluates only the points that can matter to
-its roots, which `_pruned_points` chooses: a block of the grid whose range
-enclosure lies beyond tol on one side holds no root, no bracket end and no
-point that fails, so it is dropped but for its ends; a block whose
-enclosure straddles, but whose end values lie beyond tol on opposite
-sides, is split around a crossing cell that a bisection of its grid
-indices finds through the section, so that both sides of the cell can
-drop; and where the left half of a halved block is dropped, the right half
-is halved without an enclosure of its own.  The roots, refinements
-included, and the notes are bitwise those of the scan of every point.  An Inverse node stops
-at its first root.  The default tolerance is the package's `DEFAULT_TOL`
-(1e-9).
+passed at every point.  The search (`_pruned_values`) yields the pairs
+(t, value) of only the points that can matter to the roots, each
+evaluated once (but a crossing search's probe that a later run scans): a
+block of the grid whose end values lie beyond tol on opposite sides is
+split, before any enclosure, around a crossing cell that a bisection of
+its grid indices finds through the section, so that both sides of the
+cell can drop; a block whose range enclosure lies beyond tol on one side
+holds no root, no bracket end and no point that fails, so it is dropped
+but for its ends; and where the left half of a halved block is dropped,
+the right half is halved without an enclosure of its own.  The
+roots, refinements included, and the notes are bitwise those of the scan
+of every point.  An Inverse node stops at its first root.  The default
+tolerance is the package's `DEFAULT_TOL` (1e-9).
 
 The core has one failure rule.  A point where the section does not
 evaluate (log, root or division outside its domain, overflow in a power,
@@ -68,7 +69,6 @@ the numeric path agree within tolerance (tested, not assumed).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
@@ -87,7 +87,6 @@ from .expr_core import (
     _axis_points,
     lowered,
     lowered_enclosure,
-    lowered_section,
 )
 
 DEFAULT_GRID = 1024        # scan points of invert_at and Inverse nodes, which have no split
@@ -146,7 +145,7 @@ def _section(f: Expr, i: int, fixed, target: float = 0.0):
     """The one-variable section t -> f(fixed, with t at slot i) - target,
     for the probe, the split and `inverse_fn`, which share f's point
     function with `evaluate` (the pruned search lowers its own section
-    along the slot: `lowered_section`).
+    along the slot: `lowered_enclosure`'s `section`).
 
     It calls f's lowered function directly, with no argument tuple to build
     for a unary f: the callers validate their inputs once, not at every
@@ -438,97 +437,139 @@ def _roots(h, points, tol: float, notes: list):
 
 def _pruned_roots(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float,
                   notes: list):
-    """`_roots` of f - target along slot i (the other slots at `fixed`) at
-    the scan points of `ts` that `_pruned_points` keeps: the scan of
-    `invert_at` and of Inverse nodes, which have no branch split.  Its
-    section and `_pruned_points`'s enclosure come from one lowering, and
-    the search places its splits with the same section."""
-    h = lowered_section(f, i)(target, *fixed)
-    return _roots(h, _values(h, _pruned_points(f, i, fixed, ts, target, tol, h), notes), tol,
-                  notes)
-
-
-def _pruned_points(f: Expr, i: int, fixed, ts: list[float], target: float, tol: float, h):
-    """Yield, ascending, the scan points of `ts` that `_roots` needs to find
-    what it finds on all of them, for the section h = f - target along
-    slot i.  The caller evaluates them, through `_values`; the search itself
-    evaluates h only to place a split, inside a block whose enclosure is
-    finite, where every point evaluates, so it raises and notes nothing.
-
-    After the first point, the scan is a depth-first branch-and-bound over
-    the whole grid, left block first: a block whose enclosure
-    (`lowered_enclosure`) lies strictly above tol or strictly below -tol
-    holds values that are all defined, finite and of one sign beyond tol,
-    so no scan point inside it is a root or ends a bracket, and it is
-    dropped: only its right end is kept.  A block whose enclosure is finite
-    and straddles, and whose end values lie beyond tol on opposite sides, is
-    split at a sign change: a bisection over its grid indices finds an
-    index r whose value has left the left end's side (it has the other sign
-    or lies within tol) while the value at r - 1 has not, and the block
-    becomes (a, r-1), the one cell (r-1, r) and (r, b).  A block of one cell
-    is scanned without an enclosure.  Each side is enclosed as any block
-    is, and drops unless it crosses again or its enclosure is loose; where
-    the bisection lands on a later crossing, the left side is halved as
-    below.  Any other block is halved down to `PRUNE_BLOCK` cells and then
-    scanned point by point.  Where the left half of a halved block whose
-    enclosure straddled is dropped, any root of the block lies in the right
-    half, whose enclosure then straddles as well, so a right half larger
-    than `PRUNE_BLOCK` is halved there without an enclosure of its own.  That is
-    sound, since a block loses points only by an enclosure that drops it,
-    whatever blocks are chosen; where the skipped enclosure would have
-    dropped the right half, it costs one more enclosure and one more point.
-    The block after a dropped right half lies beyond the block that was
-    halved, and it is enclosed: a scan that goes on past its last root, as
-    `invert_at`'s does, would pay that cost at every block it drops there.
-    Where the enclosures stop paying, the rest of the grid is scanned point
-    by point: from a block whose enclosure is (-inf, inf), so an expression
-    that cannot be bounded is scanned at every point after the enclosure of
-    the whole grid, and after `PRUNE_MISSES` enclosures in a row that
-    dropped nothing, which bounds their cost where none can drop a block.
-    """
+    """`_roots` of f - target along slot i (the other slots at `fixed`) over
+    the pairs (t, value) that `_pruned_values` yields from the scan points
+    of `ts`: the scan of `invert_at` and of Inverse nodes, which have no
+    branch split.  One lowering gives the search its enclosure and the
+    section that it, `_roots` and the refinements evaluate."""
     enclose = lowered_enclosure(f, i)
+    h = enclose.section(target, *fixed)
+    return _roots(h, _pruned_values(h, enclose, ts, target, fixed, tol, notes), tol, notes)
+
+
+def _pruned_values(h, enclose, ts: list[float], target: float, fixed, tol: float,
+                   notes: list):
+    """Yield, ascending, the pairs (t, h(t)) of the scan points of `ts`
+    that `_roots` needs to find what it finds on all of them, as `_values`
+    yields them (None where h does not evaluate, noted in `notes`), where
+    h = f - target is the section along the slot that `enclose` bounds.
+    A run of points scanned one by one goes through `_values`, lazily, so a
+    caller that stops at its first root stops the scan there.  The first
+    point, the last one, the ends of a crossing cell and the midpoints of
+    halved blocks are evaluated here, and each value is kept until its
+    point is yielded, so no point is evaluated twice but a probe of a
+    crossing search that a later run scans again.
+
+    The first point is yielded as it is evaluated, and the last one is
+    evaluated next.  Where either does not evaluate, no enclosure bounds the
+    grid, and every other point is yielded through `_values`, the last one
+    included.  Otherwise the scan is a depth-first branch-and-bound over the
+    whole grid, left block first.  A block on the stack carries the value
+    at its right end, and the value at its left end is the one last
+    yielded.  A block whose end values lie beyond tol on opposite sides is
+    split at a sign change before any enclosure: a bisection over its grid
+    indices finds an index r whose value has left the left end's side (it
+    has the other sign or lies within tol) while the value at r - 1 has
+    not, and the block becomes (a, r-1), the one cell (r-1, r) and (r, b),
+    each with its right end value; a block of one cell is yielded with no
+    enclosure.  A probe that does not evaluate there ends the bisection,
+    and the block goes to its enclosure, as any other block does.  A block
+    whose enclosure (`enclose`) lies strictly above tol or strictly below
+    -tol holds values that are all defined, finite and of one sign beyond
+    tol, so no scan point inside it is a root or ends a bracket, and it is
+    dropped: only its right end is yielded.  Any other block is halved,
+    with the value at its midpoint, down to `PRUNE_BLOCK` cells and then
+    scanned point by point; a finite enclosure means that every point of
+    its block evaluates, so those midpoints raise and note nothing.  Where
+    the left half of a halved block is dropped, any root of the block lies
+    in the right half, whose enclosure then straddles as well, so a right
+    half larger than `PRUNE_BLOCK` is halved there without an enclosure of
+    its own.  That is sound, since a block loses points only by an
+    enclosure that drops it, whatever blocks are chosen; where the skipped
+    enclosure would have dropped the right half, it costs one more
+    enclosure and one more point.  The block after a dropped right half
+    lies beyond the block that was halved, and it is enclosed: a scan that
+    goes on past its last root, as `invert_at`'s does, would pay that cost
+    at every block it drops there.  Where the enclosures stop paying, the
+    rest of the grid is scanned point by point: from a block whose
+    enclosure is (-inf, inf), so an expression that cannot be bounded is
+    scanned at every point, and after `PRUNE_MISSES` enclosures in a row
+    that dropped nothing, which bounds their cost where none can drop a
+    block.
+    """
     last = len(ts) - 1
-    yield ts[0]
-    blocks = [(0, last)] if last else []
+    try:
+        ha = h(ts[0])
+    except EvalError as exc:
+        notes.append(f"evaluation failed at t={ts[0]!r}: {exc}")
+        ha = None
+    yield ts[0], ha
+    hb = None
+    if ha is not None and last:
+        try:
+            hb = h(ts[last])
+        except EvalError:
+            pass    # `_values` evaluates it again, and notes it, where the scan reaches it
+    if hb is None:
+        yield from _values(h, ts[1:], notes)
+        return
+    blocks = [(0, last, hb)]
     misses = 0      # enclosures in a row that dropped nothing
     left = False    # whether the block is the left half of the block halved last
     while blocks:
-        a, b = blocks.pop()
-        if b - a < 2:
-            # a split's one cell, or a side of it with no cell
-            yield from ts[a + 1:b + 1]
-            continue
-        lo, hi = enclose(ts[a], ts[b], target, *fixed)
-        if lo > tol or hi < -tol:
-            misses = 0
-            yield ts[b]
-            if left and blocks[-1][1] - b > PRUNE_BLOCK:
-                # halve the right half, on top, and go on with its left half
-                c, d = blocks.pop()
-                m = (c + d) // 2
-                blocks += (m, d), (c, m)
-            else:
-                left = False
-            continue
-        misses += 1
-        if lo == -math.inf or misses == PRUNE_MISSES:
-            yield from ts[a + 1:]
-            return
-        ha, hb = h(ts[a]), h(ts[b])
-        if ha > tol and hb < -tol or ha < -tol and hb > tol:
-            # the bisection keeps the value at r - 1 on a's side and the one
-            # at r off it, however often the block crosses
-            side = 1.0 if ha > 0 else -1.0
-            r = bisect_left(ts, True, a + 1, b, key=lambda t: side * h(t) <= tol)
-            blocks += (r, b), (r - 1, r), (a, r - 1)
-            left = False
-            continue
-        left = b - a > PRUNE_BLOCK
-        if left:
-            m = (a + b) // 2
-            blocks += (m, b), (a, m)
-        else:
-            yield from ts[a + 1:b + 1]
+        a, b, hb = blocks.pop()
+        if b - a > 1:
+            if ha > tol and hb < -tol or ha < -tol and hb > tol:
+                # the bisection keeps the value at r - 1 (hl) on a's side and
+                # the one at k (hk) off it, however often the block crosses
+                side = 1.0 if ha > 0 else -1.0
+                r, k, hl, hk = a + 1, b, ha, hb
+                try:
+                    while r < k:
+                        m = (r + k) // 2
+                        v = h(ts[m])
+                        if side * v <= tol:
+                            k, hk = m, v
+                        else:
+                            r, hl = m + 1, v
+                except EvalError:
+                    pass    # no enclosure vouched for the probe: the block's decides
+                else:
+                    if r < b:
+                        blocks.append((r, b, hb))
+                    blocks.append((r - 1, r, hk))
+                    if r - 1 > a:
+                        blocks.append((a, r - 1, hl))
+                    left = False
+                    continue
+            lo, hi = enclose(ts[a], ts[b], target, *fixed)
+            if lo > tol or hi < -tol:
+                misses = 0
+                yield ts[b], hb
+                ha = hb
+                if left and blocks[-1][1] - b > PRUNE_BLOCK:
+                    # halve the right half, on top, and go on with its left half
+                    c, d, hd = blocks.pop()
+                    m = (c + d) // 2
+                    blocks += (m, d, hd), (c, m, h(ts[m]))
+                else:
+                    left = False
+                continue
+            misses += 1
+            if lo == -math.inf or misses == PRUNE_MISSES:
+                blocks.append((a, b, hb))
+                for a, b, hb in reversed(blocks):
+                    yield from _values(h, ts[a + 1:b], notes)
+                    yield ts[b], hb
+                return
+            left = b - a > PRUNE_BLOCK
+            if left:
+                m = (a + b) // 2
+                blocks += (m, b, hb), (a, m, h(ts[m]))
+                continue
+            yield from _values(h, ts[a + 1:b], notes)
+        yield ts[b], hb
+        ha = hb
 
 
 def check_invertible(f: Expr, i: int, d: BoxDomain, grid: int,

@@ -10,6 +10,7 @@ parameters in binding order) and the verified numeric root set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .expr_core import (
@@ -30,7 +31,7 @@ class Equation:
     """One equation lhs(slots) = rhs over a structural expression.
 
     `binding` assigns every slot a symbol name; the unique name without a
-    parameter value is the unknown.  Parameter names may not repeat across
+    parameter value is the unknown, and every parameter value is finite.  Parameter names may not repeat across
     slots (the inverse's argument order would be ambiguous); the unknown may
     occupy any number of slots.  `domain` is the search interval for the
     unknown, a 1-axis `BoxDomain`.
@@ -47,6 +48,9 @@ class Equation:
             raise ConfigError("the unknown's domain must be a 1-axis BoxDomain")
         self.rhs = float(self.rhs)
         self.params = {str(k): float(v) for k, v in self.params.items()}
+        for name, value in self.params.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"parameter {name!r} value {value} is not finite")
         n = self.lhs.arity
         if sorted(self.binding) != list(range(1, n + 1)):
             raise ConfigError(f"binding must cover slots 1..{n} exactly")

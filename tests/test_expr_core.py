@@ -25,6 +25,7 @@ from mvfa.expr_core import (
     equivalent_on,
     evaluate,
 )
+from mvfa.structure_ops import substitute_const
 
 from util import ADD, DIV, E, LOG, MUL, POW, ROOT, poly_sum, x_pow
 
@@ -250,6 +251,16 @@ def _exactly(message: str) -> str:
 def test_each_structure_error_keeps_its_message(build, message):
     with pytest.raises(StructureError, match=_exactly(message)):
         build()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_const_refuses_a_value_that_is_not_finite(value):
+    # the notation writes only finite numbers, so such a node would not
+    # read back; substitute_const builds its constant the same way
+    with pytest.raises(StructureError, match=_exactly(f"constant {value} is not finite")):
+        Const(value)
+    with pytest.raises(StructureError, match=_exactly(f"constant {value} is not finite")):
+        substitute_const(Prim(ADD), 2, value)
 
 
 def test_box_domain_validation():

@@ -413,50 +413,51 @@ def test_two_branch_solve_evaluates_each_scan_grid_once(monkeypatch):
 # --- work counts: an Inverse formula scans only the blocks that can hold a root ---
 
 def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_root=False,
-                    refine=False):
+                    refine=False, evaluated=None):
     """The first root of formula's Inverse node at point (None where there
-    is none), with the number of scan points its scan evaluated and of
-    enclosures it used (not those of a nested Inverse): through `evaluate`,
-    which counts the points `_pruned_points` yields, or, without `prune`,
-    through the reference scan of every point of the same grid
-    (`full_scan_roots`), which counts the values `_values` yields there.
-    With `every_root`, the scan is that of `invert_at` on the formula's
-    axis, which goes on past the first root, and the first value is the
-    list of all its roots.  `blocks`, when a list, receives the grid
-    indices (a, b) of each block enclosed, with whether its enclosure
-    dropped it.  With `refine`, the counts also hold the evaluations of the
-    pruned search's section outside `_values`: the probes that
-    `_pruned_points` makes to split blocks, and those of the bracket
-    refinement."""
+    is none), with the number of scan points its scan passed to `_roots`
+    and of enclosures it used (not those of a nested Inverse): through
+    `evaluate`, or, without `prune`, through the reference scan of every
+    point of the same grid (`full_scan_roots`).  With `every_root`, the
+    scan is that of `invert_at` on the formula's axis, which goes on past
+    the first root, and the first value is the list of all its roots.
+    `blocks`, when a list, receives the grid indices (a, b) of each block
+    enclosed, with whether its enclosure dropped it.  With `refine`, the
+    counts also hold the section's evaluations at grid points ("grid": the
+    scan points, and the probes and midpoints that place the search's
+    splits) and between them ("refine": the bracket refinement).
+    `evaluated`, when a Counter, receives the number of evaluations of the
+    section at each grid point."""
     import mvfa.inverse as inverse
 
     counts = Counter()
+    per_point = Counter() if evaluated is None else evaluated
+    between = Counter()     # the evaluations elsewhere, per point
     i = formula.slot
     ts = _axis_points(*formula.axis, DEFAULT_GRID)
-    points_of, values_of = inverse._pruned_points, inverse._values
-    enclosure_of, section_of = inverse.lowered_enclosure, inverse.lowered_section
+    grid = set(ts)
+    ours = set()    # the counted sections of formula.inner
+    roots_of, enclosure_of, section_of = inverse._roots, inverse.lowered_enclosure, inverse._section
 
-    def counted(items):
+    def counted_section(h):
+        def counted(t):
+            (per_point if t in grid else between)[t] += 1
+            return h(t)
+        ours.add(counted)
+        return counted
+
+    def counted_points(items):
         for item in items:
             counts["points"] += 1
             yield item
 
-    def counting_points(f, *args):
-        if f is not formula.inner:
-            return points_of(f, *args)
-        *args, h = args
-
-        def probe(t):
-            counts["probes"] += 1
-            return h(t)
-        return counted(points_of(f, *args, probe if refine else h))
-
-    def counting_values(h, scan, *args):
-        values = values_of(h, scan, *args)
-        return counted(values) if scan is ts else values
+    def counting_roots(h, points, *args):
+        return roots_of(h, counted_points(points) if h in ours else points, *args)
 
     def counting_enclosure(e, slot):
         enclose = enclosure_of(e, slot)
+        if e is not formula.inner:
+            return enclose
 
         def counted(lo, hi, *args):
             counts["enclosures"] += 1
@@ -465,25 +466,16 @@ def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_
                 blocks.append(((ts.index(lo), ts.index(hi)),
                                low > DEFAULT_TOL or high < -DEFAULT_TOL))
             return low, high
-        return counted if e is formula.inner else enclose
+        counted.section = lambda *args: counted_section(enclose.section(*args))
+        return counted
 
-    def counting_section(e, slot):
-        bind = section_of(e, slot)
+    def counting_section(f, *args):
+        h = section_of(f, *args)
+        return counted_section(h) if f is formula.inner else h
 
-        def bound(*args):
-            h = bind(*args)
-
-            def counted(t):
-                counts["refine"] += 1
-                return h(t)
-            return counted
-        return bound if e is formula.inner else bind
-
-    monkeypatch.setattr(inverse, "_pruned_points", counting_points)
-    monkeypatch.setattr(inverse, "_values", counting_values)
+    monkeypatch.setattr(inverse, "_roots", counting_roots)
     monkeypatch.setattr(inverse, "lowered_enclosure", counting_enclosure)
-    if refine:
-        monkeypatch.setattr(inverse, "lowered_section", counting_section)
+    monkeypatch.setattr(inverse, "_section", counting_section)
     fixed = point[: i - 1] + point[i:]
     if not prune:
         roots = full_scan_roots(formula.inner, i, fixed, ts, point[i - 1], DEFAULT_TOL, [])
@@ -499,9 +491,7 @@ def _formula_counts(monkeypatch, formula, point, prune=True, blocks=None, every_
             root = None
     monkeypatch.undo()
     if refine:
-        # `_values` evaluates each point that `_pruned_points` yields once,
-        # and each probe goes through the counted section too
-        counts["refine"] -= counts["points"] + counts["probes"]
+        counts["grid"], counts["refine"] = sum(per_point.values()), sum(between.values())
     return root, counts
 
 
@@ -520,16 +510,16 @@ def _replay_formula(x=None):
 
 
 def test_inverse_formula_scans_a_few_points(monkeypatch):
-    # the enclosure of the whole grid straddles, and its end values lie on
-    # either side of the target: the search bisects the grid indices for
-    # the crossing cell (12 probes), whose left side drops
+    # the values at the ends of the grid lie on either side of the target:
+    # before any enclosure, the search bisects the grid indices for the
+    # crossing cell (10 probes, and the two ends), whose left side drops
     for x, full, pruned in (
         # the seeded root mid-axis
-        (None, 333, {"points": 3, "enclosures": 2, "probes": 12, "refine": 2}),
+        (None, 333, {"points": 3, "enclosures": 1, "grid": 12, "refine": 2}),
         # a root in the first 16 cells: the scan of every point reaches it
         # soon, and the split reaches it as soon as the seeded one
         (0.5 + 10.3 * 2.5 / (DEFAULT_GRID - 1), 12,
-         {"points": 3, "enclosures": 2, "probes": 12, "refine": 4}),
+         {"points": 3, "enclosures": 1, "grid": 12, "refine": 4}),
     ):
         formula, point, x = _replay_formula(x)
         root, counts = _formula_counts(monkeypatch, formula, point, refine=True)
@@ -539,19 +529,60 @@ def test_inverse_formula_scans_a_few_points(monkeypatch):
         assert counts == pruned
 
 
+def test_replay_evaluation_evaluates_no_point_twice(monkeypatch):
+    # at 40 roots across the axis, a formula evaluation makes one
+    # enclosure, evaluates no grid point twice (the first and the last
+    # point, the 10 probes, and the crossing cell's ends among them) and
+    # makes at most 17 section evaluations, refinement included; invert_at
+    # encloses the right side of the crossing as well
+    formula, (_, a, b), _ = _replay_formula()
+    for every_root in (False, True):
+        totals = Counter()
+        for k in range(40):
+            x = 0.6 + 2.2 * (k + 0.5) / 40
+            evaluated = Counter()
+            root, counts = _formula_counts(monkeypatch, formula, [(x + a) ** (x * b), a, b],
+                                           every_root=every_root, refine=True,
+                                           evaluated=evaluated)
+            assert root == pytest.approx([x] if every_root else x, abs=1e-8)
+            assert max(evaluated.values()) == 1
+            assert counts["enclosures"] == 1 + every_root and counts["grid"] == 12
+            totals[counts["grid"] + counts["refine"]] += 1
+        assert totals == {14: 14, 16: 26}
+
+
+@pytest.mark.parametrize("cell, every_root, pruned", [
+    # the crossing in the first cell: no block before it, and the formula
+    # stops at its root with no enclosure
+    (0, False, {"points": 2, "grid": 12, "refine": 2}),
+    (0, True, {"points": 3, "enclosures": 1, "grid": 12, "refine": 2}),
+    # in the last cell: no block after it
+    (DEFAULT_GRID - 2, False, {"points": 3, "enclosures": 1, "grid": 11, "refine": 4}),
+    (DEFAULT_GRID - 2, True, {"points": 3, "enclosures": 1, "grid": 11, "refine": 4}),
+], ids=["first-formula", "first-invert_at", "last-formula", "last-invert_at"])
+def test_crossing_in_an_end_cell_yields_each_point_once(monkeypatch, cell, every_root, pruned):
+    formula, (_, a, b), _ = _replay_formula()
+    ts = _axis_points(*formula.axis, DEFAULT_GRID)
+    x = 0.5 * ts[cell] + 0.5 * ts[cell + 1]
+    root, counts = _formula_counts(monkeypatch, formula, [(x + a) ** (x * b), a, b],
+                                   every_root=every_root, refine=True)
+    assert root == pytest.approx([x] if every_root else x, abs=1e-8) and counts == pruned
+
+
 LOOSE = "add(add(mul(x,x),mul(mul(x,x),-1)),x)"   # x*x - x*x + x, enclosed loosely
 
 
 def test_right_half_after_a_dropped_left_half_is_not_enclosed(monkeypatch):
     # x*x - x*x + x = 0.5 on 0:1: the enclosures of the difference are wide,
-    # so the sides of the first split, at 0.5, do not drop and are halved;
+    # so the sides of the first split, at 0.5 and before any enclosure, do
+    # not drop and are halved;
     # where the left half of a halved block drops, the scan takes its right
     # half, halved first where it is larger than PRUNE_BLOCK, with no
     # enclosure of its own; for the formula (first root) and invert_at
     # (every root) alike
     formula = Inverse(unary(LOOSE, 0.0, 1.0), 1, axis=(0.0, 1.0))
-    for every_root, pruned, halvings in ((False, {"points": 23, "enclosures": 8}, 4),
-                                         (True, {"points": 68, "enclosures": 33}, 10)):
+    for every_root, pruned, halvings in ((False, {"points": 23, "enclosures": 7}, 4),
+                                         (True, {"points": 68, "enclosures": 32}, 10)):
         blocks = []
         root, counts = _formula_counts(monkeypatch, formula, [0.5], blocks=blocks,
                                        every_root=every_root)
@@ -559,7 +590,7 @@ def test_right_half_after_a_dropped_left_half_is_not_enclosed(monkeypatch):
                                   every_root=every_root)
         assert repr(root) == repr(want) == ("[0.5]" if every_root else "0.5")
         assert counts == pruned
-        assert blocks[0][0] == (0, DEFAULT_GRID - 1) and len(blocks) == counts["enclosures"]
+        assert blocks[0][0] == (0, DEFAULT_GRID // 2 - 1) and len(blocks) == counts["enclosures"]
         right_of, halved = {}, 0   # each halved block's left half -> its right half
         for ((a, b), dropped), (block, _) in zip(blocks, blocks[1:]):
             if not dropped and block == (a, (a + b) // 2):
@@ -575,18 +606,19 @@ def test_right_half_after_a_dropped_left_half_is_not_enclosed(monkeypatch):
 
 
 @pytest.mark.parametrize("text, axis, pruned, first", [
-    # three roots: the bisection of the whole grid lands on the last
-    # crossing, so its left side (0, 716) crosses twice more; it is halved,
-    # and each half is split at its own crossing
+    # three roots: the bisection of the whole grid, before any enclosure,
+    # lands on the last crossing, so its left side (0, 716) crosses twice
+    # more; its enclosure straddles and it is halved, and each half is split
+    # at its own crossing before its sides are enclosed
     ("mul(mul(add(x,-0.3),add(x,-0.5)),add(x,-0.7))", (0.0, 1.0),
-     {"points": 9, "enclosures": 9, "probes": 36, "refine": 5},
-     [((0, 1023), False), ((0, 716), False), ((0, 358), False)]),
+     {"points": 9, "enclosures": 6, "grid": 31, "refine": 5},
+     [((0, 716), False), ((0, 306), True), ((307, 358), True)]),
     # a root on the grid point 512: the right side of the first split starts
     # within tol there, so it and its left halves are halved with no
-    # crossing search, 2 probes each
+    # crossing search, one evaluation (the midpoint) each
     ("add(x,-512)", (0.0, 1023.0),
-     {"points": 23, "enclosures": 13, "probes": 24, "refine": 0},
-     [((0, 1023), False), ((0, 511), True), ((512, 1023), False), ((512, 767), False)]),
+     {"points": 23, "enclosures": 12, "grid": 31, "refine": 0},
+     [((0, 511), True), ((512, 1023), False), ((512, 767), False)]),
 ], ids=["three-roots", "end-within-tol"])
 def test_split_finds_the_roots_of_the_scan_of_every_point(monkeypatch, text, axis, pruned,
                                                           first):
@@ -614,31 +646,63 @@ def test_unary_section_is_its_function_minus_the_target(text, t, value):
 
 
 @pytest.mark.parametrize("inner, axis, value", [
-    # a nested Inverse: the cube root's inverse, y -> y**3
+    # a nested Inverse: the cube root's inverse, y -> y**3, whose end values
+    # cross, so the grid is bisected for the crossing before any enclosure
     (Inverse(x_pow(1, 1, 3.0), 1, axis=(0.0, 2.0)), (0.0, 8.0), 1.5),
     # 1/(x - 0.5), whose divisor range holds 0 on 0:2
     (to_structural(parse("div(1,add(x,-0.5))")).expr, (0.0, 2.0), 1.0),
 ])
 def test_unbounded_inverse_formula_scans_every_point(monkeypatch, inner, axis, value):
-    # the one enclosure, of the whole grid, says it cannot bound it, so the
-    # scan evaluates every point the unpruned scan evaluates
+    # the one enclosure, of the whole grid or of the left side of its
+    # crossing, says it cannot bound its block, so the scan evaluates every
+    # point the unpruned scan evaluates; beyond those it evaluates the last
+    # grid point, and the crossing search's 10 probes but the 2 it keeps
+    extra = {1.5: 1 + 10 - 2, 1.0: 1}[value]
     formula = Inverse(inner, 1, axis=axis)
-    root, counts = _formula_counts(monkeypatch, formula, [value])
-    want, before = _formula_counts(monkeypatch, formula, [value], prune=False)
+    root, counts = _formula_counts(monkeypatch, formula, [value], refine=True)
+    want, before = _formula_counts(monkeypatch, formula, [value], prune=False, refine=True)
     assert root.hex() == want.hex()
-    assert counts == {"points": before["points"], "enclosures": 1}
-    assert before["points"] > DEFAULT_GRID // 3
+    assert counts == {"points": before["points"], "enclosures": 1,
+                      "grid": before["grid"] + extra, "refine": before["refine"]}
+    assert before["points"] == before["grid"] > DEFAULT_GRID // 3
+
+
+def test_probe_that_does_not_evaluate_sends_its_block_to_its_enclosure(monkeypatch):
+    # x + log2(x*x - 0.25) = 0 on -1:1: the end values cross, and the first
+    # probe of the crossing search, at the grid point 512, falls in the gap
+    # (-0.5, 0.5).  No enclosure vouched for it, so the whole grid goes to
+    # its enclosure, which cannot bound it, and every point is scanned: the
+    # probe's point is evaluated again and noted once, where the scan
+    # reaches it, and the roots and warnings are those of the full scan
+    f = unary("add(x,log(add(mul(x,x),-0.25),2))", -1.0, 1.0)
+    ts = _axis_points(-1.0, 1.0, DEFAULT_GRID)
+    warnings, notes = [], []
+    roots = invert_at(f, 1, 0.0, [], BoxDomain(((-1.0, 1.0),)), warnings=warnings)
+    want = list(full_scan_roots(f, 1, [], ts, 0.0, DEFAULT_TOL, notes))
+    assert [r.hex() for r in roots] == [r.hex() for r in want] and len(roots) == 1
+    assert warnings == notes and len(warnings) == 514
+    formula = Inverse(f, 1, axis=(-1.0, 1.0))
+    evaluated, blocks = Counter(), []
+    _, counts = _formula_counts(monkeypatch, formula, [0.0], blocks=blocks, every_root=True,
+                                refine=True, evaluated=evaluated)
+    assert blocks == [((0, DEFAULT_GRID - 1), False)]
+    assert counts == {"points": DEFAULT_GRID, "enclosures": 1, "grid": DEFAULT_GRID + 1,
+                      "refine": 44}
+    assert [ts.index(t) for t, n in evaluated.items() if n > 1] == [512]
 
 
 def test_formula_stops_enclosing_where_no_block_drops(monkeypatch):
     # x*x - x*x + 1 = 1.000001 has no root, and each enclosure of the
     # difference is as wide as its block, so none drops one: after
-    # PRUNE_MISSES of them the scan takes every remaining point
+    # PRUNE_MISSES of them the scan takes every remaining point, each
+    # evaluated once (the ends of the halved blocks are evaluated as they
+    # are halved, and kept)
     formula = Inverse(unary("add(add(mul(x,x),mul(mul(x,x),-1)),1)", 0.0, 1.0), 1,
                       axis=(0.0, 1.0))
-    root, counts = _formula_counts(monkeypatch, formula, [1.000001])
+    root, counts = _formula_counts(monkeypatch, formula, [1.000001], refine=True)
     assert root is None
-    assert counts == {"points": DEFAULT_GRID, "enclosures": PRUNE_MISSES}
+    assert counts == {"points": DEFAULT_GRID, "enclosures": PRUNE_MISSES,
+                      "grid": DEFAULT_GRID, "refine": 0}
 
 
 # --- root refinement: Illinois steps, with bisection as the safeguard ---
@@ -649,8 +713,8 @@ def test_replay_root_bracket_is_refined_in_two_evaluations(monkeypatch):
     # bisection cost 21; for the formula (first root) and invert_at alike
     formula, point, x = _replay_formula()
     for every_root, pruned in (
-        (False, {"points": 3, "enclosures": 2, "probes": 12, "refine": 2}),
-        (True, {"points": 4, "enclosures": 3, "probes": 12, "refine": 2}),
+        (False, {"points": 3, "enclosures": 1, "grid": 12, "refine": 2}),
+        (True, {"points": 4, "enclosures": 2, "grid": 12, "refine": 2}),
     ):
         root, counts = _formula_counts(monkeypatch, formula, point, every_root=every_root,
                                        refine=True)

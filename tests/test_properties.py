@@ -239,10 +239,12 @@ def _full_scan(f, i, target, fixed, box):
 
 
 @PROPERTY
-@given(ast=MIXED, data=st.data())
+@given(ast=st.one_of(MIXED, PARTIAL), data=st.data())
 def test_inverse_formula_is_first_root_of_invert_at(ast, data):
     # the formula's scan stops at its first root; invert_at scans the whole
-    # axis.  Mixed signs make subintervals fail (domain errors, overflow).
+    # axis.  Mixed signs make subintervals fail (domain errors, overflow),
+    # and log and root towers have gap edges, where the search's probes,
+    # made before any enclosure, may fail.
     f = structural(ast)
     assume(f.arity >= 1)
     i = data.draw(st.integers(1, f.arity))

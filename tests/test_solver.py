@@ -39,6 +39,13 @@ def test_equation_rejects_repeated_parameter():
         Equation(form.expr, form.binding, 1.0, {"a": 2.0}, BoxDomain(((0, 1),)))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_equation_refuses_a_parameter_that_is_not_finite(value):
+    form = to_structural(parse("add(x,a)"))
+    with pytest.raises(ConfigError, match=f"^parameter 'a' value {value} is not finite$"):
+        Equation(form.expr, form.binding, 1.0, {"a": value}, BoxDomain(((0, 1),)))
+
+
 def test_equation_requires_total_binding():
     form = to_structural(parse("add(x,a)"))
     with pytest.raises(ConfigError):
