@@ -339,22 +339,16 @@ def lowered_enclosure(e: Expr, slot: int):
     not > 0, a logarithm base range that holds 1), a bound that overflows
     or is NaN, a nested Inverse, or a non-finite target or fixed
     coordinate.  The same lowering gives the section along `slot`, as the
-    function's `section` attribute: see `lowered_section`.
+    function's `section` attribute: `section(target, *fixed)` returns the
+    one-variable function t -> e(..., t, ...) - target, bitwise `lowered(e)`
+    at that point minus the target, with the same error, node and point
+    where it raises; so a scan that encloses and evaluates along one slot
+    lowers `e` once.
     """
     enclosures = e.__dict__.setdefault("_enclosures", {})
     if slot not in enclosures:
         enclosures[slot] = _lower(e, slot)
     return enclosures[slot]
-
-
-def lowered_section(e: Expr, slot: int):
-    """`section(target, *fixed)`, which returns the one-variable function
-    t -> e(..., t, ...) - target with t in `slot` and the other coordinates
-    `fixed` (ascending slot order): bitwise `lowered(e)` at that point minus
-    the target, and the same error, node and point where it raises.  It
-    comes from the lowering of `lowered_enclosure`, so a scan that encloses
-    and evaluates along one slot lowers `e` once."""
-    return lowered_enclosure(e, slot).section
 
 
 def _lower(e: Expr, slot: int | None = None):

@@ -21,7 +21,7 @@ The module also owns the canonical operator notation for expressions and a
 reader for it, so every node's formatted text reads back as that node::
 
     node := NUMBER | PRIM | "e"
-          | "A" n "_{" p1 "," ... "," pm "}(" node ")"       lift
+          | "A" n "_{" p1 "," ... "," pm "}(" node ")"       lift, m >= 0
           | "C" n "_{" k "}(" node "," node ")"               composition
           | "C" n "_{" i "," j "}(" node ")"                  projection
           | "I_{" k "}(" node "," NUMBER ":" NUMBER ")"       inverse on lo:hi
@@ -84,8 +84,9 @@ PRIM_NAMES = {p.value: p for p in Primitive if p.arity == 2}
 
 _NUMBER_RE = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _IDENT_RE = r"[A-Za-z_][A-Za-z0-9_]*"
-# an operator symbol with its subscripts, matched whole: A4_{1,3}, C2_{1,2}, I_{1}
-_OP_RE = r"[AC]\d+_\{\d+(?:,\d+)*\}|I_\{\d+\}"
+# an operator symbol with its subscripts, matched whole: A4_{1,3}, C2_{1,2}, I_{1};
+# a lift of a nullary function has no positions: A2_{}
+_OP_RE = r"A\d+_\{(?:\d+(?:,\d+)*)?\}|C\d+_\{\d+(?:,\d+)*\}|I_\{\d+\}"
 # A token is one match: exactly one of its four groups (operator symbol,
 # name, number, single character) is non-empty.
 _TOKEN_RE = re.compile(rf"({_OP_RE})|({_IDENT_RE})|({_NUMBER_RE})|(\S)")
@@ -168,7 +169,7 @@ class _Parser:
         at = self.pos
         self.pos += 1
         head, subs = op[:-1].split("_{")
-        slots = [int(s) for s in subs.split(",")]
+        slots = [int(s) for s in subs.split(",")] if subs else []
         self.expect("(")
         first = self.structural()
         if head == "I":

@@ -40,11 +40,10 @@ split, before any enclosure, around a crossing cell that a bisection of
 its grid indices finds through the section, so that both sides of the
 cell can drop; a block whose range enclosure lies beyond tol on one side
 holds no root, no bracket end and no point that fails, so it is dropped
-but for its ends; and where the left half of a halved block is dropped,
-the right half is halved without an enclosure of its own.  The
-roots, refinements included, and the notes are bitwise those of the scan
-of every point.  An Inverse node stops at its first root.  The default
-tolerance is the package's `DEFAULT_TOL` (1e-9).
+but for its ends; and any other block is halved.  The roots, refinements
+included, and the notes are bitwise those of the scan of every point.  An
+Inverse node stops at its first root.  The default tolerance is the
+package's `DEFAULT_TOL` (1e-9).
 
 The core has one failure rule.  A point where the section does not
 evaluate (log, root or division outside its domain, overflow in a power,
@@ -481,21 +480,11 @@ def _pruned_values(h, enclose, ts: list[float], target: float, fixed, tol: float
     with the value at its midpoint, down to `PRUNE_BLOCK` cells and then
     scanned point by point; a finite enclosure means that every point of
     its block evaluates, so those midpoints raise and note nothing.  Where
-    the left half of a halved block is dropped, any root of the block lies
-    in the right half, whose enclosure then straddles as well, so a right
-    half larger than `PRUNE_BLOCK` is halved there without an enclosure of
-    its own.  That is sound, since a block loses points only by an
-    enclosure that drops it, whatever blocks are chosen; where the skipped
-    enclosure would have dropped the right half, it costs one more
-    enclosure and one more point.  The block after a dropped right half
-    lies beyond the block that was halved, and it is enclosed: a scan that
-    goes on past its last root, as `invert_at`'s does, would pay that cost
-    at every block it drops there.  Where the enclosures stop paying, the
-    rest of the grid is scanned point by point: from a block whose
-    enclosure is (-inf, inf), so an expression that cannot be bounded is
-    scanned at every point, and after `PRUNE_MISSES` enclosures in a row
-    that dropped nothing, which bounds their cost where none can drop a
-    block.
+    the enclosures stop paying, the rest of the grid is scanned point by
+    point: from a block whose enclosure is (-inf, inf), so an expression
+    that cannot be bounded is scanned at every point, and after
+    `PRUNE_MISSES` enclosures in a row that dropped nothing, which bounds
+    their cost where none can drop a block.
     """
     last = len(ts) - 1
     try:
@@ -515,7 +504,6 @@ def _pruned_values(h, enclose, ts: list[float], target: float, fixed, tol: float
         return
     blocks = [(0, last, hb)]
     misses = 0      # enclosures in a row that dropped nothing
-    left = False    # whether the block is the left half of the block halved last
     while blocks:
         a, b, hb = blocks.pop()
         if b - a > 1:
@@ -540,34 +528,23 @@ def _pruned_values(h, enclose, ts: list[float], target: float, fixed, tol: float
                     blocks.append((r - 1, r, hk))
                     if r - 1 > a:
                         blocks.append((a, r - 1, hl))
-                    left = False
                     continue
             lo, hi = enclose(ts[a], ts[b], target, *fixed)
             if lo > tol or hi < -tol:
                 misses = 0
-                yield ts[b], hb
-                ha = hb
-                if left and blocks[-1][1] - b > PRUNE_BLOCK:
-                    # halve the right half, on top, and go on with its left half
-                    c, d, hd = blocks.pop()
-                    m = (c + d) // 2
-                    blocks += (m, d, hd), (c, m, h(ts[m]))
-                else:
-                    left = False
-                continue
-            misses += 1
-            if lo == -math.inf or misses == PRUNE_MISSES:
-                blocks.append((a, b, hb))
-                for a, b, hb in reversed(blocks):
-                    yield from _values(h, ts[a + 1:b], notes)
-                    yield ts[b], hb
-                return
-            left = b - a > PRUNE_BLOCK
-            if left:
-                m = (a + b) // 2
-                blocks += (m, b, hb), (a, m, h(ts[m]))
-                continue
-            yield from _values(h, ts[a + 1:b], notes)
+            else:
+                misses += 1
+                if lo == -math.inf or misses == PRUNE_MISSES:
+                    blocks.append((a, b, hb))
+                    for a, b, hb in reversed(blocks):
+                        yield from _values(h, ts[a + 1:b], notes)
+                        yield ts[b], hb
+                    return
+                if b - a > PRUNE_BLOCK:
+                    m = (a + b) // 2
+                    blocks += (m, b, hb), (a, m, h(ts[m]))
+                    continue
+                yield from _values(h, ts[a + 1:b], notes)
         yield ts[b], hb
         ha = hb
 

@@ -25,7 +25,6 @@ from mvfa.expr_core import (
 from mvfa.frontend import parse, to_structural
 from mvfa.inverse import (
     DEFAULT_GRID,
-    PRUNE_BLOCK,
     PRUNE_MISSES,
     Branch,
     DegenerateInputError,
@@ -572,63 +571,39 @@ def test_crossing_in_an_end_cell_yields_each_point_once(monkeypatch, cell, every
 LOOSE = "add(add(mul(x,x),mul(mul(x,x),-1)),x)"   # x*x - x*x + x, enclosed loosely
 
 
-def test_right_half_after_a_dropped_left_half_is_not_enclosed(monkeypatch):
-    # x*x - x*x + x = 0.5 on 0:1: the enclosures of the difference are wide,
-    # so the sides of the first split, at 0.5 and before any enclosure, do
-    # not drop and are halved;
-    # where the left half of a halved block drops, the scan takes its right
-    # half, halved first where it is larger than PRUNE_BLOCK, with no
-    # enclosure of its own; for the formula (first root) and invert_at
-    # (every root) alike
-    formula = Inverse(unary(LOOSE, 0.0, 1.0), 1, axis=(0.0, 1.0))
-    for every_root, pruned, halvings in ((False, {"points": 23, "enclosures": 7}, 4),
-                                         (True, {"points": 68, "enclosures": 32}, 10)):
-        blocks = []
-        root, counts = _formula_counts(monkeypatch, formula, [0.5], blocks=blocks,
-                                       every_root=every_root)
-        want, _ = _formula_counts(monkeypatch, formula, [0.5], prune=False,
-                                  every_root=every_root)
-        assert repr(root) == repr(want) == ("[0.5]" if every_root else "0.5")
-        assert counts == pruned
-        assert blocks[0][0] == (0, DEFAULT_GRID // 2 - 1) and len(blocks) == counts["enclosures"]
-        right_of, halved = {}, 0   # each halved block's left half -> its right half
-        for ((a, b), dropped), (block, _) in zip(blocks, blocks[1:]):
-            if not dropped and block == (a, (a + b) // 2):
-                right_of[block] = ((a + b) // 2, b)
-            elif dropped and (a, b) in right_of:
-                c, d = right_of[(a, b)]
-                if d - c > PRUNE_BLOCK:
-                    right_of[(c, (c + d) // 2)] = ((c + d) // 2, d)
-                    halved += 1
-                    d = (c + d) // 2
-                assert block == (c, d)
-        assert halved == halvings
-
-
-@pytest.mark.parametrize("text, axis, pruned, first", [
+@pytest.mark.parametrize("text, axis, target, count, pruned, first", [
     # three roots: the bisection of the whole grid, before any enclosure,
     # lands on the last crossing, so its left side (0, 716) crosses twice
     # more; its enclosure straddles and it is halved, and each half is split
     # at its own crossing before its sides are enclosed
-    ("mul(mul(add(x,-0.3),add(x,-0.5)),add(x,-0.7))", (0.0, 1.0),
+    ("mul(mul(add(x,-0.3),add(x,-0.5)),add(x,-0.7))", (0.0, 1.0), 0.0, 3,
      {"points": 9, "enclosures": 6, "grid": 31, "refine": 5},
      [((0, 716), False), ((0, 306), True), ((307, 358), True)]),
     # a root on the grid point 512: the right side of the first split starts
     # within tol there, so it and its left halves are halved with no
     # crossing search, one evaluation (the midpoint) each
-    ("add(x,-512)", (0.0, 1023.0),
+    ("add(x,-512)", (0.0, 1023.0), 0.0, 1,
      {"points": 23, "enclosures": 12, "grid": 31, "refine": 0},
      [((0, 511), True), ((512, 1023), False), ((512, 767), False)]),
-], ids=["three-roots", "end-within-tol"])
-def test_split_finds_the_roots_of_the_scan_of_every_point(monkeypatch, text, axis, pruned,
-                                                          first):
+    # loose enclosures of the difference: the sides of the first split, at
+    # 0.5, do not drop and are halved; each half is enclosed, the right one
+    # after its left one dropped too
+    (LOOSE, (0.0, 1.0), 0.5, 1,
+     {"points": 62, "enclosures": 30, "grid": 70, "refine": 1},
+     [((0, 511), False), ((0, 255), True), ((255, 511), False)]),
+], ids=["three-roots", "end-within-tol", "loose"])
+def test_split_finds_the_roots_of_the_scan_of_every_point(monkeypatch, text, axis, target,
+                                                          count, pruned, first):
+    # invert_at finds every root of the full scan, and the formula its first
     formula = Inverse(unary(text, *axis), 1, axis=axis)
     blocks = []
-    roots, counts = _formula_counts(monkeypatch, formula, [0.0], blocks=blocks,
+    roots, counts = _formula_counts(monkeypatch, formula, [target], blocks=blocks,
                                     every_root=True, refine=True)
-    want, _ = _formula_counts(monkeypatch, formula, [0.0], prune=False, every_root=True)
-    assert [r.hex() for r in roots] == [r.hex() for r in want] and len(roots) == text.count("add")
+    want, _ = _formula_counts(monkeypatch, formula, [target], prune=False, every_root=True)
+    assert [r.hex() for r in roots] == [r.hex() for r in want] and len(roots) == count
     assert counts == pruned and blocks[: len(first)] == first
+    root, _ = _formula_counts(monkeypatch, formula, [target])
+    assert root.hex() == want[0].hex()
 
 
 @pytest.mark.parametrize("text, t, value", [

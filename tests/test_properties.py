@@ -48,7 +48,6 @@ from mvfa.expr_core import (
     evaluate,
     lowered,
     lowered_enclosure,
-    lowered_section,
 )
 from mvfa.frontend import (
     AstCall, AstConst, AstSymbol, format_expr, parse, parse_structural, to_structural,
@@ -400,7 +399,7 @@ def test_section_is_the_point_function_minus_the_target(ast, values, target):
 
     want = result(lambda: lowered(f)(*point) - target)
     for i in range(1, f.arity + 1):
-        section = lowered_section(f, i)(target, *point[: i - 1], *point[i:])
+        section = lowered_enclosure(f, i).section(target, *point[: i - 1], *point[i:])
         assert result(lambda: section(point[i - 1])) == want, i
 
 
@@ -697,17 +696,19 @@ def test_solve_finds_the_roots_of_a_dense_scan(request):
 
 # --- arity and used slots, derived again by routing slots ---
 
+NODE_KINDS = ("const", "prim", "lift", "compose", "diagonal", "inverse", "inverse")
+
+
 @st.composite
-def trees(draw, depth=4):
-    """A random valid expression tree of every node type."""
-    kind = draw(st.sampled_from(
-        ("const", "prim") if depth == 0 else
-        ("const", "prim", "lift", "compose", "diagonal", "inverse", "inverse")))
+def trees(draw, depth=4, constants=rounded(-2.0, 2.0), kinds=NODE_KINDS):
+    """A random valid expression tree of the node types in `kinds` (every
+    one by default), its constants drawn from `constants`."""
+    kind = draw(st.sampled_from(kinds[:2] if depth == 0 else kinds))
     if kind == "const":
-        return Const(draw(rounded(-2.0, 2.0)))
+        return Const(draw(constants))
     if kind == "prim":
         return Prim(draw(st.sampled_from(list(Primitive))))
-    inner = draw(trees(depth - 1))
+    inner = draw(trees(depth - 1, constants, kinds))
     m = inner.arity
     if kind == "lift":
         n = draw(st.integers(m, m + 2))
@@ -719,7 +720,7 @@ def trees(draw, depth=4):
         return Inverse(inner, draw(st.integers(1, m)), (0.0, 1.0))
     if kind != "compose":
         return inner
-    g = draw(trees(depth - 1))
+    g = draw(trees(depth - 1, constants, kinds))
     if 0 < g.arity < m:
         g = Lift(g, m, tuple(draw(st.permutations(range(1, m + 1)))[: g.arity]))
     elif 0 < m < g.arity:
@@ -773,3 +774,17 @@ def test_arity_and_used_slots_match_a_routing_derivation(e):
     n = reference_arity(e)
     assert e.arity == n
     assert e.used_slots == reaches(e, [{k} for k in range(1, n + 1)])
+
+
+@PROPERTY
+@given(e=trees(3, EDGE_CONSTANTS, NODE_KINDS[:5]), data=st.data())
+def test_notation_reads_back_every_built_node(e, data):
+    # nodes built directly, not from an AST: a lift of a nullary function
+    # (no positions), a projection, a composition into a slot its outer
+    # function may not use, and the constants hardest to write bitwise
+    # (no Inverse, whose nesting would make each evaluation a scan of scans)
+    text = format_expr(e)
+    back = parse_structural(text)
+    assert back == e and format_expr(back) == text
+    point = data.draw(st.lists(MIXED_VALUE, min_size=e.arity, max_size=e.arity))
+    assert outcome(back, point) == outcome(e, point)
